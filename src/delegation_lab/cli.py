@@ -21,8 +21,9 @@ import time
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from . import oracle
+from . import instances, oracle, probing, prophet
 from .delegation import (
+    Policy,
     TieBreak,
     build_threshold_policy,
     compose_outer,
@@ -64,12 +65,12 @@ CAPS_ENV_VAR = "DELEGATION_LAB_CAPS"
 
 @dataclass(frozen=True)
 class Caps:
-    scenarios: int = 10**6
-    dp_states: int = 10**6
-    outer_sets: int = 10**5
-    orderings: int = 10**6
-    policy_sets: int = 20
-    family_sets: int = 10**6
+    scenarios: int = instances.SCENARIO_CAP
+    dp_states: int = probing.DP_STATE_CAP
+    outer_sets: int = probing.OUTER_SET_CAP
+    orderings: int = prophet.ORDERING_PRODUCT_CAP
+    policy_sets: int = oracle.POLICY_CANDIDATE_CAP
+    family_sets: int = prophet.FAMILY_CAP
 
 
 @dataclass(frozen=True)
@@ -126,17 +127,21 @@ def _rational(value: Fraction) -> dict:
     }
 
 
+def _read_json(path: str, what: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid {what} JSON: {exc}") from None
+
+
 def _load_configured_instance(config: RunConfig) -> tuple[Instance, str]:
     if config.instance_path is not None and config.builtin is not None:
         raise ValueError("pass either --instance or --builtin, not both")
     if config.builtin is not None:
         return builtin_instance(config.builtin, config.epsilon), config.builtin
     if config.instance_path is not None:
-        with open(config.instance_path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid instance JSON: {exc}") from None
+        data = _read_json(config.instance_path, "instance")
         return load_instance(data), config.instance_path
     raise ValueError("an instance is required (--instance PATH or --builtin NAME)")
 
@@ -162,13 +167,14 @@ def _evaluation_json(evaluation) -> dict:
 
 def _cmd_gap(config: RunConfig) -> tuple[dict, list[dict]]:
     instance, label = _load_configured_instance(config)
+    benchmark = optimal_adaptive_value(instance, config.caps.dp_states).expected_value
     report = oracle.exact_delegation_gap(
         instance,
         config.tie_break,
-        candidate_cap=config.caps.policy_sets,
-        state_cap=config.caps.dp_states,
+        config.caps.policy_sets,
+        config.caps.dp_states,
+        benchmark,
     )
-    benchmark = optimal_adaptive_value(instance, config.caps.dp_states).expected_value
     value = report.alpha_star * benchmark
     body = {
         "command": "gap",
@@ -180,41 +186,49 @@ def _cmd_gap(config: RunConfig) -> tuple[dict, list[dict]]:
         "policies_enumerated": report.policies_enumerated,
         "best_policy": policy_to_json(report.best_policy, instance),
     }
-    return body, [_csv_row(config, label, value, report.alpha_star)]
+    return body, [_csv_row(config, config.tie_break, label, value, report.alpha_star)]
+
+
+def _policy_report(
+    config: RunConfig,
+    instance: Instance,
+    label: str,
+    policy: Policy,
+    benchmark: Fraction | None = None,
+    **extras,
+) -> tuple[dict, list[dict]]:
+    """Evaluate `policy` and report it (eval-policy and build-policy)."""
+    evaluation = evaluate_policy(
+        instance, policy, config.tie_break, config.caps.dp_states, benchmark
+    )
+    body = {
+        "command": config.command,
+        "instance": label,
+        "tie_break": config.tie_break.value,
+        "policy": policy_to_json(policy, instance),
+        "evaluation": _evaluation_json(evaluation),
+        **extras,
+    }
+    value, alpha = evaluation.principal_value, evaluation.alpha
+    return body, [_csv_row(config, config.tie_break, label, value, alpha)]
 
 
 def _cmd_eval_policy(config: RunConfig) -> tuple[dict, list[dict]]:
     instance, label = _load_configured_instance(config)
     if config.policy_path is None:
         raise ValueError("eval-policy needs --policy PATH")
-    with open(config.policy_path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid policy JSON: {exc}") from None
-    policy = policy_from_json(data)
+    policy = policy_from_json(_read_json(config.policy_path, "policy"))
     validate_policy(instance, policy)
-    evaluation = evaluate_policy(
-        instance, policy, config.tie_break, config.caps.dp_states
-    )
-    body = {
-        "command": "eval-policy",
-        "instance": label,
-        "policy": policy_to_json(policy, instance),
-        "tie_break": config.tie_break.value,
-        "evaluation": _evaluation_json(evaluation),
-    }
-    return body, [
-        _csv_row(config, label, evaluation.principal_value, evaluation.alpha)
-    ]
+    return _policy_report(config, instance, label, policy)
 
 
 def _cmd_build_policy(config: RunConfig) -> tuple[dict, list[dict]]:
     instance, label = _load_configured_instance(config)
     extras: dict = {}
+    benchmark = None
     if config.method == "threshold":
         policy, cut, prophet = build_threshold_policy(
-            instance, config.caps.orderings
+            instance, config.caps.orderings, config.caps.scenarios
         )
         extras = {
             "threshold": _rational(cut),
@@ -224,7 +238,10 @@ def _cmd_build_policy(config: RunConfig) -> tuple[dict, list[dict]]:
         }
     elif config.method == "from-greedy":
         family, prophet = best_greedy_family(
-            instance, config.caps.family_sets, config.caps.orderings
+            instance,
+            config.caps.family_sets,
+            config.caps.orderings,
+            config.caps.scenarios,
         )
         policy = policy_from_greedy(family)
         members = [sorted(member) for member in family.maximal]
@@ -239,39 +256,33 @@ def _cmd_build_policy(config: RunConfig) -> tuple[dict, list[dict]]:
             "family_ratio": _rational(prophet.ratio),
         }
     elif config.method == "composed":
+        benchmark = optimal_adaptive_value(
+            instance, config.caps.dp_states
+        ).expected_value
         policy, probe_set = compose_outer(
             instance,
             lambda restricted: build_threshold_policy(
-                restricted, config.caps.orderings
+                restricted, config.caps.orderings, config.caps.scenarios
             )[0],
             config.caps.outer_sets,
             config.caps.dp_states,
+            benchmark,
         )
         extras = {"probe_set": sorted(probe_set)}
     else:
         raise ValueError("build-policy needs --method threshold|from-greedy|composed")
-    evaluation = evaluate_policy(
-        instance, policy, config.tie_break, config.caps.dp_states
+    return _policy_report(
+        config, instance, label, policy, benchmark, method=config.method, **extras
     )
-    body = {
-        "command": "build-policy",
-        "instance": label,
-        "method": config.method,
-        "tie_break": config.tie_break.value,
-        "policy": policy_to_json(policy, instance),
-        "evaluation": _evaluation_json(evaluation),
-        **extras,
-    }
-    return body, [
-        _csv_row(config, label, evaluation.principal_value, evaluation.alpha)
-    ]
 
 
 def _cmd_prophet_check(config: RunConfig) -> tuple[dict, list[dict]]:
     instance, label = _load_configured_instance(config)
     tau = samuel_cahn_threshold(instance)
     family = threshold_family(instance, tau)
-    report = evaluate_vs_almighty(instance, family, config.caps.orderings)
+    report = evaluate_vs_almighty(
+        instance, family, config.caps.orderings, config.caps.scenarios
+    )
     body = {
         "command": "prophet-check",
         "instance": label,
@@ -280,14 +291,19 @@ def _cmd_prophet_check(config: RunConfig) -> tuple[dict, list[dict]]:
         "prophet_value": _rational(report.prophet_value),
         "ratio": _rational(report.ratio),
     }
-    return body, [_csv_row(config, label, report.gambler_value, report.ratio)]
+    return body, [
+        _csv_row(config, config.tie_break, label, report.gambler_value, report.ratio)
+    ]
 
 
 def _cmd_adaptivity(config: RunConfig) -> tuple[dict, list[dict]]:
     instance, label = _load_configured_instance(config)
     adaptive = optimal_adaptive_value(instance, config.caps.dp_states)
     nonadaptive = best_nonadaptive_set(
-        instance, config.caps.outer_sets, config.caps.dp_states
+        instance,
+        config.caps.outer_sets,
+        config.caps.dp_states,
+        adaptive.expected_value,
     )
     body = {
         "command": "adaptivity",
@@ -300,7 +316,11 @@ def _cmd_adaptivity(config: RunConfig) -> tuple[dict, list[dict]]:
     }
     return body, [
         _csv_row(
-            config, label, nonadaptive.expected_value, nonadaptive.ratio_to_adaptive
+            config,
+            config.tie_break,
+            label,
+            nonadaptive.expected_value,
+            nonadaptive.ratio_to_adaptive,
         )
     ]
 
@@ -319,96 +339,75 @@ def _stated_menu(instance: Instance, eps: Fraction):
 
 
 def _cmd_reproduce(config: RunConfig) -> tuple[dict, list[dict]]:
-    if config.target == "prop-lottery-positive":
+    caps = config.caps
+    if config.target in ("prop-lottery-positive", "prop-lottery-negative"):
+        positive = config.target == "prop-lottery-positive"
         eps = config.epsilon if config.epsilon is not None else Fraction(1, 4)
-        instance = table1(eps)
-        benchmark = optimal_adaptive_value(instance, config.caps.dp_states)
+        table = "table1" if positive else "table2"
+        instance = table1(eps) if positive else table2(eps)
+        # ties are part of the negative scenario
+        mode = config.tie_break if positive else TieBreak.PRINCIPAL_FAVORING
+        benchmark = optimal_adaptive_value(instance, caps.dp_states).expected_value
         gap = oracle.exact_delegation_gap(
-            instance, config.tie_break, config.caps.policy_sets, config.caps.dp_states
-        )
-        menu = _stated_menu(instance, eps)
-        lottery_eval = evaluate_lottery_menu(
-            instance, menu, config.tie_break, config.caps.dp_states
-        )
-        body = {
-            "command": "reproduce",
-            "target": config.target,
-            "epsilon": _rational(eps),
-            "tie_break": config.tie_break.value,
-            "non_delegated_value": _rational(benchmark.expected_value),
-            "deterministic_alpha_star": _rational(gap.alpha_star),
-            "lottery_menu": menu_to_json(menu),
-            "lottery_value": _rational(lottery_eval.principal_value),
-            "lottery_alpha": _rational(lottery_eval.alpha),
-        }
-        rows = [
-            _csv_row(
-                config,
-                "table1",
-                gap.alpha_star * benchmark.expected_value,
-                gap.alpha_star,
-                command="reproduce:deterministic",
-            ),
-            _csv_row(
-                config,
-                "table1",
-                lottery_eval.principal_value,
-                lottery_eval.alpha,
-                command="reproduce:lottery",
-            ),
-        ]
-        return body, rows
-    if config.target == "prop-lottery-negative":
-        eps = config.epsilon if config.epsilon is not None else Fraction(1, 4)
-        instance = table2(eps)
-        mode = TieBreak.PRINCIPAL_FAVORING  # ties are part of this scenario
-        benchmark = optimal_adaptive_value(instance, config.caps.dp_states)
-        gap = oracle.exact_delegation_gap(
-            instance, mode, config.caps.policy_sets, config.caps.dp_states
-        )
-        menu, search_eval = search_two_lottery_menus(
-            instance, config.grid, mode, config.caps.dp_states
+            instance, mode, caps.policy_sets, caps.dp_states, benchmark
         )
         body = {
             "command": "reproduce",
             "target": config.target,
             "epsilon": _rational(eps),
             "tie_break": mode.value,
-            "non_delegated_value": _rational(benchmark.expected_value),
+            "non_delegated_value": _rational(benchmark),
             "deterministic_alpha_star": _rational(gap.alpha_star),
-            "grid": _rational(config.grid),
-            "best_menu": menu_to_json(menu),
-            "best_menu_value": _rational(search_eval.principal_value),
-            "best_menu_alpha": _rational(search_eval.alpha),
         }
+        if positive:
+            menu = _stated_menu(instance, eps)
+            evaluation = evaluate_lottery_menu(
+                instance, menu, mode, caps.dp_states, benchmark
+            )
+            body["lottery_menu"] = menu_to_json(menu)
+            body["lottery_value"] = _rational(evaluation.principal_value)
+            body["lottery_alpha"] = _rational(evaluation.alpha)
+            lottery_command = "reproduce:lottery"
+        else:
+            menu, evaluation = search_two_lottery_menus(
+                instance, config.grid, mode, caps.dp_states, benchmark
+            )
+            body["grid"] = _rational(config.grid)
+            body["best_menu"] = menu_to_json(menu)
+            body["best_menu_value"] = _rational(evaluation.principal_value)
+            body["best_menu_alpha"] = _rational(evaluation.alpha)
+            lottery_command = "reproduce:lottery-search"
         rows = [
             _csv_row(
                 config,
-                "table2",
-                gap.alpha_star * benchmark.expected_value,
+                mode,
+                table,
+                gap.alpha_star * benchmark,
                 gap.alpha_star,
                 command="reproduce:deterministic",
             ),
             _csv_row(
                 config,
-                "table2",
-                search_eval.principal_value,
-                search_eval.alpha,
-                command="reproduce:lottery-search",
+                mode,
+                table,
+                evaluation.principal_value,
+                evaluation.alpha,
+                command=lottery_command,
             ),
         ]
         return body, rows
     if config.target == "cor-half":
+        mode = TieBreak.ADVERSARIAL
         rng = random.Random(config.seed)
         half = Fraction(1, 2)
         min_alpha: Fraction | None = None
         failures = []
         for i in range(config.count):
             instance = random_free_outer_instance(rng)
-            policy, _, _ = build_threshold_policy(instance, config.caps.orderings)
-            evaluation = evaluate_policy(
-                instance, policy, TieBreak.ADVERSARIAL, config.caps.dp_states
+            policy, _, _ = build_threshold_policy(
+                instance, caps.orderings, caps.scenarios
             )
+            evaluation = evaluate_policy(instance, policy, mode, caps.dp_states)
             if min_alpha is None or evaluation.alpha < min_alpha:
                 min_alpha = evaluation.alpha
             if evaluation.alpha < half:
@@ -421,7 +420,7 @@ def _cmd_reproduce(config: RunConfig) -> tuple[dict, list[dict]]:
             "target": config.target,
             "seed": config.seed,
             "count": config.count,
-            "tie_break": TieBreak.ADVERSARIAL.value,
+            "tie_break": mode.value,
             "min_alpha": _rational(min_alpha),
             "all_at_least_half": not failures,
             "failures": failures,
@@ -429,6 +428,7 @@ def _cmd_reproduce(config: RunConfig) -> tuple[dict, list[dict]]:
         rows = [
             _csv_row(
                 config,
+                mode,
                 f"random[seed={config.seed},n={config.count}]",
                 min_alpha,
                 min_alpha,
@@ -441,16 +441,18 @@ def _cmd_reproduce(config: RunConfig) -> tuple[dict, list[dict]]:
 
 def _csv_row(
     config: RunConfig,
+    mode: TieBreak,
     label: str,
     value: Fraction,
     alpha: Fraction,
     command: str | None = None,
 ) -> dict:
+    """One CSV row; `mode` is the tie-break that was actually evaluated."""
     return {
         "command": command or config.command,
         "instance": label,
         "epsilon": str(config.epsilon) if config.epsilon is not None else "",
-        "tie_break": config.tie_break.value,
+        "tie_break": mode.value,
         "value_num": value.numerator,
         "value_den": value.denominator,
         "alpha_num": alpha.numerator,

@@ -10,29 +10,38 @@ choices and is the conservative default.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .errors import CapacityError
 from .instances import (
+    SCENARIO_CAP,
     Instance,
     Outcome,
+    check_outcome_set,
+    fraction_from_json,
     fraction_to_json,
     is_inner_feasible_outcome_set,
+    known_elements,
     make_instance,
-    outcome_set_key,
+    outcome_set_from_json,
+    outcome_set_to_json,
+    outcome_totals,
     realizable_inner_sets,
 )
 from .probing import (
     DP_STATE_CAP,
     OUTER_SET_CAP,
+    ROOT_STATE,
     StateKey,
+    TieBreak,
+    ValuePair,
     _with_probe,
     best_nonadaptive_set,
     optimal_adaptive_value,
+    prefer,
+    solve_probing,
 )
 from .prophet import (
     ORDERING_PRODUCT_CAP,
@@ -43,12 +52,6 @@ from .prophet import (
     threshold_family,
 )
 from .set_systems import FreeSystem, feasibility_equal
-
-
-class TieBreak(str, enum.Enum):
-    ADVERSARIAL = "adversarial"
-    PRINCIPAL_FAVORING = "principal_favoring"
-    LEXICOGRAPHIC = "lexicographic"
 
 
 class Policy:
@@ -111,36 +114,6 @@ class PolicyEvaluation:
     alpha: Fraction
 
 
-def _set_totals(outcome_set: Iterable[Outcome]) -> tuple[Fraction, Fraction]:
-    y = sum((o.y for o in outcome_set), Fraction(0))
-    x = sum((o.x for o in outcome_set), Fraction(0))
-    return y, x
-
-
-def _prefer(
-    candidate: tuple[Fraction, Fraction], incumbent: tuple[Fraction, Fraction], mode: TieBreak
-) -> bool:
-    """Whether (agent, principal) value pair `candidate` beats `incumbent`."""
-    if candidate[0] != incumbent[0]:
-        return candidate[0] > incumbent[0]
-    if mode is TieBreak.ADVERSARIAL:
-        return candidate[1] < incumbent[1]
-    if mode is TieBreak.PRINCIPAL_FAVORING:
-        return candidate[1] > incumbent[1]
-    return False  # lexicographic: first candidate in canonical order wins
-
-
-def _proposal_rank(
-    outcome_set: frozenset[Outcome], mode: TieBreak
-) -> tuple:
-    y, x = _set_totals(outcome_set)
-    if mode is TieBreak.ADVERSARIAL:
-        return (-y, x, outcome_set_key(outcome_set))
-    if mode is TieBreak.PRINCIPAL_FAVORING:
-        return (-y, -x, outcome_set_key(outcome_set))
-    return (-y, outcome_set_key(outcome_set))
-
-
 def agent_best_response(
     instance: Instance,
     policy: Policy,
@@ -151,11 +124,12 @@ def agent_best_response(
 
     Candidates are the acceptable inner-feasible subsets of the probed
     outcomes plus the empty proposal, which is always available and worth
-    zero to both parties.  Remaining ties resolve to the canonically
-    smallest outcome set.
+    zero to both parties.  They are walked in canonical order (by size,
+    then outcome keys) and replace the incumbent only when `prefer` says
+    so, which resolves remaining ties to the canonically smallest set.
     """
     best = frozenset()
-    best_rank = _proposal_rank(best, mode)
+    best_pair = (Fraction(0), Fraction(0))
     ordered = sorted(probed, key=Outcome.key)
     for r in range(1, len(ordered) + 1):
         for combo in itertools.combinations(ordered, r):
@@ -164,64 +138,31 @@ def agent_best_response(
                 continue
             if not is_inner_feasible_outcome_set(instance, subset):
                 continue
-            rank = _proposal_rank(subset, mode)
-            if rank < best_rank:
-                best, best_rank = subset, rank
+            pair = outcome_totals(subset)
+            if prefer(pair, best_pair, mode):
+                best, best_pair = subset, pair
     return best
 
 
 def agent_probe_values(
     instance: Instance,
-    stop_values: Callable[[frozenset[Outcome]], tuple[Fraction, Fraction]],
+    stop_values: Callable[[frozenset[Outcome]], ValuePair],
     mode: TieBreak,
     state_cap: int = DP_STATE_CAP,
-) -> tuple[tuple[Fraction, Fraction], Mapping[frozenset[str], Fraction]]:
-    """Exact adaptive probing DP for the agent.
+) -> tuple[ValuePair, Mapping[frozenset[str], Fraction]]:
+    """The agent's probing DP (`solve_probing`) and its probe distribution.
 
-    `stop_values` maps a probed outcome set to the (agent, principal)
-    value pair realized if the agent stops there and proposes.  The agent
-    maximizes expected agent value; ties between stopping and probing (or
-    between probe candidates) follow the tie-break mode applied to the
-    principal's expected value, then canonical order (stop first, then
-    elements ascending).  Returns the root value pair and the distribution
-    of probed sets under the selected strategy.
+    `stop_values` maps a probed outcome set to the (agent, principal) value
+    pair realized if the agent stops there and proposes.  Returns the root
+    value pair and the distribution of probed sets under the strategy.
     """
-    values: dict[StateKey, tuple[Fraction, Fraction]] = {}
-    actions: dict[StateKey, str | None] = {}
 
-    def visit(state: StateKey) -> tuple[Fraction, Fraction]:
-        if state in values:
-            return values[state]
-        if len(values) >= state_cap:
-            raise CapacityError(f"agent probing DP exceeded {state_cap} states")
-        probed_elems = frozenset(state[0])
-        outcomes = frozenset(
-            instance.outcome(e, i) for e, i in zip(state[0], state[1])
+    def stop_rule(state: StateKey) -> ValuePair:
+        return stop_values(
+            frozenset(instance.outcome(e, i) for e, i in zip(*state))
         )
-        best = stop_values(outcomes)
-        action: str | None = None
-        for e in instance.elements:
-            if e in probed_elems:
-                continue
-            if not instance.outer.is_feasible(probed_elems | {e}):
-                continue
-            agent_total = Fraction(0)
-            principal_total = Fraction(0)
-            for i, atom in enumerate(instance.dist(e)):
-                sub = visit(_with_probe(state, e, i))
-                agent_total += atom.prob * sub[0]
-                principal_total += atom.prob * sub[1]
-            pair = (agent_total, principal_total)
-            if _prefer(pair, best, mode):
-                best = pair
-                action = e
-        values[state] = best
-        actions[state] = action
-        return best
 
-    root: StateKey = ((), ())
-    root_pair = visit(root)
-
+    root_pair, actions = solve_probing(instance, stop_rule, mode, state_cap)
     distribution: dict[frozenset[str], Fraction] = {}
 
     def walk(state: StateKey, prob: Fraction) -> None:
@@ -233,23 +174,21 @@ def agent_probe_values(
         for i, atom in enumerate(instance.dist(action)):
             walk(_with_probe(state, action, i), prob * atom.prob)
 
-    walk(root, Fraction(1))
+    walk(ROOT_STATE, Fraction(1))
     return root_pair, distribution
 
 
-def evaluate_policy(
+def evaluate_stop_values(
     instance: Instance,
-    policy: Policy,
-    mode: TieBreak = TieBreak.ADVERSARIAL,
-    state_cap: int = DP_STATE_CAP,
-    benchmark: Fraction | None = None,
+    stop_values: Callable[[frozenset[Outcome]], ValuePair],
+    mode: TieBreak,
+    state_cap: int,
+    benchmark: Fraction | None,
 ) -> PolicyEvaluation:
-    """Expected principal utility against an exactly best-responding agent."""
+    """Agent DP on `stop_values`, measured against the adaptive benchmark.
 
-    def stop_values(outcomes: frozenset[Outcome]) -> tuple[Fraction, Fraction]:
-        proposal = agent_best_response(instance, policy, outcomes, mode)
-        return _set_totals(proposal)
-
+    The one evaluator behind policies and lottery menus.
+    """
     (agent_value, principal_value), distribution = agent_probe_values(
         instance, stop_values, mode, state_cap
     )
@@ -265,13 +204,25 @@ def evaluate_policy(
     )
 
 
+def evaluate_policy(
+    instance: Instance,
+    policy: Policy,
+    mode: TieBreak = TieBreak.ADVERSARIAL,
+    state_cap: int = DP_STATE_CAP,
+    benchmark: Fraction | None = None,
+) -> PolicyEvaluation:
+    """Expected principal utility against an exactly best-responding agent."""
+
+    def stop_values(outcomes: frozenset[Outcome]) -> ValuePair:
+        return outcome_totals(agent_best_response(instance, policy, outcomes, mode))
+
+    return evaluate_stop_values(instance, stop_values, mode, state_cap, benchmark)
+
+
 def restrict_instance(instance: Instance, subset: Iterable[str]) -> Instance:
     """Restriction to `subset` with a free outer constraint."""
-    keep = frozenset(subset)
+    keep = known_elements(instance, subset, "restriction")
     elements = [e for e in instance.elements if e in keep]
-    extra = keep - set(elements)
-    if extra:
-        raise ValueError(f"restriction outside instance: {sorted(extra)}")
     dists = {e: list(instance.dist(e)) for e in elements}
     return make_instance(
         elements,
@@ -286,14 +237,16 @@ def compose_outer(
     inner_builder: Callable[[Instance], Policy],
     set_cap: int = OUTER_SET_CAP,
     state_cap: int = DP_STATE_CAP,
+    benchmark: Fraction | None = None,
 ) -> tuple[Policy, frozenset[str]]:
     """Fix the best nonadaptive probe set F, then delegate inside it.
 
     The returned policy only accepts outcomes of elements in F, so the
     agent has no incentive to probe anything else; F itself is feasible in
-    the outer constraint by construction.
+    the outer constraint by construction.  `benchmark` is the adaptive
+    optimum, if already known (see `best_nonadaptive_set`).
     """
-    report = best_nonadaptive_set(instance, set_cap, state_cap)
+    report = best_nonadaptive_set(instance, set_cap, state_cap, benchmark)
     restricted = restrict_instance(instance, report.best_set)
     return inner_builder(restricted), report.best_set
 
@@ -301,6 +254,7 @@ def compose_outer(
 def build_threshold_policy(
     instance: Instance,
     product_cap: int = ORDERING_PRODUCT_CAP,
+    scenario_cap: int = SCENARIO_CAP,
 ) -> tuple[Policy, Fraction, ProphetReport]:
     """Best single-threshold policy, certified against the almighty adversary.
 
@@ -323,7 +277,7 @@ def build_threshold_policy(
     best: tuple[Fraction, GreedyFamily, ProphetReport] | None = None
     for cut in cuts:
         family = threshold_family(instance, cut)
-        report = evaluate_vs_almighty(instance, family, product_cap)
+        report = evaluate_vs_almighty(instance, family, product_cap, scenario_cap)
         if best is None or report.gambler_value > best[2].gambler_value:
             best = (cut, family, report)
     assert best is not None
@@ -344,11 +298,7 @@ def validate_policy(instance: Instance, policy: Policy) -> None:
     """Reject explicit policies with members outside the feasible outcome space."""
     if isinstance(policy, ExplicitPolicy):
         for member in policy.acceptable:
-            if not is_inner_feasible_outcome_set(instance, member):
-                raise ValueError(
-                    f"policy member {sorted(o.key() for o in member)} is not an "
-                    "inner-feasible set of support outcomes"
-                )
+            check_outcome_set(instance, member, "policy member")
 
 
 def symmetric_groups(instance: Instance) -> list[frozenset[str]]:
@@ -417,49 +367,22 @@ def policy_to_json(policy: Policy, instance: Instance | None = None) -> dict:
     else:
         raise ValueError("predicate policies need an instance to serialize")
     members = sorted(
-        (
-            [
-                {
-                    "element": o.element,
-                    "x": fraction_to_json(o.x),
-                    "y": fraction_to_json(o.y),
-                }
-                for o in sorted(member, key=Outcome.key)
-            ]
-            for member in acceptable
-        ),
+        map(outcome_set_to_json, acceptable),
         key=lambda m: (len(m), [(o["element"], o["x"], o["y"]) for o in m]),
     )
     return {"kind": "explicit", "acceptable": members}
 
 
 def policy_from_json(obj: dict) -> Policy:
-    from .instances import _fraction_from_json  # shared strict parser
-
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("policy must be an object with a 'kind' field")
     if obj["kind"] == "x-threshold":
-        return ThresholdPolicy(_fraction_from_json(obj.get("tau"), "tau"))
+        return ThresholdPolicy(fraction_from_json(obj.get("tau"), "tau"))
     if obj["kind"] == "explicit":
         members = obj.get("acceptable")
         if not isinstance(members, list):
             raise ValueError("explicit policy needs an 'acceptable' list")
-        acceptable = set()
-        for member in members:
-            if not isinstance(member, list):
-                raise ValueError("each acceptable set must be a list of outcomes")
-            outcomes = set()
-            for item in member:
-                if not isinstance(item, dict) or "element" not in item:
-                    raise ValueError("outcomes need 'element', 'x' and 'y'")
-                outcomes.add(
-                    Outcome(
-                        item["element"],
-                        _fraction_from_json(item.get("x"), "x"),
-                        _fraction_from_json(item.get("y"), "y"),
-                    )
-                )
-            acceptable.add(frozenset(outcomes))
+        acceptable = {outcome_set_from_json(member) for member in members}
         acceptable.discard(frozenset())
         return ExplicitPolicy(frozenset(acceptable))
     raise ValueError(f"unknown policy kind {obj['kind']!r}")

@@ -138,14 +138,22 @@ def enumerate_scenarios(
     return scenarios
 
 
+def known_elements(
+    instance: Instance, ids: Iterable[str], what: str
+) -> frozenset[str]:
+    """`ids` as a set, rejecting ids that are not instance elements."""
+    ids = frozenset(ids)
+    extra = ids - frozenset(instance.elements)
+    if extra:
+        raise ValueError(f"{what} outside instance: {sorted(extra)}")
+    return ids
+
+
 def outcomes_of(
     instance: Instance, realization: Realization, probed: Iterable[str]
 ) -> frozenset[Outcome]:
     """The outcome set observed when probing `probed` under `realization`."""
-    probed = frozenset(probed)
-    extra = probed - frozenset(instance.elements)
-    if extra:
-        raise ValueError(f"probed elements outside instance: {sorted(extra)}")
+    probed = known_elements(instance, probed, "probed elements")
     out = set()
     for e in probed:
         if e not in realization:
@@ -172,6 +180,16 @@ def is_inner_feasible_outcome_set(
     return True
 
 
+def check_outcome_set(
+    instance: Instance, outcome_set: frozenset[Outcome], what: str
+) -> None:
+    if not is_inner_feasible_outcome_set(instance, outcome_set):
+        raise ValueError(
+            f"{what} {sorted(o.key() for o in outcome_set)} is not an "
+            "inner-feasible set of support outcomes"
+        )
+
+
 def realizable_outcomes(instance: Instance) -> list[Outcome]:
     """Every outcome with positive probability, in canonical order."""
     out = []
@@ -181,8 +199,13 @@ def realizable_outcomes(instance: Instance) -> list[Outcome]:
     return sorted(out, key=Outcome.key)
 
 
-def realizable_inner_sets(instance: Instance) -> list[frozenset[Outcome]]:
-    """All nonempty inner-feasible sets of realizable outcomes, canonical order."""
+def realizable_inner_sets(
+    instance: Instance, cap: int | None = None
+) -> list[frozenset[Outcome]]:
+    """All nonempty inner-feasible sets of realizable outcomes, canonical order.
+
+    A `cap` on their number is checked while the list is built.
+    """
     per_element = {
         e: [Outcome(e, a.x, a.y) for a in support]
         for e, support in zip(instance.elements, instance.atoms)
@@ -194,7 +217,12 @@ def realizable_inner_sets(instance: Instance) -> list[frozenset[Outcome]]:
         ordered = sorted(elems)
         for combo in itertools.product(*(per_element[e] for e in ordered)):
             sets.append(frozenset(combo))
-    return sorted(sets, key=lambda s: (len(s), sorted(o.key() for o in s)))
+            if cap is not None and len(sets) > cap:
+                raise CapacityError(
+                    f"inner-feasible outcome sets exceed cap {cap} "
+                    f"(count reached {len(sets)})"
+                )
+    return sorted(sets, key=outcome_set_key)
 
 
 def outcome_set_key(outcome_set: Iterable[Outcome]) -> tuple:
@@ -203,10 +231,17 @@ def outcome_set_key(outcome_set: Iterable[Outcome]) -> tuple:
     return (len(items), items)
 
 
+def outcome_totals(outcome_set: Iterable[Outcome]) -> tuple[Fraction, Fraction]:
+    """(agent, principal) totals of an outcome set: sums of y and of x."""
+    y = sum((o.y for o in outcome_set), Fraction(0))
+    x = sum((o.x for o in outcome_set), Fraction(0))
+    return y, x
+
+
 # --- JSON instance format ---------------------------------------------------
 
 
-def _fraction_from_json(value, what: str) -> Fraction:
+def fraction_from_json(value, what: str) -> Fraction:
     if (
         not isinstance(value, list)
         or len(value) != 2
@@ -221,6 +256,36 @@ def _fraction_from_json(value, what: str) -> Fraction:
 
 def fraction_to_json(value: Fraction) -> list[int]:
     return [value.numerator, value.denominator]
+
+
+def outcome_set_to_json(outcome_set: Iterable[Outcome]) -> list[dict]:
+    """Outcomes in canonical order, utilities as [numerator, denominator]."""
+    return [
+        {
+            "element": o.element,
+            "x": fraction_to_json(o.x),
+            "y": fraction_to_json(o.y),
+        }
+        for o in sorted(outcome_set, key=Outcome.key)
+    ]
+
+
+def outcome_set_from_json(items) -> frozenset[Outcome]:
+    """Strict inverse of `outcome_set_to_json` (policy and menu files)."""
+    if not isinstance(items, list):
+        raise ValueError("an outcome set must be a list of outcomes")
+    outcomes = set()
+    for item in items:
+        if not isinstance(item, dict) or "element" not in item:
+            raise ValueError("outcomes need 'element', 'x' and 'y'")
+        outcomes.add(
+            Outcome(
+                item["element"],
+                fraction_from_json(item.get("x"), "x"),
+                fraction_from_json(item.get("y"), "y"),
+            )
+        )
+    return frozenset(outcomes)
 
 
 def load_instance(obj: dict) -> Instance:
@@ -249,9 +314,9 @@ def load_instance(obj: dict) -> Instance:
                 raise ValueError("support atoms must be objects")
             atoms.append(
                 UtilityAtom(
-                    x=_fraction_from_json(item.get("x"), "x"),
-                    y=_fraction_from_json(item.get("y"), "y"),
-                    prob=_fraction_from_json(item.get("p"), "p"),
+                    x=fraction_from_json(item.get("x"), "x"),
+                    y=fraction_from_json(item.get("y"), "y"),
+                    prob=fraction_from_json(item.get("p"), "p"),
                 )
             )
         ids.append(eid)
@@ -292,61 +357,54 @@ def _check_eps(eps: Fraction) -> Fraction:
     return eps
 
 
-def table1(eps: Fraction) -> Instance:
-    """Two elements, 1-uniform inner, free outer; agent likes the jackpot."""
-    eps = _check_eps(eps)
-    dists = {
-        "1": [
-            UtilityAtom(Fraction(0), Fraction(0), 1 - eps),
-            UtilityAtom(1 / eps, 1 - eps, eps),
-        ],
-        "2": [UtilityAtom(Fraction(1), Fraction(1), Fraction(1))],
-    }
+def _pick_one_of_two(dists: Mapping[str, Sequence[UtilityAtom]]) -> Instance:
+    """Elements "1" and "2", free outer constraint, 1-uniform inner."""
     ground = ("1", "2")
     return make_instance(
         ground, dists, FreeSystem(frozenset(ground)), UniformSystem(frozenset(ground), 1)
     )
+
+
+def _jackpot(eps: Fraction, jackpot_y: Fraction) -> Instance:
+    """Element "1" pays x = 1/eps with probability eps; element "2" pays 1."""
+    return _pick_one_of_two(
+        {
+            "1": [
+                UtilityAtom(Fraction(0), Fraction(0), 1 - eps),
+                UtilityAtom(1 / eps, jackpot_y, eps),
+            ],
+            "2": [UtilityAtom(Fraction(1), Fraction(1), Fraction(1))],
+        }
+    )
+
+
+def table1(eps: Fraction) -> Instance:
+    """Two elements, 1-uniform inner, free outer; agent likes the jackpot."""
+    eps = _check_eps(eps)
+    return _jackpot(eps, 1 - eps)
 
 
 def table2(eps: Fraction) -> Instance:
     """Like table1 but the agent is indifferent to the jackpot outcome."""
-    eps = _check_eps(eps)
-    dists = {
-        "1": [
-            UtilityAtom(Fraction(0), Fraction(0), 1 - eps),
-            UtilityAtom(1 / eps, Fraction(0), eps),
-        ],
-        "2": [UtilityAtom(Fraction(1), Fraction(1), Fraction(1))],
-    }
-    ground = ("1", "2")
-    return make_instance(
-        ground, dists, FreeSystem(frozenset(ground)), UniformSystem(frozenset(ground), 1)
-    )
+    return _jackpot(_check_eps(eps), Fraction(0))
 
 
 def coins2() -> Instance:
     """Two i.i.d. fair coins worth 0 or 1 to both parties; pick at most one."""
     atom0 = UtilityAtom(Fraction(0), Fraction(0), Fraction(1, 2))
     atom1 = UtilityAtom(Fraction(1), Fraction(1), Fraction(1, 2))
-    dists = {"1": [atom0, atom1], "2": [atom0, atom1]}
-    ground = ("1", "2")
-    return make_instance(
-        ground, dists, FreeSystem(frozenset(ground)), UniformSystem(frozenset(ground), 1)
-    )
+    return _pick_one_of_two({"1": [atom0, atom1], "2": [atom0, atom1]})
 
 
 BUILTIN_NAMES = ("table1", "table2", "coins2")
+_TABLES = {"table1": table1, "table2": table2}
 
 
 def builtin_instance(name: str, eps: Fraction | None = None) -> Instance:
-    if name == "table1":
+    if name in _TABLES:
         if eps is None:
-            raise ValueError("table1 needs an epsilon")
-        return table1(eps)
-    if name == "table2":
-        if eps is None:
-            raise ValueError("table2 needs an epsilon")
-        return table2(eps)
+            raise ValueError(f"{name} needs an epsilon")
+        return _TABLES[name](eps)
     if name == "coins2":
         return coins2()
     raise ValueError(f"unknown builtin instance {name!r}")

@@ -15,19 +15,23 @@ from .errors import UnsupportedError
 from .instances import (
     Instance,
     Outcome,
+    check_outcome_set,
+    fraction_from_json,
     fraction_to_json,
-    is_inner_feasible_outcome_set,
+    outcome_set_from_json,
     outcome_set_key,
+    outcome_set_to_json,
+    outcome_totals,
 )
 from .delegation import (
     DP_STATE_CAP,
     Policy,
     PolicyEvaluation,
     TieBreak,
-    agent_probe_values,
+    evaluate_stop_values,
     materialize_policy,
 )
-from .probing import optimal_adaptive_value
+from .probing import ValuePair, optimal_adaptive_value, prefer
 from .prophet import _is_one_uniform
 
 LotteryAtom = tuple[frozenset[Outcome], Fraction]
@@ -52,16 +56,15 @@ class Lottery:
     def support(self) -> frozenset[frozenset[Outcome]]:
         return frozenset(s for s, _ in self.atoms)
 
-    def expected_values(
-        self, probed: frozenset[Outcome]
-    ) -> tuple[Fraction, Fraction]:
+    def expected_values(self, probed: frozenset[Outcome]) -> ValuePair:
         """(agent, principal) expectation; unprobed sets contribute zero."""
         agent = Fraction(0)
         principal = Fraction(0)
         for outcome_set, p in self.atoms:
             if outcome_set <= probed:
-                agent += p * sum((o.y for o in outcome_set), Fraction(0))
-                principal += p * sum((o.x for o in outcome_set), Fraction(0))
+                y, x = outcome_totals(outcome_set)
+                agent += p * y
+                principal += p * x
         return agent, principal
 
     def key(self) -> tuple:
@@ -109,13 +112,8 @@ def lottery_menu(lotteries: Iterable[Lottery]) -> LotteryMenu:
 def validate_menu(instance: Instance, menu: LotteryMenu) -> None:
     for l in menu.lotteries:
         for outcome_set, _ in l.atoms:
-            if outcome_set and not is_inner_feasible_outcome_set(
-                instance, outcome_set
-            ):
-                raise ValueError(
-                    f"lottery support {sorted(o.key() for o in outcome_set)} is "
-                    "not an inner-feasible set of support outcomes"
-                )
+            if outcome_set:
+                check_outcome_set(instance, outcome_set, "lottery support")
 
 
 def agent_lottery_choice(
@@ -132,23 +130,9 @@ def agent_lottery_choice(
     best_pair = (Fraction(0), Fraction(0))
     for l in menu.lotteries:
         pair = l.expected_values(probed)
-        if _lottery_prefer(pair, best_pair, mode):
+        if prefer(pair, best_pair, mode):
             best, best_pair = l, pair
     return best
-
-
-def _lottery_prefer(
-    candidate: tuple[Fraction, Fraction],
-    incumbent: tuple[Fraction, Fraction],
-    mode: TieBreak,
-) -> bool:
-    if candidate[0] != incumbent[0]:
-        return candidate[0] > incumbent[0]
-    if mode is TieBreak.ADVERSARIAL:
-        return candidate[1] < incumbent[1]
-    if mode is TieBreak.PRINCIPAL_FAVORING:
-        return candidate[1] > incumbent[1]
-    return False
 
 
 def evaluate_lottery_menu(
@@ -161,25 +145,13 @@ def evaluate_lottery_menu(
     """Exact menu value against an adaptively probing, best-responding agent."""
     validate_menu(instance, menu)
 
-    def stop_values(outcomes: frozenset[Outcome]) -> tuple[Fraction, Fraction]:
+    def stop_values(outcomes: frozenset[Outcome]) -> ValuePair:
         chosen = agent_lottery_choice(menu, outcomes, mode)
         if chosen is None:
             return Fraction(0), Fraction(0)
         return chosen.expected_values(outcomes)
 
-    (agent_value, principal_value), distribution = agent_probe_values(
-        instance, stop_values, mode, state_cap
-    )
-    if benchmark is None:
-        benchmark = optimal_adaptive_value(instance, state_cap).expected_value
-    alpha = principal_value / benchmark if benchmark > 0 else Fraction(1)
-    return PolicyEvaluation(
-        principal_value=principal_value,
-        agent_value=agent_value,
-        probe_distribution=distribution,
-        benchmark_value=benchmark,
-        alpha=alpha,
-    )
+    return evaluate_stop_values(instance, stop_values, mode, state_cap, benchmark)
 
 
 def menu_from_policy(instance: Instance, policy: Policy) -> LotteryMenu:
@@ -207,6 +179,7 @@ def search_two_lottery_menus(
     grid: Fraction,
     mode: TieBreak = TieBreak.ADVERSARIAL,
     state_cap: int = DP_STATE_CAP,
+    benchmark: Fraction | None = None,
 ) -> tuple[LotteryMenu, PolicyEvaluation]:
     """Grid search over two-lottery menus for two-element pick-one instances.
 
@@ -216,7 +189,7 @@ def search_two_lottery_menus(
     high outcome with the deterministic outcome; mixture weights run over
     the grid.  Grid points whose two lotteries would share a support are
     skipped unless they coincide, in which case the menu collapses to one
-    lottery.
+    lottery.  `benchmark` is the adaptive optimum, if already known.
     """
     if len(instance.elements) != 2:
         raise UnsupportedError("two-lottery search needs exactly two elements")
@@ -238,7 +211,8 @@ def search_two_lottery_menus(
     certain_atom = instance.dist(certain)[0]
     anchor = Outcome(certain, certain_atom.x, certain_atom.y)
 
-    benchmark = optimal_adaptive_value(instance, state_cap).expected_value
+    if benchmark is None:
+        benchmark = optimal_adaptive_value(instance, state_cap).expected_value
     points = _grid_points(grid)
     best: tuple[LotteryMenu, PolicyEvaluation] | None = None
     for a in points:
@@ -268,17 +242,7 @@ def menu_to_json(menu: LotteryMenu) -> dict:
         "lotteries": [
             {
                 "atoms": [
-                    {
-                        "set": [
-                            {
-                                "element": o.element,
-                                "x": fraction_to_json(o.x),
-                                "y": fraction_to_json(o.y),
-                            }
-                            for o in sorted(s, key=Outcome.key)
-                        ],
-                        "p": fraction_to_json(p),
-                    }
+                    {"set": outcome_set_to_json(s), "p": fraction_to_json(p)}
                     for s, p in l.atoms
                 ]
             }
@@ -288,8 +252,6 @@ def menu_to_json(menu: LotteryMenu) -> dict:
 
 
 def menu_from_json(obj: dict) -> LotteryMenu:
-    from .instances import _fraction_from_json
-
     if not isinstance(obj, dict) or not isinstance(obj.get("lotteries"), list):
         raise ValueError("menu must be an object with a 'lotteries' list")
     lotteries = []
@@ -298,19 +260,9 @@ def menu_from_json(obj: dict) -> LotteryMenu:
             raise ValueError("each lottery needs an 'atoms' list")
         atoms = []
         for item in entry["atoms"]:
-            if not isinstance(item, dict) or not isinstance(item.get("set"), list):
+            if not isinstance(item, dict):
                 raise ValueError("each atom needs a 'set' list and probability 'p'")
-            outcomes = set()
-            for raw in item["set"]:
-                if not isinstance(raw, dict) or "element" not in raw:
-                    raise ValueError("outcomes need 'element', 'x' and 'y'")
-                outcomes.add(
-                    Outcome(
-                        raw["element"],
-                        _fraction_from_json(raw.get("x"), "x"),
-                        _fraction_from_json(raw.get("y"), "y"),
-                    )
-                )
-            atoms.append((frozenset(outcomes), _fraction_from_json(item.get("p"), "p")))
+            outcomes = outcome_set_from_json(item.get("set"))
+            atoms.append((outcomes, fraction_from_json(item.get("p"), "p")))
         lotteries.append(lottery(atoms))
     return lottery_menu(lotteries)

@@ -19,7 +19,6 @@ from .delegation import (
     TieBreak,
     evaluate_policy,
 )
-from .errors import CapacityError
 from .instances import Instance, realizable_inner_sets
 from .probing import DP_STATE_CAP, optimal_adaptive_value
 
@@ -37,11 +36,7 @@ def enumerate_policies(
     instance: Instance, candidate_cap: int = POLICY_CANDIDATE_CAP
 ) -> Iterator[ExplicitPolicy]:
     """Every subset of the realizable acceptable-set candidates, exactly once."""
-    candidates = realizable_inner_sets(instance)
-    if len(candidates) > candidate_cap:
-        raise CapacityError(
-            f"{len(candidates)} candidate outcome sets exceed cap {candidate_cap}"
-        )
+    candidates = realizable_inner_sets(instance, candidate_cap)
     for mask in range(2 ** len(candidates)):
         yield ExplicitPolicy(
             frozenset(c for i, c in enumerate(candidates) if mask >> i & 1)
@@ -53,9 +48,14 @@ def exact_delegation_gap(
     mode: TieBreak = TieBreak.ADVERSARIAL,
     candidate_cap: int = POLICY_CANDIDATE_CAP,
     state_cap: int = DP_STATE_CAP,
+    benchmark: Fraction | None = None,
 ) -> GapReport:
-    """Max over all deterministic policies of the achieved fraction alpha."""
-    benchmark = optimal_adaptive_value(instance, state_cap).expected_value
+    """Max over all deterministic policies of the achieved fraction alpha.
+
+    `benchmark` is the adaptive optimum, if already known.
+    """
+    if benchmark is None:
+        benchmark = optimal_adaptive_value(instance, state_cap).expected_value
     best_policy: Policy | None = None
     best: PolicyEvaluation | None = None
     count = 0

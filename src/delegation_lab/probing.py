@@ -1,23 +1,25 @@
-"""The non-delegated benchmark: exact adaptive probing and its adaptivity gap.
+"""Exact adaptive probing: one dynamic program for every prober.
 
-`optimal_adaptive_value` runs a dynamic program over probing states
-(probed element set, observed support atoms).  Probing is free, so stopping
-early never helps, but the stop action is kept in the maximization for
-clarity.  `best_nonadaptive_set` exhaustively scores every outer-feasible
-probe set; the ratio of the two is the measured adaptivity gap for the
-instance.
+`solve_probing` runs a dynamic program over probing states (probed element
+set, observed support atoms) whose stop rule values each state.  The
+non-delegated benchmark `optimal_adaptive_value` stops with (u, u), u the
+best inner-feasible observed total; the delegated agent stops with its
+proposal (`delegation`, `lottery`).  `best_nonadaptive_set` exhaustively
+scores every outer-feasible probe set; the ratio of the two is the measured
+adaptivity gap for the instance.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import CapacityError
-from .instances import Instance, Realization
+from .instances import Instance, Realization, known_elements
 from .set_systems import iter_feasible_sets, max_weight_feasible
 
 DP_STATE_CAP = 10**6
@@ -26,6 +28,15 @@ OUTER_SET_CAP = 10**5
 # A DP state is the sorted tuple of probed elements plus, aligned with it,
 # the tuple of observed atom indices.
 StateKey = tuple[tuple[str, ...], tuple[int, ...]]
+ROOT_STATE: StateKey = ((), ())
+# An (agent value, principal value) pair.
+ValuePair = tuple[Fraction, Fraction]
+
+
+class TieBreak(str, enum.Enum):
+    ADVERSARIAL = "adversarial"
+    PRINCIPAL_FAVORING = "principal_favoring"
+    LEXICOGRAPHIC = "lexicographic"
 
 
 @dataclass(frozen=True)
@@ -42,29 +53,33 @@ class NonAdaptiveReport:
     ratio_to_adaptive: Fraction
 
 
+def prefer(candidate: ValuePair, incumbent: ValuePair, mode: TieBreak) -> bool:
+    """Whether (agent, principal) value pair `candidate` beats `incumbent`."""
+    if candidate[0] != incumbent[0]:
+        return candidate[0] > incumbent[0]
+    if mode is TieBreak.ADVERSARIAL:
+        return candidate[1] < incumbent[1]
+    if mode is TieBreak.PRINCIPAL_FAVORING:
+        return candidate[1] > incumbent[1]
+    return False  # lexicographic: first candidate in canonical order wins
+
+
+def _observed_value(
+    instance: Instance, observed: Iterable[tuple[str, int]]
+) -> Fraction:
+    """Best inner-feasible total x over observed (element, atom index) pairs."""
+    weights = {e: Fraction(0) for e in instance.elements}
+    for e, i in observed:
+        weights[e] = instance.dist(e)[i].x
+    return max_weight_feasible(instance.inner, weights)[1]
+
+
 def utility_u(
     instance: Instance, realization: Realization, probed: Iterable[str]
 ) -> Fraction:
     """Best inner-feasible total x among the probed elements."""
-    probed = frozenset(probed)
-    extra = probed - frozenset(instance.elements)
-    if extra:
-        raise ValueError(f"probed elements outside instance: {sorted(extra)}")
-    weights = {}
-    for e in instance.elements:
-        if e in probed:
-            weights[e] = instance.dist(e)[realization[e]].x
-        else:
-            weights[e] = Fraction(0)
-    return max_weight_feasible(instance.inner, weights)[1]
-
-
-def _observed_utility(instance: Instance, state: StateKey) -> Fraction:
-    probed, atoms = state
-    weights = {e: Fraction(0) for e in instance.elements}
-    for e, i in zip(probed, atoms):
-        weights[e] = instance.dist(e)[i].x
-    return max_weight_feasible(instance.inner, weights)[1]
+    probed = known_elements(instance, probed, "probed elements")
+    return _observed_value(instance, ((e, realization[e]) for e in probed))
 
 
 def _with_probe(state: StateKey, element: str, atom_index: int) -> StateKey:
@@ -74,61 +89,80 @@ def _with_probe(state: StateKey, element: str, atom_index: int) -> StateKey:
     return tuple(e for e, _ in items), tuple(i for _, i in items)
 
 
-def optimal_adaptive_value(
-    instance: Instance, state_cap: int = DP_STATE_CAP
-) -> AdaptiveValueReport:
-    """Exact value of the optimal adaptive non-delegated probing strategy.
+def solve_probing(
+    instance: Instance,
+    stop_rule: Callable[[StateKey], ValuePair],
+    mode: TieBreak,
+    state_cap: int = DP_STATE_CAP,
+) -> tuple[ValuePair, Mapping[StateKey, str | None]]:
+    """Root (agent, principal) value and each state's action (None: stop).
 
-    V(state) = max(u(observed), max over feasible next probes of the
-    expected successor value).  Ties prefer stopping, then the smallest
-    element id, which makes the extracted policy deterministic.
+    V(state) = the `prefer`-best of `stop_rule(state)` and the expected
+    successor value of each outer-feasible next probe; open ties go to
+    stopping, then to the earliest element.
     """
-    values: dict[StateKey, Fraction] = {}
-    policy: dict[StateKey, str | None] = {}
+    values: dict[StateKey, ValuePair] = {}
+    actions: dict[StateKey, str | None] = {}
 
-    def visit(state: StateKey) -> Fraction:
+    def visit(state: StateKey) -> ValuePair:
         if state in values:
             return values[state]
         if len(values) >= state_cap:
-            raise CapacityError(f"adaptive DP exceeded {state_cap} states")
+            raise CapacityError(f"probing DP exceeded {state_cap} states")
         probed = frozenset(state[0])
-        best = _observed_utility(instance, state)
+        best = stop_rule(state)
         action: str | None = None
         for e in instance.elements:
             if e in probed:
                 continue
             if not instance.outer.is_feasible(probed | {e}):
                 continue
-            expectation = Fraction(0)
+            agent_total = Fraction(0)
+            principal_total = Fraction(0)
             for i, atom in enumerate(instance.dist(e)):
-                expectation += atom.prob * visit(_with_probe(state, e, i))
-            if expectation > best:
-                best = expectation
+                sub = visit(_with_probe(state, e, i))
+                agent_total += atom.prob * sub[0]
+                principal_total += atom.prob * sub[1]
+            pair = (agent_total, principal_total)
+            if prefer(pair, best, mode):
+                best = pair
                 action = e
         values[state] = best
-        policy[state] = action
+        actions[state] = action
         return best
 
-    root: StateKey = ((), ())
-    value = visit(root)
-    return AdaptiveValueReport(value, policy, len(values))
+    return visit(ROOT_STATE), actions
+
+
+def optimal_adaptive_value(
+    instance: Instance, state_cap: int = DP_STATE_CAP
+) -> AdaptiveValueReport:
+    """Exact value of the optimal adaptive non-delegated probing strategy.
+
+    V(state) = max(u(observed), max over feasible next probes of the
+    expected successor value): `solve_probing` with stop value (u, u).
+    """
+
+    def stop_rule(state: StateKey) -> ValuePair:
+        u = _observed_value(instance, zip(*state))
+        return u, u
+
+    (value, _), actions = solve_probing(
+        instance, stop_rule, TieBreak.LEXICOGRAPHIC, state_cap
+    )
+    return AdaptiveValueReport(value, actions, len(actions))
 
 
 def nonadaptive_value(instance: Instance, probe_set: Iterable[str]) -> Fraction:
     """Expected u over the product support of a fixed probe set."""
-    probe = sorted(frozenset(probe_set))
-    extra = set(probe) - set(instance.elements)
-    if extra:
-        raise ValueError(f"probe set outside instance: {sorted(extra)}")
+    probe = sorted(known_elements(instance, probe_set, "probe set"))
     supports = [instance.dist(e) for e in probe]
     total = Fraction(0)
     for choice in itertools.product(*(range(len(s)) for s in supports)):
         prob = Fraction(1)
-        weights = {e: Fraction(0) for e in instance.elements}
-        for e, support, i in zip(probe, supports, choice):
+        for support, i in zip(supports, choice):
             prob *= support[i].prob
-            weights[e] = support[i].x
-        total += prob * max_weight_feasible(instance.inner, weights)[1]
+        total += prob * _observed_value(instance, zip(probe, choice))
     return total
 
 
@@ -136,11 +170,12 @@ def best_nonadaptive_set(
     instance: Instance,
     set_cap: int = OUTER_SET_CAP,
     state_cap: int = DP_STATE_CAP,
+    benchmark: Fraction | None = None,
 ) -> NonAdaptiveReport:
     """Exhaustive best fixed probe set and its ratio to the adaptive optimum.
 
     Ties prefer larger sets (probing more never hurts), then the smallest
-    sorted id tuple.
+    sorted id tuple.  `benchmark` is the adaptive optimum, if known.
     """
     best_set: frozenset[str] | None = None
     best_value = Fraction(-1)
@@ -162,6 +197,7 @@ def best_nonadaptive_set(
             ):
                 best_set = candidate
     assert best_set is not None  # the empty set is always feasible
-    adaptive = optimal_adaptive_value(instance, state_cap).expected_value
-    ratio = best_value / adaptive if adaptive > 0 else Fraction(1)
+    if benchmark is None:
+        benchmark = optimal_adaptive_value(instance, state_cap).expected_value
+    ratio = best_value / benchmark if benchmark > 0 else Fraction(1)
     return NonAdaptiveReport(best_set, best_value, ratio)

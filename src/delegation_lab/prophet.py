@@ -16,8 +16,14 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import CapacityError, UnsupportedError
-from .instances import Instance, enumerate_scenarios, x_values
-from .set_systems import SetSystem, iter_feasible_sets, max_weight_feasible
+from .instances import (
+    SCENARIO_CAP,
+    Instance,
+    enumerate_scenarios,
+    realizable_inner_sets,
+    x_values,
+)
+from .set_systems import Antichain, SetSystem, _antichain, max_weight_feasible
 
 ORDERING_PRODUCT_CAP = 10**6
 FAMILY_CAP = 10**6
@@ -26,14 +32,13 @@ OutcomePair = tuple[str, Fraction]
 
 
 @dataclass(frozen=True)
-class GreedyFamily:
+class GreedyFamily(Antichain):
     """Downward-closed acceptance family stored as its maximal antichain."""
 
     maximal: frozenset[frozenset[OutcomePair]]
     constraint: SetSystem
 
-    def accepts(self, pairs: frozenset[OutcomePair]) -> bool:
-        return not pairs or any(pairs <= m for m in self.maximal)
+    accepts = Antichain.contains
 
 
 def greedy_family(
@@ -51,8 +56,7 @@ def greedy_family(
         for _, x in member:
             if x < 0:
                 raise ValueError("outcome values must be nonnegative")
-    maximal = frozenset(m for m in pool if not any(m < other for other in pool))
-    return GreedyFamily(maximal, constraint)
+    return GreedyFamily(_antichain(pool), constraint)
 
 
 @dataclass(frozen=True)
@@ -134,9 +138,10 @@ def evaluate_vs_almighty(
     instance: Instance,
     family: GreedyFamily,
     product_cap: int = ORDERING_PRODUCT_CAP,
+    scenario_cap: int = SCENARIO_CAP,
 ) -> ProphetReport:
     """Expected forced-greedy value under worst-case per-scenario orderings."""
-    scenarios = enumerate_scenarios(instance)
+    scenarios = enumerate_scenarios(instance, scenario_cap)
     n_orders = math.factorial(len(instance.elements))
     if n_orders * len(scenarios) > product_cap:
         raise CapacityError(
@@ -161,22 +166,22 @@ def evaluate_vs_almighty(
 
 
 def candidate_pair_sets(instance: Instance) -> list[frozenset[OutcomePair]]:
-    """Nonempty inner-feasible sets of realizable (element, x) outcomes."""
-    per_element = {e: x_values(instance, e) for e in instance.elements}
-    sets: list[frozenset[OutcomePair]] = []
-    for elems in iter_feasible_sets(instance.inner):
-        if not elems:
-            continue
-        ordered = sorted(elems)
-        for combo in itertools.product(*(per_element[e] for e in ordered)):
-            sets.append(frozenset(zip(ordered, combo)))
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+    """Nonempty inner-feasible sets of realizable (element, x) outcomes.
+
+    The (element, x) projection of `realizable_inner_sets`.
+    """
+    projected = {
+        frozenset((o.element, o.x) for o in outcome_set)
+        for outcome_set in realizable_inner_sets(instance)
+    }
+    return sorted(projected, key=lambda s: (len(s), sorted(s)))
 
 
 def best_greedy_family(
     instance: Instance,
     family_cap: int = FAMILY_CAP,
     product_cap: int = ORDERING_PRODUCT_CAP,
+    scenario_cap: int = SCENARIO_CAP,
 ) -> tuple[GreedyFamily, ProphetReport]:
     """Exhaustive search over downward-closed families of realizable outcomes.
 
@@ -210,7 +215,7 @@ def best_greedy_family(
         if not closed:
             continue
         family = greedy_family(members, instance.inner)
-        report = evaluate_vs_almighty(instance, family, product_cap)
+        report = evaluate_vs_almighty(instance, family, product_cap, scenario_cap)
         if best is None or report.ratio > best[1].ratio:
             best = (family, report)
     assert best is not None  # the empty family is always enumerated

@@ -25,9 +25,8 @@ def _fraction(rng: random.Random, max_value: int, positive: bool) -> Fraction:
 
 
 def _support(
-    rng: random.Random, max_support: int, max_value: int, positive_y: bool
+    rng: random.Random, size: int, max_value: int, positive_y: bool
 ) -> list[UtilityAtom]:
-    size = rng.randint(1, max_support)
     weights = [rng.randint(1, 5) for _ in range(size)]
     total = sum(weights)
     return [
@@ -56,7 +55,8 @@ def random_free_outer_instance(
     elements = _elements(rng, max_elements, 1)
     ground = frozenset(elements)
     dists = {
-        e: _support(rng, max_support, max_value, positive_y) for e in elements
+        e: _support(rng, rng.randint(1, max_support), max_value, positive_y)
+        for e in elements
     }
     return make_instance(
         elements, dists, FreeSystem(ground), UniformSystem(ground, 1)
@@ -86,7 +86,10 @@ def random_partition_outer_instance(
     """Partition-matroid outer constraint (at most 3 blocks), 1-uniform inner."""
     elements = _elements(rng, max_elements, 2)
     ground = frozenset(elements)
-    dists = {e: _support(rng, max_support, max_value, True) for e in elements}
+    dists = {
+        e: _support(rng, rng.randint(1, max_support), max_value, True)
+        for e in elements
+    }
     return make_instance(
         elements, dists, _random_partition(rng, elements), UniformSystem(ground, 1)
     )
@@ -101,7 +104,10 @@ def random_matroid_outer_instance(
     """Uniform or partition matroid outer constraint, 1-uniform inner."""
     elements = _elements(rng, max_elements, 2)
     ground = frozenset(elements)
-    dists = {e: _support(rng, max_support, max_value, True) for e in elements}
+    dists = {
+        e: _support(rng, rng.randint(1, max_support), max_value, True)
+        for e in elements
+    }
     outer: SetSystem
     if rng.random() < 0.5:
         outer = UniformSystem(ground, rng.randint(1, len(elements)))
@@ -128,18 +134,10 @@ def random_tiny_instance(rng: random.Random, max_value: int = 10) -> Instance:
         sizes = rng.choice([[1, 1], [1, 2], [2, 1]])
     elements = [f"e{i}" for i in range(1, n + 1)]
     ground = frozenset(elements)
-    dists = {}
-    for e, size in zip(elements, sizes):
-        weights = [rng.randint(1, 5) for _ in range(size)]
-        total = sum(weights)
-        dists[e] = [
-            UtilityAtom(
-                x=_fraction(rng, max_value, positive=False),
-                y=_fraction(rng, max_value, positive=False),
-                prob=Fraction(w, total),
-            )
-            for w in weights
-        ]
+    dists = {
+        e: _support(rng, size, max_value, positive_y=False)
+        for e, size in zip(elements, sizes)
+    }
     return make_instance(
         elements, dists, FreeSystem(ground), UniformSystem(ground, 1)
     )

@@ -132,21 +132,29 @@ class PartitionSystem(SetSystem):
         return PartitionSystem(self.ground, blocks, self.caps)
 
 
-def _antichain(sets: Iterable[frozenset[str]]) -> frozenset[frozenset[str]]:
+def _antichain(sets: Iterable[frozenset]) -> frozenset[frozenset]:
+    """The maximal members of a family of sets."""
     pool = {frozenset(s) for s in sets}
     return frozenset(
         s for s in pool if not any(s < other for other in pool)
     )
 
 
-@dataclass(frozen=True)
-class ExplicitSystem(SetSystem):
-    """Downward closure of an explicit antichain of maximal feasible sets.
+class Antichain:
+    """Downward closure of the antichain `maximal`: its members' subsets.
 
-    Membership is containment in some maximal set, so downward closure
-    holds by construction.  An empty antichain leaves only the empty set
-    feasible.
+    An empty antichain leaves only the empty set.
     """
+
+    maximal: frozenset[frozenset]
+
+    def contains(self, s: frozenset) -> bool:
+        return not s or any(s <= m for m in self.maximal)
+
+
+@dataclass(frozen=True)
+class ExplicitSystem(Antichain, SetSystem):
+    """Downward closure of an explicit antichain of maximal feasible sets."""
 
     ground: frozenset[str]
     maximal: frozenset[frozenset[str]]
@@ -159,8 +167,7 @@ class ExplicitSystem(SetSystem):
         if self.maximal != _antichain(self.maximal):
             raise ValueError("maximal sets must form an antichain")
 
-    def _feasible(self, s: frozenset[str]) -> bool:
-        return not s or any(s <= m for m in self.maximal)
+    _feasible = Antichain.contains
 
     def restrict(self, subset: Iterable[str]) -> "ExplicitSystem":
         s = self._check_restriction(subset)
@@ -207,26 +214,24 @@ def explicit_system(
     return ExplicitSystem(frozenset(ground), _antichain(frozenset(s) for s in feasible))
 
 
-def iter_feasible_sets(system: SetSystem) -> Iterator[frozenset[str]]:
-    """All feasible subsets, in increasing size then lexicographic order."""
-    elems = sorted(system.ground)
+def _subsets(ground: Iterable[str]) -> Iterator[frozenset[str]]:
+    """All subsets, in increasing size then lexicographic order."""
+    elems = sorted(ground)
     for r in range(len(elems) + 1):
         for combo in itertools.combinations(elems, r):
-            s = frozenset(combo)
-            if system.is_feasible(s):
-                yield s
+            yield frozenset(combo)
+
+
+def iter_feasible_sets(system: SetSystem) -> Iterator[frozenset[str]]:
+    """All feasible subsets, in increasing size then lexicographic order."""
+    return (s for s in _subsets(system.ground) if system.is_feasible(s))
 
 
 def feasibility_equal(a: SetSystem, b: SetSystem) -> bool:
     """Exhaustive semantic equality; intended for desk-scale ground sets."""
-    if a.ground != b.ground:
-        return False
-    elems = sorted(a.ground)
-    for r in range(len(elems) + 1):
-        for combo in itertools.combinations(elems, r):
-            if a.is_feasible(combo) != b.is_feasible(combo):
-                return False
-    return True
+    return a.ground == b.ground and all(
+        a.is_feasible(s) == b.is_feasible(s) for s in _subsets(a.ground)
+    )
 
 
 def _checked_weights(
@@ -265,15 +270,12 @@ def max_weight_feasible(
         return frozenset(chosen), value
     best_set: frozenset[str] = frozenset()
     best_value = Fraction(0)
-    best_key: tuple[str, ...] = ()
-    for r in range(len(positive) + 1):
-        for combo in itertools.combinations(sorted(positive), r):
-            s = frozenset(combo)
-            if not system._feasible(s):
-                continue
-            value = sum((w[e] for e in combo), Fraction(0))
-            if value > best_value or (value == best_value and combo < best_key):
-                best_set, best_value, best_key = s, value, combo
+    for s in _subsets(positive):
+        if not system._feasible(s):
+            continue
+        value = sum((w[e] for e in s), Fraction(0))
+        if value > best_value or (value == best_value and sorted(s) < sorted(best_set)):
+            best_set, best_value = s, value
     return best_set, best_value
 
 
@@ -300,6 +302,18 @@ def set_system_to_json(system: SetSystem) -> dict:
     raise ValueError(f"unknown set system type {type(system)!r}")
 
 
+def _int_from_json(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer")
+    return value
+
+
+def _ids_from_json(value, what: str) -> frozenset[str]:
+    if not isinstance(value, list) or not all(isinstance(e, str) for e in value):
+        raise ValueError(f"{what} must be a list of element ids")
+    return frozenset(value)
+
+
 def set_system_from_json(obj: dict, ground: Iterable[str]) -> SetSystem:
     g = frozenset(ground)
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -308,9 +322,7 @@ def set_system_from_json(obj: dict, ground: Iterable[str]) -> SetSystem:
     if kind == "free":
         return FreeSystem(g)
     if kind == "uniform":
-        if not isinstance(obj.get("k"), int):
-            raise ValueError("uniform system needs an integer 'k'")
-        return UniformSystem(g, obj["k"])
+        return UniformSystem(g, _int_from_json(obj.get("k"), "uniform 'k'"))
     if kind == "partition":
         blocks = obj.get("blocks")
         caps = obj.get("caps")
@@ -318,14 +330,16 @@ def set_system_from_json(obj: dict, ground: Iterable[str]) -> SetSystem:
             raise ValueError("partition system needs 'blocks' and 'caps' lists")
         return PartitionSystem(
             g,
-            tuple(frozenset(b) for b in blocks),
-            tuple(int(c) for c in caps),
+            tuple(_ids_from_json(b, "a partition block") for b in blocks),
+            tuple(_int_from_json(c, "a partition cap") for c in caps),
         )
     if kind == "explicit":
         maximal = obj.get("maximal")
         if not isinstance(maximal, list):
             raise ValueError("explicit system needs a 'maximal' list")
-        return explicit_system(g, maximal)
+        return explicit_system(
+            g, (_ids_from_json(m, "an explicit maximal set") for m in maximal)
+        )
     if kind == "intersection":
         parts = obj.get("parts")
         if not isinstance(parts, list) or not parts:

@@ -1,8 +1,12 @@
+import csv
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from delegation_lab import probing
 from delegation_lab.cli import run
 from delegation_lab.instances import instance_to_json, table2
 
@@ -224,3 +228,76 @@ def test_unknown_cap_rejected(capsys):
     )
     assert code == 2
     assert "unknown cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["prophet-check", "--builtin", "coins2"], "scenario count 4 exceeds cap 1"),
+        (
+            ["build-policy", "--builtin", "coins2", "--method", "threshold"],
+            "scenario count 4 exceeds cap 1",
+        ),
+        (
+            ["build-policy", "--builtin", "coins2", "--method", "from-greedy"],
+            "scenario count 4 exceeds cap 1",
+        ),
+        (
+            ["build-policy", "--builtin", "coins2", "--method", "composed"],
+            "scenario count 4 exceeds cap 1",
+        ),
+        (["reproduce", "cor-half", "--count", "3"], "exceeds cap 1"),
+    ],
+)
+def test_scenario_cap_is_honoured(argv, message, capsys):
+    # cor-half's first random instance (seed 7) has more than one scenario
+    code, _, err = run_cli(capsys, *argv, "--caps", "scenarios=1")
+    assert code == 3
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "cor-half", "--count", "2", "--tie-break", "principal-favoring"],
+        ["reproduce", "prop-lottery-negative", "--grid", "1/2", "--tie-break", "adversarial"],
+        ["reproduce", "prop-lottery-positive", "--tie-break", "principal-favoring"],
+        ["gap", "--builtin", "coins2", "--tie-break", "lexicographic"],
+    ],
+)
+def test_csv_rows_carry_the_evaluated_tie_break(argv, capsys):
+    _, out, _ = run_cli(capsys, *argv)
+    evaluated = json.loads(out)["tie_break"]
+    code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows and all(row["tie_break"] == evaluated for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--builtin", "table1", "--epsilon", "1/3"],
+        ["adaptivity", "--builtin", "coins2"],
+        ["build-policy", "--builtin", "coins2", "--method", "composed"],
+        ["build-policy", "--builtin", "coins2", "--method", "threshold"],
+        ["reproduce", "prop-lottery-positive"],
+        ["reproduce", "prop-lottery-negative", "--grid", "1/2"],
+    ],
+)
+def test_one_adaptive_dp_per_command(argv, monkeypatch, capsys):
+    original = probing.optimal_adaptive_value
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("delegation_lab") and getattr(
+            module, "optimal_adaptive_value", None
+        ) is original:
+            monkeypatch.setattr(module, "optimal_adaptive_value", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1

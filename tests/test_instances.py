@@ -174,6 +174,26 @@ def test_json_schema_errors():
                 "inner": {"kind": "uniform", "k": 1},
             }
         )
+    # set systems are parsed strictly: no strings split into ids, no
+    # truncated or boolean integers
+    elements = [
+        {"id": e, "support": [{"x": [1, 1], "y": [1, 1], "p": [1, 1]}]}
+        for e in ("1", "2")
+    ]
+    for outer, match in (
+        ({"kind": "partition", "blocks": ["12"], "caps": [1]}, "list of element ids"),
+        ({"kind": "partition", "blocks": [["1", "2"]], "caps": [1.9]}, "integer"),
+        ({"kind": "uniform", "k": True}, "integer"),
+        ({"kind": "explicit", "maximal": ["12"]}, "list of element ids"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            load_instance(
+                {
+                    "elements": elements,
+                    "outer": outer,
+                    "inner": {"kind": "uniform", "k": 1},
+                }
+            )
 
 
 def test_builtin_tables_match_published_rows():

@@ -51,6 +51,20 @@ def test_candidate_cap():
         list(enumerate_policies(inst, candidate_cap=2))
 
 
+def test_candidate_cap_stops_counting_at_the_cap():
+    # free inner, three elements with three atoms each: 63 candidate sets
+    atoms = [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 3)), (2, 3, Fraction(1, 3))]
+    ground = frozenset({"a", "b", "c"})
+    inst = make_instance(
+        sorted(ground),
+        {e: [UtilityAtom(Fraction(x), Fraction(y), p) for x, y, p in atoms] for e in ground},
+        FreeSystem(ground),
+        FreeSystem(ground),
+    )
+    with pytest.raises(CapacityError, match=r"cap 1 \(count reached 2\)"):
+        list(enumerate_policies(inst, candidate_cap=1))
+
+
 def test_gap_table2_principal_favoring():
     for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)):
         report = exact_delegation_gap(table2(eps), TieBreak.PRINCIPAL_FAVORING)
