@@ -3,7 +3,8 @@
 All rationals are reported exactly as numerator/denominator pairs together
 with a six-place decimal rendering.  JSON reports are canonical (sorted
 keys), so identical configurations produce byte-identical output; CSV rows
-additionally carry a wall-clock runtime column.
+additionally carry a wall-clock runtime column.  Each command, and each
+`reproduce` target, takes only the flags it computes with.
 
 Exit codes: 0 success, 2 validation failure, 3 capacity exceeded.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -41,8 +43,6 @@ from .instances import (
     builtin_instance,
     instance_to_json,
     load_instance,
-    table1,
-    table2,
 )
 from .lottery import (
     evaluate_lottery_menu,
@@ -73,28 +73,13 @@ class Caps:
     family_sets: int = prophet.FAMILY_CAP
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    instance_path: str | None
-    builtin: str | None
-    epsilon: Fraction | None
-    tie_break: TieBreak
-    caps: Caps
-    output: str
-    grid: Fraction
-    policy_path: str | None = None
-    method: str | None = None
-    target: str | None = None
-    seed: int = 7
-    count: int = 200
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(
+            f"cannot parse rational {text!r}: {exc}"
+        ) from None
 
 
 def _parse_caps(text: str, base: Caps) -> Caps:
@@ -135,15 +120,18 @@ def _read_json(path: str, what: str):
             raise ValueError(f"invalid {what} JSON: {exc}") from None
 
 
-def _load_configured_instance(config: RunConfig) -> tuple[Instance, str]:
-    if config.instance_path is not None and config.builtin is not None:
-        raise ValueError("pass either --instance or --builtin, not both")
-    if config.builtin is not None:
-        return builtin_instance(config.builtin, config.epsilon), config.builtin
-    if config.instance_path is not None:
-        data = _read_json(config.instance_path, "instance")
-        return load_instance(data), config.instance_path
-    raise ValueError("an instance is required (--instance PATH or --builtin NAME)")
+def _load_instance(args: argparse.Namespace) -> tuple[Instance, str]:
+    if args.builtin is not None:
+        return builtin_instance(args.builtin, args.epsilon), args.builtin
+    if args.instance is None:
+        raise ValueError("an instance is required (--instance PATH or --builtin NAME)")
+    if args.epsilon is not None:
+        raise ValueError("--epsilon applies only to --builtin table1/table2")
+    return load_instance(_read_json(args.instance, "instance")), args.instance
+
+
+def _tie_break(args: argparse.Namespace) -> TieBreak:
+    return TieBreak(args.tie_break.replace("-", "_"))
 
 
 def _probe_distribution_json(distribution) -> list[dict]:
@@ -165,32 +153,32 @@ def _evaluation_json(evaluation) -> dict:
     }
 
 
-def _cmd_gap(config: RunConfig) -> tuple[dict, list[dict]]:
-    instance, label = _load_configured_instance(config)
-    benchmark = optimal_adaptive_value(instance, config.caps.dp_states).expected_value
+def _cmd_gap(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+    instance, label = _load_instance(args)
+    mode = _tie_break(args)
+    benchmark = optimal_adaptive_value(instance, caps.dp_states).expected_value
     report = oracle.exact_delegation_gap(
-        instance,
-        config.tie_break,
-        config.caps.policy_sets,
-        config.caps.dp_states,
-        benchmark,
+        instance, mode, caps.policy_sets, caps.dp_states, benchmark
     )
     value = report.alpha_star * benchmark
     body = {
         "command": "gap",
         "instance": label,
-        "tie_break": config.tie_break.value,
+        "tie_break": mode.value,
         "alpha_star": _rational(report.alpha_star),
         "principal_value": _rational(value),
         "non_delegated_value": _rational(benchmark),
         "policies_enumerated": report.policies_enumerated,
         "best_policy": policy_to_json(report.best_policy, instance),
     }
-    return body, [_csv_row(config, config.tie_break, label, value, report.alpha_star)]
+    return body, [
+        _csv_row("gap", label, args.epsilon, mode, value, report.alpha_star)
+    ]
 
 
 def _policy_report(
-    config: RunConfig,
+    args: argparse.Namespace,
+    caps: Caps,
     instance: Instance,
     label: str,
     policy: Policy,
@@ -198,37 +186,33 @@ def _policy_report(
     **extras,
 ) -> tuple[dict, list[dict]]:
     """Evaluate `policy` and report it (eval-policy and build-policy)."""
-    evaluation = evaluate_policy(
-        instance, policy, config.tie_break, config.caps.dp_states, benchmark
-    )
+    mode = _tie_break(args)
+    evaluation = evaluate_policy(instance, policy, mode, caps.dp_states, benchmark)
     body = {
-        "command": config.command,
+        "command": args.command,
         "instance": label,
-        "tie_break": config.tie_break.value,
+        "tie_break": mode.value,
         "policy": policy_to_json(policy, instance),
         "evaluation": _evaluation_json(evaluation),
         **extras,
     }
     value, alpha = evaluation.principal_value, evaluation.alpha
-    return body, [_csv_row(config, config.tie_break, label, value, alpha)]
+    return body, [_csv_row(args.command, label, args.epsilon, mode, value, alpha)]
 
 
-def _cmd_eval_policy(config: RunConfig) -> tuple[dict, list[dict]]:
-    instance, label = _load_configured_instance(config)
-    if config.policy_path is None:
-        raise ValueError("eval-policy needs --policy PATH")
-    policy = policy_from_json(_read_json(config.policy_path, "policy"))
+def _cmd_eval_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+    instance, label = _load_instance(args)
+    policy = policy_from_json(_read_json(args.policy, "policy"))
     validate_policy(instance, policy)
-    return _policy_report(config, instance, label, policy)
+    return _policy_report(args, caps, instance, label, policy)
 
 
-def _cmd_build_policy(config: RunConfig) -> tuple[dict, list[dict]]:
-    instance, label = _load_configured_instance(config)
-    extras: dict = {}
+def _cmd_build_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+    instance, label = _load_instance(args)
     benchmark = None
-    if config.method == "threshold":
+    if args.method == "threshold":
         policy, cut, prophet = build_threshold_policy(
-            instance, config.caps.orderings, config.caps.scenarios
+            instance, caps.orderings, caps.scenarios
         )
         extras = {
             "threshold": _rational(cut),
@@ -236,12 +220,9 @@ def _cmd_build_policy(config: RunConfig) -> tuple[dict, list[dict]]:
             "gambler_value": _rational(prophet.gambler_value),
             "prophet_value": _rational(prophet.prophet_value),
         }
-    elif config.method == "from-greedy":
+    elif args.method == "from-greedy":
         family, prophet = best_greedy_family(
-            instance,
-            config.caps.family_sets,
-            config.caps.orderings,
-            config.caps.scenarios,
+            instance, caps.family_sets, caps.orderings, caps.scenarios
         )
         policy = policy_from_greedy(family)
         members = [sorted(member) for member in family.maximal]
@@ -255,34 +236,29 @@ def _cmd_build_policy(config: RunConfig) -> tuple[dict, list[dict]]:
             "prophet_value": _rational(prophet.prophet_value),
             "family_ratio": _rational(prophet.ratio),
         }
-    elif config.method == "composed":
-        benchmark = optimal_adaptive_value(
-            instance, config.caps.dp_states
-        ).expected_value
+    else:  # composed
+        benchmark = optimal_adaptive_value(instance, caps.dp_states).expected_value
         policy, probe_set = compose_outer(
             instance,
             lambda restricted: build_threshold_policy(
-                restricted, config.caps.orderings, config.caps.scenarios
+                restricted, caps.orderings, caps.scenarios
             )[0],
-            config.caps.outer_sets,
-            config.caps.dp_states,
+            caps.outer_sets,
+            caps.dp_states,
             benchmark,
+            caps.scenarios,
         )
         extras = {"probe_set": sorted(probe_set)}
-    else:
-        raise ValueError("build-policy needs --method threshold|from-greedy|composed")
     return _policy_report(
-        config, instance, label, policy, benchmark, method=config.method, **extras
+        args, caps, instance, label, policy, benchmark, method=args.method, **extras
     )
 
 
-def _cmd_prophet_check(config: RunConfig) -> tuple[dict, list[dict]]:
-    instance, label = _load_configured_instance(config)
+def _cmd_prophet_check(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+    instance, label = _load_instance(args)
     tau = samuel_cahn_threshold(instance)
     family = threshold_family(instance, tau)
-    report = evaluate_vs_almighty(
-        instance, family, config.caps.orderings, config.caps.scenarios
-    )
+    report = evaluate_vs_almighty(instance, family, caps.orderings, caps.scenarios)
     body = {
         "command": "prophet-check",
         "instance": label,
@@ -291,19 +267,19 @@ def _cmd_prophet_check(config: RunConfig) -> tuple[dict, list[dict]]:
         "prophet_value": _rational(report.prophet_value),
         "ratio": _rational(report.ratio),
     }
-    return body, [
-        _csv_row(config, config.tie_break, label, report.gambler_value, report.ratio)
-    ]
+    value, ratio = report.gambler_value, report.ratio
+    return body, [_csv_row("prophet-check", label, args.epsilon, None, value, ratio)]
 
 
-def _cmd_adaptivity(config: RunConfig) -> tuple[dict, list[dict]]:
-    instance, label = _load_configured_instance(config)
-    adaptive = optimal_adaptive_value(instance, config.caps.dp_states)
+def _cmd_adaptivity(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+    instance, label = _load_instance(args)
+    adaptive = optimal_adaptive_value(instance, caps.dp_states)
     nonadaptive = best_nonadaptive_set(
         instance,
-        config.caps.outer_sets,
-        config.caps.dp_states,
+        caps.outer_sets,
+        caps.dp_states,
         adaptive.expected_value,
+        caps.scenarios,
     )
     body = {
         "command": "adaptivity",
@@ -314,19 +290,12 @@ def _cmd_adaptivity(config: RunConfig) -> tuple[dict, list[dict]]:
         "nonadaptive_value": _rational(nonadaptive.expected_value),
         "ratio_to_adaptive": _rational(nonadaptive.ratio_to_adaptive),
     }
-    return body, [
-        _csv_row(
-            config,
-            config.tie_break,
-            label,
-            nonadaptive.expected_value,
-            nonadaptive.ratio_to_adaptive,
-        )
-    ]
+    value, ratio = nonadaptive.expected_value, nonadaptive.ratio_to_adaptive
+    return body, [_csv_row("adaptivity", label, args.epsilon, None, value, ratio)]
 
 
-def _stated_menu(instance: Instance, eps: Fraction):
-    """The two-lottery menu that beats every deterministic policy here."""
+def _stated_menu(eps: Fraction):
+    """The two-lottery menu that beats every deterministic policy on table1."""
     low = Outcome("1", Fraction(0), Fraction(0))
     high = Outcome("1", 1 / eps, 1 - eps)
     anchor = Outcome("2", Fraction(1), Fraction(1))
@@ -338,121 +307,100 @@ def _stated_menu(instance: Instance, eps: Fraction):
     )
 
 
-def _cmd_reproduce(config: RunConfig) -> tuple[dict, list[dict]]:
-    caps = config.caps
-    if config.target in ("prop-lottery-positive", "prop-lottery-negative"):
-        positive = config.target == "prop-lottery-positive"
-        eps = config.epsilon if config.epsilon is not None else Fraction(1, 4)
-        table = "table1" if positive else "table2"
-        instance = table1(eps) if positive else table2(eps)
-        # ties are part of the negative scenario
-        mode = config.tie_break if positive else TieBreak.PRINCIPAL_FAVORING
-        benchmark = optimal_adaptive_value(instance, caps.dp_states).expected_value
-        gap = oracle.exact_delegation_gap(
-            instance, mode, caps.policy_sets, caps.dp_states, benchmark
+def _cmd_lottery(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+    """prop-lottery-positive on table1, prop-lottery-negative on table2."""
+    positive = args.target == "prop-lottery-positive"
+    eps = args.epsilon
+    table = "table1" if positive else "table2"
+    instance = builtin_instance(table, eps)
+    # ties are part of the negative scenario
+    mode = _tie_break(args) if positive else TieBreak.PRINCIPAL_FAVORING
+    benchmark = optimal_adaptive_value(instance, caps.dp_states).expected_value
+    gap = oracle.exact_delegation_gap(
+        instance, mode, caps.policy_sets, caps.dp_states, benchmark
+    )
+    body = {
+        "command": "reproduce",
+        "target": args.target,
+        "epsilon": _rational(eps),
+        "tie_break": mode.value,
+        "non_delegated_value": _rational(benchmark),
+        "deterministic_alpha_star": _rational(gap.alpha_star),
+    }
+    if positive:
+        menu = _stated_menu(eps)
+        evaluation = evaluate_lottery_menu(
+            instance, menu, mode, caps.dp_states, benchmark
         )
-        body = {
-            "command": "reproduce",
-            "target": config.target,
-            "epsilon": _rational(eps),
-            "tie_break": mode.value,
-            "non_delegated_value": _rational(benchmark),
-            "deterministic_alpha_star": _rational(gap.alpha_star),
-        }
-        if positive:
-            menu = _stated_menu(instance, eps)
-            evaluation = evaluate_lottery_menu(
-                instance, menu, mode, caps.dp_states, benchmark
-            )
-            body["lottery_menu"] = menu_to_json(menu)
-            body["lottery_value"] = _rational(evaluation.principal_value)
-            body["lottery_alpha"] = _rational(evaluation.alpha)
-            lottery_command = "reproduce:lottery"
-        else:
-            menu, evaluation = search_two_lottery_menus(
-                instance, config.grid, mode, caps.dp_states, benchmark
-            )
-            body["grid"] = _rational(config.grid)
-            body["best_menu"] = menu_to_json(menu)
-            body["best_menu_value"] = _rational(evaluation.principal_value)
-            body["best_menu_alpha"] = _rational(evaluation.alpha)
-            lottery_command = "reproduce:lottery-search"
-        rows = [
-            _csv_row(
-                config,
-                mode,
-                table,
-                gap.alpha_star * benchmark,
-                gap.alpha_star,
-                command="reproduce:deterministic",
-            ),
-            _csv_row(
-                config,
-                mode,
-                table,
-                evaluation.principal_value,
-                evaluation.alpha,
-                command=lottery_command,
-            ),
-        ]
-        return body, rows
-    if config.target == "cor-half":
-        mode = TieBreak.ADVERSARIAL
-        rng = random.Random(config.seed)
-        half = Fraction(1, 2)
-        min_alpha: Fraction | None = None
-        failures = []
-        for i in range(config.count):
-            instance = random_free_outer_instance(rng)
-            policy, _, _ = build_threshold_policy(
-                instance, caps.orderings, caps.scenarios
-            )
-            evaluation = evaluate_policy(instance, policy, mode, caps.dp_states)
-            if min_alpha is None or evaluation.alpha < min_alpha:
-                min_alpha = evaluation.alpha
-            if evaluation.alpha < half:
-                failures.append(
-                    {"index": i, "instance": instance_to_json(instance)}
-                )
-        assert min_alpha is not None
-        body = {
-            "command": "reproduce",
-            "target": config.target,
-            "seed": config.seed,
-            "count": config.count,
-            "tie_break": mode.value,
-            "min_alpha": _rational(min_alpha),
-            "all_at_least_half": not failures,
-            "failures": failures,
-        }
-        rows = [
-            _csv_row(
-                config,
-                mode,
-                f"random[seed={config.seed},n={config.count}]",
-                min_alpha,
-                min_alpha,
-                command="reproduce:cor-half",
-            )
-        ]
-        return body, rows
-    raise ValueError(f"unknown reproduce target {config.target!r}")
+        body["lottery_menu"] = menu_to_json(menu)
+        body["lottery_value"] = _rational(evaluation.principal_value)
+        body["lottery_alpha"] = _rational(evaluation.alpha)
+        lottery_command = "reproduce:lottery"
+    else:
+        menu, evaluation = search_two_lottery_menus(
+            instance, args.grid, mode, caps.dp_states, benchmark
+        )
+        body["grid"] = _rational(args.grid)
+        body["best_menu"] = menu_to_json(menu)
+        body["best_menu_value"] = _rational(evaluation.principal_value)
+        body["best_menu_alpha"] = _rational(evaluation.alpha)
+        lottery_command = "reproduce:lottery-search"
+    rows = [
+        _csv_row(command, table, eps, mode, value, alpha)
+        for command, value, alpha in (
+            ("reproduce:deterministic", gap.alpha_star * benchmark, gap.alpha_star),
+            (lottery_command, evaluation.principal_value, evaluation.alpha),
+        )
+    ]
+    return body, rows
+
+
+def _cmd_cor_half(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+    mode = TieBreak.ADVERSARIAL
+    rng = random.Random(args.seed)
+    half = Fraction(1, 2)
+    min_alpha: Fraction | None = None
+    failures = []
+    for i in range(args.count):
+        instance = random_free_outer_instance(rng)
+        policy, _, _ = build_threshold_policy(instance, caps.orderings, caps.scenarios)
+        evaluation = evaluate_policy(instance, policy, mode, caps.dp_states)
+        if min_alpha is None or evaluation.alpha < min_alpha:
+            min_alpha = evaluation.alpha
+        if evaluation.alpha < half:
+            failures.append({"index": i, "instance": instance_to_json(instance)})
+    assert min_alpha is not None
+    body = {
+        "command": "reproduce",
+        "target": "cor-half",
+        "seed": args.seed,
+        "count": args.count,
+        "tie_break": mode.value,
+        "min_alpha": _rational(min_alpha),
+        "all_at_least_half": not failures,
+        "failures": failures,
+    }
+    label = f"random[seed={args.seed},n={args.count}]"
+    return body, [
+        _csv_row("reproduce:cor-half", label, None, mode, min_alpha, min_alpha)
+    ]
 
 
 def _csv_row(
-    config: RunConfig,
-    mode: TieBreak,
+    command: str,
     label: str,
+    epsilon: Fraction | None,
+    mode: TieBreak | None,
     value: Fraction,
     alpha: Fraction,
-    command: str | None = None,
 ) -> dict:
-    """One CSV row; `mode` is the tie-break that was actually evaluated."""
+    """One CSV row; `epsilon` and `mode` are what was evaluated, or None
+    (an empty column) where the command evaluated no such parameter."""
     return {
-        "command": command or config.command,
+        "command": command,
         "instance": label,
-        "epsilon": str(config.epsilon) if config.epsilon is not None else "",
-        "tie_break": mode.value,
+        "epsilon": epsilon,
+        "tie_break": mode.value if mode else None,
         "value_num": value.numerator,
         "value_den": value.denominator,
         "alpha_num": alpha.numerator,
@@ -472,95 +420,98 @@ CSV_COLUMNS = (
     "runtime_ms",
 )
 
+
 _HANDLERS = {
     "gap": _cmd_gap,
     "eval-policy": _cmd_eval_policy,
     "build-policy": _cmd_build_policy,
     "prophet-check": _cmd_prophet_check,
     "adaptivity": _cmd_adaptivity,
-    "reproduce": _cmd_reproduce,
+    "prop-lottery-positive": _cmd_lottery,
+    "prop-lottery-negative": _cmd_lottery,
+    "cor-half": _cmd_cor_half,
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def argument_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.
+
+    Each command and each `reproduce` target is a sub-parser holding only
+    the flags its handler (`_HANDLERS`, set as the `handler` default)
+    computes with.
+    """
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--output", choices=["json", "csv"], default="json")
+    report.add_argument(
+        "--caps",
+        default="",
+        help="cap overrides key=value[,key=value...]; also via "
+        f"{CAPS_ENV_VAR} environment variable",
+    )
+    source = argparse.ArgumentParser(add_help=False)
+    either = source.add_mutually_exclusive_group()
+    either.add_argument("--instance", help="path to an instance JSON file")
+    either.add_argument(
+        "--builtin", choices=BUILTIN_NAMES, help="built-in instance name"
+    )
+    source.add_argument(
+        "--epsilon",
+        type=_parse_fraction,
+        help="rational parameter of --builtin table1/table2, e.g. 1/4",
+    )
+    ties = argparse.ArgumentParser(add_help=False)
+    ties.add_argument(
+        "--tie-break",
+        choices=[mode.value.replace("_", "-") for mode in TieBreak],
+        default="adversarial",
+    )
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument(
+        "--epsilon",
+        type=_parse_fraction,
+        default=Fraction(1, 4),
+        help="rational parameter of the table instance",
+    )
+
+    def add(group, name, help, *parents):
+        p = group.add_parser(name, parents=[*parents, report], help=help)
+        p.set_defaults(handler=_HANDLERS[name])
+        return p
+
     parser = argparse.ArgumentParser(
         prog="delegation-lab",
         description="Exact experiments with delegated stochastic probing mechanisms.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_instance: bool = True) -> None:
-        if with_instance:
-            p.add_argument("--instance", help="path to an instance JSON file")
-            p.add_argument(
-                "--builtin", choices=BUILTIN_NAMES, help="built-in instance name"
-            )
-        p.add_argument(
-            "--epsilon", help="rational parameter for built-in instances, e.g. 1/4"
-        )
-        p.add_argument(
-            "--tie-break",
-            choices=["adversarial", "principal-favoring", "lexicographic"],
-            default="adversarial",
-        )
-        p.add_argument("--output", choices=["json", "csv"], default="json")
-        p.add_argument(
-            "--caps",
-            default="",
-            help="cap overrides key=value[,key=value...]; also via "
-            f"{CAPS_ENV_VAR} environment variable",
-        )
-
-    add_common(sub.add_parser("gap", help="exhaustive best deterministic policy"))
-    p = sub.add_parser("eval-policy", help="evaluate a policy JSON file")
-    add_common(p)
+    commands = parser.add_subparsers(dest="command", required=True)
+    add(commands, "gap", "exhaustive best deterministic policy", source, ties)
+    p = add(commands, "eval-policy", "evaluate a policy JSON file", source, ties)
     p.add_argument("--policy", required=True, help="path to a policy JSON file")
-    p = sub.add_parser("build-policy", help="construct and evaluate a policy")
-    add_common(p)
+    p = add(commands, "build-policy", "construct and evaluate a policy", source, ties)
     p.add_argument(
         "--method", required=True, choices=["threshold", "from-greedy", "composed"]
     )
-    add_common(sub.add_parser("prophet-check", help="median-threshold gambler check"))
-    add_common(sub.add_parser("adaptivity", help="adaptive vs best fixed probe set"))
-    p = sub.add_parser("reproduce", help="re-run the reference experiments")
+    add(commands, "prophet-check", "median-threshold gambler check", source)
+    add(commands, "adaptivity", "adaptive vs best fixed probe set", source)
+    targets = commands.add_parser(
+        "reproduce", help="re-run the reference experiments"
+    ).add_subparsers(dest="target", required=True)
+    add(targets, "prop-lottery-positive", "table1: the stated menu", table, ties)
+    p = add(targets, "prop-lottery-negative", "table2: menu grid search", table)
     p.add_argument(
-        "target",
-        choices=["prop-lottery-positive", "prop-lottery-negative", "cor-half"],
+        "--grid",
+        type=_parse_fraction,
+        default=Fraction(1, 100),
+        help="grid step for menu search",
     )
-    add_common(p, with_instance=False)
-    p.add_argument("--grid", default="1/100", help="grid step for menu search")
+    p = add(targets, "cor-half", "threshold policies on seeded random instances")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--count", type=int, default=200)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    caps = _parse_caps(os.environ.get(CAPS_ENV_VAR, ""), Caps())
-    caps = _parse_caps(getattr(args, "caps", ""), caps)
-    epsilon = None
-    if getattr(args, "epsilon", None):
-        epsilon = _parse_fraction(args.epsilon)
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must lie strictly between 0 and 1")
-    return RunConfig(
-        command=args.command,
-        instance_path=getattr(args, "instance", None),
-        builtin=getattr(args, "builtin", None),
-        epsilon=epsilon,
-        tie_break=TieBreak(args.tie_break.replace("-", "_")),
-        caps=caps,
-        output=args.output,
-        grid=_parse_fraction(getattr(args, "grid", "1/100")),
-        policy_path=getattr(args, "policy", None),
-        method=getattr(args, "method", None),
-        target=getattr(args, "target", None),
-        seed=getattr(args, "seed", 7),
-        count=getattr(args, "count", 200),
-    )
-
-
-def _emit(config: RunConfig, body: dict, rows: list[dict], runtime_ms: int) -> str:
-    if config.output == "json":
+def _emit(output: str, body: dict, rows: list[dict], runtime_ms: int) -> str:
+    if output == "json":
         return json.dumps(body, indent=2, sort_keys=True) + "\n"
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
@@ -571,14 +522,18 @@ def _emit(config: RunConfig, body: dict, rows: list[dict], runtime_ms: int) -> s
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit code."""
     try:
-        config = _config_from_args(args)
+        args = argument_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after --help
+        return exc.code
+    try:
+        caps = _parse_caps(os.environ.get(CAPS_ENV_VAR, ""), Caps())
+        caps = _parse_caps(args.caps, caps)
         started = time.monotonic()
-        body, rows = _HANDLERS[config.command](config)
+        body, rows = args.handler(args, caps)
         runtime_ms = int((time.monotonic() - started) * 1000)
-        sys.stdout.write(_emit(config, body, rows, runtime_ms))
+        sys.stdout.write(_emit(args.output, body, rows, runtime_ms))
         return 0
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

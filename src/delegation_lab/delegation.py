@@ -238,6 +238,7 @@ def compose_outer(
     set_cap: int = OUTER_SET_CAP,
     state_cap: int = DP_STATE_CAP,
     benchmark: Fraction | None = None,
+    scenario_cap: int = SCENARIO_CAP,
 ) -> tuple[Policy, frozenset[str]]:
     """Fix the best nonadaptive probe set F, then delegate inside it.
 
@@ -246,7 +247,9 @@ def compose_outer(
     the outer constraint by construction.  `benchmark` is the adaptive
     optimum, if already known (see `best_nonadaptive_set`).
     """
-    report = best_nonadaptive_set(instance, set_cap, state_cap, benchmark)
+    report = best_nonadaptive_set(
+        instance, set_cap, state_cap, benchmark, scenario_cap
+    )
     restricted = restrict_instance(instance, report.best_set)
     return inner_builder(restricted), report.best_set
 

@@ -121,13 +121,18 @@ def scenario_count(instance: Instance) -> int:
     return count
 
 
+def check_scenario_cap(instance: Instance, cap: int) -> None:
+    """Refuse, before anything is enumerated, a product support over `cap`."""
+    size = scenario_count(instance)
+    if size > cap:
+        raise CapacityError(f"scenario count {size} exceeds cap {cap}")
+
+
 def enumerate_scenarios(
     instance: Instance, cap: int = SCENARIO_CAP
 ) -> list[tuple[Realization, Fraction]]:
     """Every point of the product support with its exact probability."""
-    size = scenario_count(instance)
-    if size > cap:
-        raise CapacityError(f"scenario count {size} exceeds cap {cap}")
+    check_scenario_cap(instance, cap)
     scenarios: list[tuple[Realization, Fraction]] = []
     ranges = [range(len(support)) for support in instance.atoms]
     for choice in itertools.product(*ranges):
@@ -406,5 +411,7 @@ def builtin_instance(name: str, eps: Fraction | None = None) -> Instance:
             raise ValueError(f"{name} needs an epsilon")
         return _TABLES[name](eps)
     if name == "coins2":
+        if eps is not None:
+            raise ValueError("coins2 takes no epsilon")
         return coins2()
     raise ValueError(f"unknown builtin instance {name!r}")

@@ -120,8 +120,9 @@ def agent_lottery_choice(
     menu: LotteryMenu,
     probed: frozenset[Outcome],
     mode: TieBreak = TieBreak.ADVERSARIAL,
-) -> Lottery | None:
-    """The agent's expected-y maximizing lottery, or None (worth zero).
+) -> tuple[Lottery | None, ValuePair]:
+    """The agent's expected-y maximizing lottery, or None (worth zero), and
+    its (agent, principal) expected values.
 
     None competes as a zero-value candidate; ties follow the mode on the
     principal's expectation, then menu order with None first.
@@ -132,7 +133,7 @@ def agent_lottery_choice(
         pair = l.expected_values(probed)
         if prefer(pair, best_pair, mode):
             best, best_pair = l, pair
-    return best
+    return best, best_pair
 
 
 def evaluate_lottery_menu(
@@ -146,10 +147,7 @@ def evaluate_lottery_menu(
     validate_menu(instance, menu)
 
     def stop_values(outcomes: frozenset[Outcome]) -> ValuePair:
-        chosen = agent_lottery_choice(menu, outcomes, mode)
-        if chosen is None:
-            return Fraction(0), Fraction(0)
-        return chosen.expected_values(outcomes)
+        return agent_lottery_choice(menu, outcomes, mode)[1]
 
     return evaluate_stop_values(instance, stop_values, mode, state_cap, benchmark)
 

@@ -19,7 +19,13 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import CapacityError
-from .instances import Instance, Realization, known_elements
+from .instances import (
+    SCENARIO_CAP,
+    Instance,
+    Realization,
+    check_scenario_cap,
+    known_elements,
+)
 from .set_systems import iter_feasible_sets, max_weight_feasible
 
 DP_STATE_CAP = 10**6
@@ -171,12 +177,16 @@ def best_nonadaptive_set(
     set_cap: int = OUTER_SET_CAP,
     state_cap: int = DP_STATE_CAP,
     benchmark: Fraction | None = None,
+    scenario_cap: int = SCENARIO_CAP,
 ) -> NonAdaptiveReport:
     """Exhaustive best fixed probe set and its ratio to the adaptive optimum.
 
     Ties prefer larger sets (probing more never hurts), then the smallest
-    sorted id tuple.  `benchmark` is the adaptive optimum, if known.
+    sorted id tuple.  `benchmark` is the adaptive optimum, if known.  No
+    probe set's product support exceeds the instance's scenario count,
+    which is checked against `scenario_cap` first.
     """
+    check_scenario_cap(instance, scenario_cap)
     best_set: frozenset[str] | None = None
     best_value = Fraction(-1)
     count = 0

@@ -109,14 +109,12 @@ def samuel_cahn_threshold(instance: Instance) -> Fraction:
     raise AssertionError("a median of the maximum always exists")
 
 
-def threshold_family(
-    instance: Instance, tau: Fraction, strict: bool = False
-) -> GreedyFamily:
-    """Accept any single realizable outcome with value >= tau (or > tau)."""
+def threshold_family(instance: Instance, tau: Fraction) -> GreedyFamily:
+    """Accept any single realizable outcome with value >= tau."""
     members = []
     for e in instance.elements:
         for x in x_values(instance, e):
-            if x > tau or (not strict and x == tau):
+            if x >= tau:
                 members.append([(e, x)])
     return greedy_family(members, instance.inner)
 

@@ -1,14 +1,18 @@
 import csv
 import io
 import json
+import shlex
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from delegation_lab import probing
-from delegation_lab.cli import run
+from delegation_lab.cli import argument_parser, run
 from delegation_lab.instances import instance_to_json, table2
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +251,7 @@ def test_unknown_cap_rejected(capsys):
             "scenario count 4 exceeds cap 1",
         ),
         (["reproduce", "cor-half", "--count", "3"], "exceeds cap 1"),
+        (["adaptivity", "--builtin", "coins2"], "scenario count 4 exceeds cap 1"),
     ],
 )
 def test_scenario_cap_is_honoured(argv, message, capsys):
@@ -259,8 +264,8 @@ def test_scenario_cap_is_honoured(argv, message, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["reproduce", "cor-half", "--count", "2", "--tie-break", "principal-favoring"],
-        ["reproduce", "prop-lottery-negative", "--grid", "1/2", "--tie-break", "adversarial"],
+        ["reproduce", "cor-half", "--count", "2"],
+        ["reproduce", "prop-lottery-negative", "--grid", "1/2"],
         ["reproduce", "prop-lottery-positive", "--tie-break", "principal-favoring"],
         ["gap", "--builtin", "coins2", "--tie-break", "lexicographic"],
     ],
@@ -301,3 +306,85 @@ def test_one_adaptive_dp_per_command(argv, monkeypatch, capsys):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, epsilon, tie_break",
+    [
+        (["reproduce", "prop-lottery-positive"], "1/4", "adversarial"),
+        (
+            ["reproduce", "prop-lottery-negative", "--grid", "1/2"],
+            "1/4",
+            "principal_favoring",
+        ),
+        (["reproduce", "cor-half", "--count", "2"], "", "adversarial"),
+        (["prophet-check", "--builtin", "table1", "--epsilon", "1/3"], "1/3", ""),
+        (["adaptivity", "--builtin", "table1", "--epsilon", "1/3"], "1/3", ""),
+    ],
+)
+def test_csv_columns_state_what_was_evaluated(argv, epsilon, tie_break, capsys):
+    # empty: the command evaluates no epsilon, or no delegation tie-break
+    _, out, _ = run_cli(capsys, *argv)
+    report = json.loads(out)
+    if "epsilon" in report:  # the lottery targets' default
+        assert f"{report['epsilon']['num']}/{report['epsilon']['den']}" == epsilon
+    code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows
+    assert all((r["epsilon"], r["tie_break"]) == (epsilon, tie_break) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prophet-check", "--builtin", "coins2", "--tie-break", "adversarial"],
+        ["adaptivity", "--builtin", "coins2", "--tie-break", "adversarial"],
+        ["reproduce", "prop-lottery-negative", "--tie-break", "adversarial"],
+        ["reproduce", "cor-half", "--tie-break", "principal-favoring"],
+        ["reproduce", "cor-half", "--epsilon", "1/3"],
+        ["reproduce", "prop-lottery-positive", "--grid", "1/2"],
+        ["reproduce", "cor-half", "--grid", "1/2"],
+        ["reproduce", "prop-lottery-positive", "--seed", "1"],
+        ["reproduce", "prop-lottery-positive", "--count", "1"],
+        ["reproduce", "prop-lottery-negative", "--seed", "1"],
+        ["reproduce", "prop-lottery-negative", "--count", "1"],
+        ["gap", "--builtin", "coins2", "--epsilon", "1/4"],
+        [
+            "adaptivity",
+            "--instance",
+            str(ROOT / "tests" / "golden" / "matroid_outer.instance.json"),
+            "--epsilon",
+            "1/4",
+        ],
+    ],
+)
+def test_flags_a_command_does_not_use_are_refused(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err
+
+
+def test_parser_is_built_once():
+    assert argument_parser() is argument_parser()
+
+
+def test_readme_command_lines_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = [l for l in section.splitlines() if l.startswith("delegation-lab ")]
+    covered = set()
+    for line in lines:
+        args = argument_parser().parse_args(shlex.split(line)[1:])
+        covered.add(getattr(args, "target", args.command))
+    assert covered == {
+        "gap",
+        "eval-policy",
+        "build-policy",
+        "prophet-check",
+        "adaptivity",
+        "prop-lottery-positive",
+        "prop-lottery-negative",
+        "cor-half",
+    }

@@ -7,6 +7,7 @@ from delegation_lab.delegation import TieBreak, evaluate_policy
 from delegation_lab.errors import UnsupportedError
 from delegation_lab.instances import Outcome, table1, table2
 from delegation_lab.lottery import (
+    Lottery,
     agent_lottery_choice,
     evaluate_lottery_menu,
     lottery,
@@ -42,21 +43,39 @@ def _table1_menu(eps):
 def test_agent_picks_jackpot_lottery_when_available():
     menu, (w0, w1, w2) = _table1_menu(EPS)
     jackpot_probe = frozenset({w1, w2})
-    chosen = agent_lottery_choice(menu, jackpot_probe)
+    chosen, pair = agent_lottery_choice(menu, jackpot_probe)
     assert chosen is not None
     assert chosen.support() == frozenset({frozenset({w1})})
+    assert pair == chosen.expected_values(jackpot_probe)
 
 
 def test_agent_falls_back_to_mixed_lottery():
     menu, (w0, w1, w2) = _table1_menu(EPS)
     blank_probe = frozenset({w0, w2})
-    chosen = agent_lottery_choice(menu, blank_probe)
+    chosen, pair = agent_lottery_choice(menu, blank_probe)
     assert chosen is not None
     assert chosen.support() == frozenset({frozenset({w2}), frozenset({w0})})
+    assert pair == chosen.expected_values(blank_probe)
 
 
 def test_empty_menu_yields_nothing():
-    assert agent_lottery_choice(lottery_menu([]), frozenset()) is None
+    assert agent_lottery_choice(lottery_menu([]), frozenset()) == (None, (0, 0))
+
+
+def test_each_lottery_is_scored_once_per_state(monkeypatch):
+    # table1 has 6 probing states and the stated menu 2 lotteries: the stop
+    # rule reuses the chosen lottery's values instead of scoring it again
+    menu, _ = _table1_menu(EPS)
+    original = Lottery.expected_values
+    calls = []
+
+    def counted(self, probed):
+        calls.append(probed)
+        return original(self, probed)
+
+    monkeypatch.setattr(Lottery, "expected_values", counted)
+    evaluate_lottery_menu(table1(EPS), menu)
+    assert len(calls) == 12
 
 
 def test_table1_menu_value_formula():
