@@ -82,6 +82,16 @@ def _parse_fraction(text: str) -> Fraction:
         ) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_caps(text: str, base: Caps) -> Caps:
     caps = base
     if not text:
@@ -369,7 +379,7 @@ def _cmd_cor_half(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict
             min_alpha = evaluation.alpha
         if evaluation.alpha < half:
             failures.append({"index": i, "instance": instance_to_json(instance)})
-    assert min_alpha is not None
+    assert min_alpha is not None  # argparse refuses --count below 1
     body = {
         "command": "reproduce",
         "target": "cor-half",
@@ -506,7 +516,7 @@ def argument_parser() -> argparse.ArgumentParser:
     )
     p = add(targets, "cor-half", "threshold policies on seeded random instances")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=_positive_int, default=200)
     return parser
 
 

@@ -127,16 +127,28 @@ def agent_best_response(
     zero to both parties.  They are walked in canonical order (by size,
     then outcome keys) and replace the incumbent only when `prefer` says
     so, which resolves remaining ties to the canonically smallest set.
+
+    Outcomes that are not inner-feasible on their own (unknown element,
+    off-support, or an element infeasible alone) are dropped first; inner
+    constraints are downward closed, so no candidate contains one.  The
+    rest are feasible one by one, and a subset is a candidate only if its
+    elements are distinct and inner-feasible, which is checked before the
+    policy is asked.
     """
     best = frozenset()
     best_pair = (Fraction(0), Fraction(0))
-    ordered = sorted(probed, key=Outcome.key)
+    ordered = [
+        o
+        for o in sorted(probed, key=Outcome.key)
+        if is_inner_feasible_outcome_set(instance, [o])
+    ]
     for r in range(1, len(ordered) + 1):
         for combo in itertools.combinations(ordered, r):
+            elements = {o.element for o in combo}
+            if len(elements) != r or not instance.inner.is_feasible(elements):
+                continue
             subset = frozenset(combo)
             if not policy.accepts(subset):
-                continue
-            if not is_inner_feasible_outcome_set(instance, subset):
                 continue
             pair = outcome_totals(subset)
             if prefer(pair, best_pair, mode):

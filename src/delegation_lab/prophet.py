@@ -3,8 +3,14 @@
 A greedy strategy is a downward-closed family of (element, x) outcome sets;
 the gambler is forced to accept an outcome exactly when the accepted set
 stays in the family.  The almighty adversary knows the full realization and
-picks the worst element order, implemented literally as a minimum over all
-orderings.  Agent utilities play no role here.
+picks the worst element order.  Agent utilities play no role here.
+
+The worst order has a closed form.  In a scenario with values x_e, let
+B_A = {e : (e, x_e) in A} for each maximal acceptable set A.  Forced greedy,
+in any order, stops on a set that is maximal among the B_A (the family is
+downward closed, so an outcome refused once stays refused), and presenting
+the elements of a maximal B_A first makes it stop exactly there.  So the
+adversary scores the lightest maximal B_A, and no ordering is enumerated.
 """
 
 from __future__ import annotations
@@ -119,17 +125,22 @@ def threshold_family(instance: Instance, tau: Fraction) -> GreedyFamily:
     return greedy_family(members, instance.inner)
 
 
-def _gambler_run(
-    family: GreedyFamily, order: tuple[str, ...], realized: dict[str, Fraction]
+def _worst_order_value(
+    family: GreedyFamily, realized: dict[str, Fraction]
 ) -> Fraction:
-    accepted: frozenset[OutcomePair] = frozenset()
-    total = Fraction(0)
-    for e in order:
-        candidate = accepted | {(e, realized[e])}
-        if family.accepts(candidate):
-            accepted = candidate
-            total += realized[e]
-    return total
+    """Forced-greedy value of one scenario under its worst element order.
+
+    The smallest total over the maximal sets B_A of realized outcomes that
+    a maximal acceptable set A contains; 0 when the family is empty.
+    """
+    reached = (
+        frozenset(e for e, x in member if realized.get(e) == x)
+        for member in family.maximal
+    )
+    totals = (
+        sum((realized[e] for e in stop), Fraction(0)) for stop in _antichain(reached)
+    )
+    return min(totals, default=Fraction(0))
 
 
 def evaluate_vs_almighty(
@@ -138,7 +149,13 @@ def evaluate_vs_almighty(
     product_cap: int = ORDERING_PRODUCT_CAP,
     scenario_cap: int = SCENARIO_CAP,
 ) -> ProphetReport:
-    """Expected forced-greedy value under worst-case per-scenario orderings."""
+    """Expected forced-greedy value under worst-case per-scenario orderings.
+
+    Each scenario's worst order is scored in closed form (see the module
+    docstring), so no ordering is enumerated.  `product_cap` still bounds
+    |E|! x scenarios, the size of the literal minimum over all orderings
+    that this value equals.
+    """
     scenarios = enumerate_scenarios(instance, scenario_cap)
     n_orders = math.factorial(len(instance.elements))
     if n_orders * len(scenarios) > product_cap:
@@ -152,12 +169,7 @@ def evaluate_vs_almighty(
         realized = {
             e: instance.dist(e)[realization[e]].x for e in instance.elements
         }
-        worst = None
-        for order in itertools.permutations(instance.elements):
-            value = _gambler_run(family, order, realized)
-            if worst is None or value < worst:
-                worst = value
-        gambler += prob * (worst if worst is not None else Fraction(0))
+        gambler += prob * _worst_order_value(family, realized)
         prophet += prob * max_weight_feasible(instance.inner, realized)[1]
     ratio = gambler / prophet if prophet > 0 else Fraction(1)
     return ProphetReport(gambler, prophet, ratio)

@@ -366,6 +366,15 @@ def test_flags_a_command_does_not_use_are_refused(argv, capsys):
     assert err
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_cor_half_count_below_one_is_a_usage_error(count, capsys):
+    code, out, err = run_cli(capsys, "reproduce", "cor-half", "--count", count)
+    assert code == 2
+    assert out == ""
+    assert "--count: must be at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_parser_is_built_once():
     assert argument_parser() is argument_parser()
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,13 +23,18 @@ from delegation_lab.delegation import (
 )
 from delegation_lab.instances import (
     Outcome,
+    UtilityAtom,
     coins2,
     enumerate_scenarios,
+    is_inner_feasible_outcome_set,
+    make_instance,
+    outcome_totals,
     outcomes_of,
+    realizable_inner_sets,
     table1,
     table2,
 )
-from delegation_lab.probing import best_nonadaptive_set, optimal_adaptive_value
+from delegation_lab.probing import best_nonadaptive_set, optimal_adaptive_value, prefer
 from delegation_lab.prophet import (
     evaluate_vs_almighty,
     samuel_cahn_threshold,
@@ -39,7 +45,12 @@ from delegation_lab.random_instances import (
     random_greedy_family,
     random_tiny_instance,
 )
-from delegation_lab.set_systems import FreeSystem, UniformSystem, iter_feasible_sets
+from delegation_lab.set_systems import (
+    FreeSystem,
+    UniformSystem,
+    explicit_system,
+    iter_feasible_sets,
+)
 
 from conftest import one_uniform_instance
 
@@ -94,6 +105,87 @@ def test_agent_never_proposes_unprobed_outcomes():
     assert agent_best_response(
         inst, policy, frozenset({w2}), TieBreak.PRINCIPAL_FAVORING
     ) == frozenset({w2})
+
+
+def literal_best_response(instance, policy, probed, mode):
+    """The subset walk as first written: every subset of the probed outcomes
+    is offered to the policy, then checked for inner feasibility."""
+    best, best_pair = frozenset(), (Fraction(0), Fraction(0))
+    ordered = sorted(probed, key=Outcome.key)
+    for r in range(1, len(ordered) + 1):
+        for combo in itertools.combinations(ordered, r):
+            subset = frozenset(combo)
+            if not policy.accepts(subset):
+                continue
+            if not is_inner_feasible_outcome_set(instance, subset):
+                continue
+            pair = outcome_totals(subset)
+            if prefer(pair, best_pair, mode):
+                best, best_pair = subset, pair
+    return best
+
+
+def _best_response_case(rng):
+    """A small instance with explicit, uniform or free inner constraint, and
+    one policy of each kind; explicit policies need not be downward closed
+    and may name sets that are not inner-feasible."""
+    elements = [f"e{i}" for i in range(1, rng.randint(1, 4) + 1)]
+    ground = frozenset(elements)
+    dists = {}
+    for e in elements:
+        weights = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        dists[e] = [
+            UtilityAtom(
+                Fraction(rng.randint(0, 2)),
+                Fraction(rng.randint(0, 2)),
+                Fraction(w, sum(weights)),
+            )
+            for w in weights
+        ]
+    kind = rng.choice(["explicit", "uniform", "free"])
+    if kind == "explicit":
+        generators = [rng.sample(elements, rng.randint(0, len(elements))) for _ in range(2)]
+        inner = explicit_system(ground, generators)
+    elif kind == "uniform":
+        inner = UniformSystem(ground, rng.randint(1, 3))
+    else:
+        inner = FreeSystem(ground)
+    instance = make_instance(elements, dists, FreeSystem(ground), inner)
+    outcomes = [instance.outcome(e, i) for e in elements for i in range(len(instance.dist(e)))]
+    feasible = realizable_inner_sets(instance)
+    acceptable = rng.sample(feasible, rng.randint(0, len(feasible)))
+    acceptable += [
+        frozenset(rng.sample(outcomes, rng.randint(1, len(outcomes)))) for _ in range(2)
+    ]
+    policies = [
+        ExplicitPolicy(frozenset(acceptable)),
+        ThresholdPolicy(Fraction(rng.randint(0, 3))),
+        policy_from_greedy(random_greedy_family(rng, instance)),
+    ]
+    return instance, kind, outcomes, policies
+
+
+def test_best_response_equals_the_literal_subset_walk():
+    rng = random.Random(11)
+    seen = {"explicit": 0, "uniform": 0, "free": 0, "unknown": 0, "off-support": 0}
+    for _ in range(150):
+        instance, kind, outcomes, policies = _best_response_case(rng)
+        seen[kind] += 1
+        for _ in range(3):
+            probed = set(rng.sample(outcomes, rng.randint(0, min(4, len(outcomes)))))
+            if rng.random() < 0.3:
+                probed.add(Outcome("unknown", Fraction(1), Fraction(3)))
+                seen["unknown"] += 1
+            if rng.random() < 0.3:
+                probed.add(Outcome(instance.elements[0], Fraction(5), Fraction(3)))
+                seen["off-support"] += 1
+            probed = frozenset(probed)
+            for policy in policies:
+                for mode in TieBreak:
+                    assert agent_best_response(
+                        instance, policy, probed, mode
+                    ) == literal_best_response(instance, policy, probed, mode)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_evaluate_policy_table2_threshold():

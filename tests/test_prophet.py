@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from delegation_lab.errors import CapacityError, UnsupportedError
-from delegation_lab.instances import coins2, enumerate_scenarios, table1
+from delegation_lab.instances import (
+    UtilityAtom,
+    coins2,
+    enumerate_scenarios,
+    make_instance,
+    table1,
+)
 from delegation_lab.prophet import (
     best_greedy_family,
     candidate_pair_sets,
@@ -18,7 +24,7 @@ from delegation_lab.random_instances import (
     random_free_outer_instance,
     random_greedy_family,
 )
-from delegation_lab.set_systems import UniformSystem
+from delegation_lab.set_systems import FreeSystem, PartitionSystem, UniformSystem
 
 from conftest import one_uniform_instance
 
@@ -112,6 +118,86 @@ def test_gambler_never_beats_prophet():
         family = random_greedy_family(rng, inst)
         report = evaluate_vs_almighty(inst, family)
         assert 0 <= report.gambler_value <= report.prophet_value
+
+
+def literal_gambler_value(instance, family):
+    """The almighty adversary as defined: for each scenario, the minimum of
+    forced greedy over every ordering of the elements."""
+
+    def forced_greedy(order, realized):
+        accepted, total = frozenset(), Fraction(0)
+        for e in order:
+            candidate = accepted | {(e, realized[e])}
+            if family.accepts(candidate):
+                accepted, total = candidate, total + realized[e]
+        return total
+
+    value = Fraction(0)
+    for realization, prob in enumerate_scenarios(instance):
+        realized = {e: instance.dist(e)[realization[e]].x for e in instance.elements}
+        value += prob * min(
+            forced_greedy(order, realized)
+            for order in itertools.permutations(instance.elements)
+        )
+    return value
+
+
+def _reorderable_instance(rng):
+    """1 to 4 elements with x = 0 atoms likely, and an inner constraint that
+    admits multi-outcome sets: k-uniform with k >= 2, free, or partition."""
+    elements = [f"e{i}" for i in range(1, rng.randint(1, 4) + 1)]
+    ground = frozenset(elements)
+    dists = {}
+    for e in elements:
+        weights = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        dists[e] = [
+            UtilityAtom(Fraction(rng.randint(0, 3)), Fraction(i), Fraction(w, sum(weights)))
+            for i, w in enumerate(weights)
+        ]
+    kind = rng.choice(["uniform", "free", "partition"])
+    if kind == "uniform":
+        inner = UniformSystem(ground, rng.randint(2, 4))
+    elif kind == "free":
+        inner = FreeSystem(ground)
+    else:
+        cut = rng.randint(0, len(elements))
+        blocks = tuple(b for b in (frozenset(elements[:cut]), frozenset(elements[cut:])) if b)
+        inner = PartitionSystem(ground, blocks, tuple(rng.randint(1, 2) for _ in blocks))
+    return make_instance(elements, dists, FreeSystem(ground), inner), kind
+
+
+def test_adversary_equals_the_literal_minimum_over_orderings():
+    rng = random.Random(4)
+    seen = {"empty": 0, "multi": 0, "uniform": 0, "free": 0, "partition": 0}
+    for _ in range(320):
+        instance, kind = _reorderable_instance(rng)
+        candidates = candidate_pair_sets(instance)
+        members = rng.sample(candidates, rng.randint(0, min(5, len(candidates))))
+        family = greedy_family(members, instance.inner)
+        seen[kind] += 1
+        seen["empty"] += not family.maximal
+        seen["multi"] += any(len(m) > 1 for m in family.maximal)
+        report = evaluate_vs_almighty(instance, family)
+        assert report.gambler_value == literal_gambler_value(instance, family)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_adversary_scores_only_maximal_reachable_sets():
+    # members {(a,1),(b,1)} and {(a,1),(b,2)}: whichever b realizes, {a}
+    # alone is reachable but not maximal, so greedy always takes b as well
+    inst = one_uniform_instance(
+        {"a": [(1, 0, 1)], "b": [(1, 0, Fraction(1, 2)), (2, 1, Fraction(1, 2))]}
+    )
+    free = type(inst)(inst.elements, inst.atoms, inst.outer, FreeSystem(inst.inner.ground))
+    family = greedy_family(
+        [
+            [("a", Fraction(1)), ("b", Fraction(1))],
+            [("a", Fraction(1)), ("b", Fraction(2))],
+        ],
+        free.inner,
+    )
+    assert evaluate_vs_almighty(free, family).gambler_value == Fraction(5, 2)
+    assert literal_gambler_value(free, family) == Fraction(5, 2)
 
 
 def test_ordering_cap():
