@@ -128,12 +128,10 @@ def agent_best_response(
     then outcome keys) and replace the incumbent only when `prefer` says
     so, which resolves remaining ties to the canonically smallest set.
 
-    Outcomes that are not inner-feasible on their own (unknown element,
-    off-support, or an element infeasible alone) are dropped first; inner
-    constraints are downward closed, so no candidate contains one.  The
-    rest are feasible one by one, and a subset is a candidate only if its
-    elements are distinct and inner-feasible, which is checked before the
-    policy is asked.
+    Outcomes not inner-feasible alone (unknown element, off-support, or an
+    element infeasible alone) are dropped first: inner constraints are
+    downward closed, so no candidate holds one.  Subsets must have distinct,
+    inner-feasible elements before the policy is asked.
     """
     best = frozenset()
     best_pair = (Fraction(0), Fraction(0))

@@ -151,10 +151,8 @@ def evaluate_vs_almighty(
 ) -> ProphetReport:
     """Expected forced-greedy value under worst-case per-scenario orderings.
 
-    Each scenario's worst order is scored in closed form (see the module
-    docstring), so no ordering is enumerated.  `product_cap` still bounds
-    |E|! x scenarios, the size of the literal minimum over all orderings
-    that this value equals.
+    Each scenario's worst order is scored in closed form (module docstring);
+    `product_cap` still bounds |E|! x scenarios, the orderings it covers.
     """
     scenarios = enumerate_scenarios(instance, scenario_cap)
     n_orders = math.factorial(len(instance.elements))

@@ -144,14 +144,18 @@ def _best_response_case(rng):
         ]
     kind = rng.choice(["explicit", "uniform", "free"])
     if kind == "explicit":
-        generators = [rng.sample(elements, rng.randint(0, len(elements))) for _ in range(2)]
+        generators = [
+            rng.sample(elements, rng.randint(0, len(elements))) for _ in range(2)
+        ]
         inner = explicit_system(ground, generators)
     elif kind == "uniform":
         inner = UniformSystem(ground, rng.randint(1, 3))
     else:
         inner = FreeSystem(ground)
     instance = make_instance(elements, dists, FreeSystem(ground), inner)
-    outcomes = [instance.outcome(e, i) for e in elements for i in range(len(instance.dist(e)))]
+    outcomes = [
+        instance.outcome(e, i) for e in elements for i in range(len(instance.dist(e)))
+    ]
     feasible = realizable_inner_sets(instance)
     acceptable = rng.sample(feasible, rng.randint(0, len(feasible)))
     acceptable += [

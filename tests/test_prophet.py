@@ -151,7 +151,9 @@ def _reorderable_instance(rng):
     for e in elements:
         weights = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
         dists[e] = [
-            UtilityAtom(Fraction(rng.randint(0, 3)), Fraction(i), Fraction(w, sum(weights)))
+            UtilityAtom(
+                Fraction(rng.randint(0, 3)), Fraction(i), Fraction(w, sum(weights))
+            )
             for i, w in enumerate(weights)
         ]
     kind = rng.choice(["uniform", "free", "partition"])
@@ -161,14 +163,16 @@ def _reorderable_instance(rng):
         inner = FreeSystem(ground)
     else:
         cut = rng.randint(0, len(elements))
-        blocks = tuple(b for b in (frozenset(elements[:cut]), frozenset(elements[cut:])) if b)
-        inner = PartitionSystem(ground, blocks, tuple(rng.randint(1, 2) for _ in blocks))
+        halves = (frozenset(elements[:cut]), frozenset(elements[cut:]))
+        blocks = tuple(b for b in halves if b)
+        caps = tuple(rng.randint(1, 2) for _ in blocks)
+        inner = PartitionSystem(ground, blocks, caps)
     return make_instance(elements, dists, FreeSystem(ground), inner), kind
 
 
 def test_adversary_equals_the_literal_minimum_over_orderings():
     rng = random.Random(4)
-    seen = {"empty": 0, "multi": 0, "uniform": 0, "free": 0, "partition": 0}
+    seen = {"empty": 0, "multi": 0, "zero": 0, "uniform": 0, "free": 0, "partition": 0}
     for _ in range(320):
         instance, kind = _reorderable_instance(rng)
         candidates = candidate_pair_sets(instance)
@@ -177,6 +181,7 @@ def test_adversary_equals_the_literal_minimum_over_orderings():
         seen[kind] += 1
         seen["empty"] += not family.maximal
         seen["multi"] += any(len(m) > 1 for m in family.maximal)
+        seen["zero"] += any(x == 0 for m in family.maximal for _, x in m)
         report = evaluate_vs_almighty(instance, family)
         assert report.gambler_value == literal_gambler_value(instance, family)
     assert min(seen.values()) >= 20, seen
@@ -188,7 +193,9 @@ def test_adversary_scores_only_maximal_reachable_sets():
     inst = one_uniform_instance(
         {"a": [(1, 0, 1)], "b": [(1, 0, Fraction(1, 2)), (2, 1, Fraction(1, 2))]}
     )
-    free = type(inst)(inst.elements, inst.atoms, inst.outer, FreeSystem(inst.inner.ground))
+    free = type(inst)(
+        inst.elements, inst.atoms, inst.outer, FreeSystem(inst.inner.ground)
+    )
     family = greedy_family(
         [
             [("a", Fraction(1)), ("b", Fraction(1))],
