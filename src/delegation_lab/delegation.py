@@ -33,22 +33,22 @@ from .instances import (
 from .probing import (
     DP_STATE_CAP,
     OUTER_SET_CAP,
-    ROOT_STATE,
-    StateKey,
     TieBreak,
     ValuePair,
-    _with_probe,
     best_nonadaptive_set,
     optimal_adaptive_value,
     prefer,
+    probe_distribution,
+    probing_graph,
     solve_probing,
 )
 from .prophet import (
     ORDERING_PRODUCT_CAP,
     GreedyFamily,
     ProphetReport,
-    evaluate_vs_almighty,
     samuel_cahn_threshold,
+    scenario_table,
+    score_family,
     threshold_family,
 )
 from .set_systems import FreeSystem, feasibility_equal
@@ -163,45 +163,28 @@ def agent_probe_values(
     """The agent's probing DP (`solve_probing`) and its probe distribution.
 
     `stop_values` maps a probed outcome set to the (agent, principal) value
-    pair realized if the agent stops there and proposes.  Returns the root
-    value pair and the distribution of probed sets under the strategy.
+    pair realized if the agent stops there and proposes; it is asked once
+    per state of the instance's `probing_graph`.  Returns the root value
+    pair and the distribution of probed sets under the strategy.
     """
-
-    def stop_rule(state: StateKey) -> ValuePair:
-        return stop_values(
-            frozenset(instance.outcome(e, i) for e, i in zip(*state))
-        )
-
-    root_pair, actions = solve_probing(instance, stop_rule, mode, state_cap)
-    distribution: dict[frozenset[str], Fraction] = {}
-
-    def walk(state: StateKey, prob: Fraction) -> None:
-        action = actions[state]
-        if action is None:
-            probed = frozenset(state[0])
-            distribution[probed] = distribution.get(probed, Fraction(0)) + prob
-            return
-        for i, atom in enumerate(instance.dist(action)):
-            walk(_with_probe(state, action, i), prob * atom.prob)
-
-    walk(ROOT_STATE, Fraction(1))
-    return root_pair, distribution
+    graph = probing_graph(instance, state_cap)
+    stops = [stop_values(outcomes) for outcomes in graph.outcome_sets]
+    root_pair, actions = solve_probing(graph, stops, mode)
+    return root_pair, probe_distribution(graph, actions)
 
 
-def evaluate_stop_values(
+def evaluate_agent_solution(
     instance: Instance,
-    stop_values: Callable[[frozenset[Outcome]], ValuePair],
-    mode: TieBreak,
+    agent_solution: tuple[ValuePair, Mapping[frozenset[str], Fraction]],
     state_cap: int,
     benchmark: Fraction | None,
 ) -> PolicyEvaluation:
-    """Agent DP on `stop_values`, measured against the adaptive benchmark.
+    """The agent DP's root values and probe distribution, measured against
+    the adaptive benchmark.
 
     The one evaluator behind policies and lottery menus.
     """
-    (agent_value, principal_value), distribution = agent_probe_values(
-        instance, stop_values, mode, state_cap
-    )
+    (agent_value, principal_value), distribution = agent_solution
     if benchmark is None:
         benchmark = optimal_adaptive_value(instance, state_cap).expected_value
     alpha = principal_value / benchmark if benchmark > 0 else Fraction(1)
@@ -226,7 +209,12 @@ def evaluate_policy(
     def stop_values(outcomes: frozenset[Outcome]) -> ValuePair:
         return outcome_totals(agent_best_response(instance, policy, outcomes, mode))
 
-    return evaluate_stop_values(instance, stop_values, mode, state_cap, benchmark)
+    return evaluate_agent_solution(
+        instance,
+        agent_probe_values(instance, stop_values, mode, state_cap),
+        state_cap,
+        benchmark,
+    )
 
 
 def restrict_instance(instance: Instance, subset: Iterable[str]) -> Instance:
@@ -275,6 +263,7 @@ def build_threshold_policy(
     realizable value; each induces the family accepting single outcomes at
     or above the cut.  The cut whose forced-greedy gambler value is largest
     wins (ties keep the earlier candidate, so the median is preferred).
+    The scenarios and the prophet value are computed once for all cuts.
     With finite supports a single fixed cut can land on a large atom and
     lose more than half of the benchmark, which is why the cut is tuned by
     exact evaluation instead of pinned at the median.
@@ -287,10 +276,11 @@ def build_threshold_policy(
         )
         if x != median
     ]
+    table = scenario_table(instance, product_cap, scenario_cap)
     best: tuple[Fraction, GreedyFamily, ProphetReport] | None = None
     for cut in cuts:
         family = threshold_family(instance, cut)
-        report = evaluate_vs_almighty(instance, family, product_cap, scenario_cap)
+        report = score_family(family, *table)
         if best is None or report.gambler_value > best[2].gambler_value:
             best = (cut, family, report)
     assert best is not None

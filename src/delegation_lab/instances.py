@@ -125,7 +125,9 @@ def check_scenario_cap(instance: Instance, cap: int) -> None:
     """Refuse, before anything is enumerated, a product support over `cap`."""
     size = scenario_count(instance)
     if size > cap:
-        raise CapacityError(f"scenario count {size} exceeds cap {cap}")
+        raise CapacityError(
+            f"scenario count {size} exceeds cap {cap}", "scenarios", cap, size
+        )
 
 
 def enumerate_scenarios(
@@ -225,7 +227,10 @@ def realizable_inner_sets(
             if cap is not None and len(sets) > cap:
                 raise CapacityError(
                     f"inner-feasible outcome sets exceed cap {cap} "
-                    f"(count reached {len(sets)})"
+                    f"(count reached {len(sets)})",
+                    "policy_sets",
+                    cap,
+                    len(sets),
                 )
     return sorted(sets, key=outcome_set_key)
 

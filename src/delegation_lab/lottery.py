@@ -7,6 +7,7 @@ both parties rather than erroring, so stale menu entries are harmless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -28,10 +29,18 @@ from .delegation import (
     Policy,
     PolicyEvaluation,
     TieBreak,
-    evaluate_stop_values,
+    evaluate_agent_solution,
     materialize_policy,
 )
-from .probing import ValuePair, optimal_adaptive_value, prefer
+from .probing import (
+    ProbingGraph,
+    ValuePair,
+    optimal_adaptive_value,
+    prefer,
+    probe_distribution,
+    probing_graph,
+    solve_probing,
+)
 from .prophet import _is_one_uniform
 
 LotteryAtom = tuple[frozenset[Outcome], Fraction]
@@ -136,6 +145,49 @@ def agent_lottery_choice(
     return best, best_pair
 
 
+def menu_stop_values(
+    graph: ProbingGraph, menu: LotteryMenu, mode: TieBreak
+) -> tuple[list[tuple[int, int]], int]:
+    """`agent_lottery_choice`'s values at every state of `graph`, and their
+    unit: each pair is in units of 1/unit.
+
+    The menu is compiled once into (outcome mask, p * y, p * x) triples over
+    `graph.outcome_bits`, so every outcome of the menu must be a support
+    outcome; unit = lcd(outcome utilities) * lcd(menu probabilities).  An
+    atom pays at a state when its mask lies within the observed mask.
+    """
+    outcome_unit = math.lcm(
+        *(v.denominator for o in graph.outcome_bits for v in (o.y, o.x))
+    )
+    p_unit = math.lcm(*(p.denominator for l in menu.lotteries for _, p in l.atoms))
+    compiled = []
+    for l in menu.lotteries:
+        atoms = []
+        for outcome_set, p in l.atoms:
+            mask = y = x = 0
+            for o in outcome_set:
+                mask |= 1 << graph.outcome_bits[o]
+                y += o.y.numerator * (outcome_unit // o.y.denominator)
+                x += o.x.numerator * (outcome_unit // o.x.denominator)
+            weight = p.numerator * (p_unit // p.denominator)
+            atoms.append((mask, weight * y, weight * x))
+        compiled.append(atoms)
+    stops = []
+    for observed in graph.masks:
+        best = (0, 0)
+        for atoms in compiled:
+            agent = principal = 0
+            for mask, y, x in atoms:
+                if mask & observed == mask:
+                    agent += y
+                    principal += x
+            pair = (agent, principal)
+            if prefer(pair, best, mode):
+                best = pair
+        stops.append(best)
+    return stops, outcome_unit * p_unit
+
+
 def evaluate_lottery_menu(
     instance: Instance,
     menu: LotteryMenu,
@@ -143,13 +195,20 @@ def evaluate_lottery_menu(
     state_cap: int = DP_STATE_CAP,
     benchmark: Fraction | None = None,
 ) -> PolicyEvaluation:
-    """Exact menu value against an adaptively probing, best-responding agent."""
+    """Exact menu value against an adaptively probing, best-responding agent.
+
+    The menu is compiled once; no lottery is rescored per state.
+    """
     validate_menu(instance, menu)
-
-    def stop_values(outcomes: frozenset[Outcome]) -> ValuePair:
-        return agent_lottery_choice(menu, outcomes, mode)[1]
-
-    return evaluate_stop_values(instance, stop_values, mode, state_cap, benchmark)
+    graph = probing_graph(instance, state_cap)
+    stops, unit = menu_stop_values(graph, menu, mode)
+    root_pair, actions = solve_probing(graph, stops, mode, unit)
+    return evaluate_agent_solution(
+        instance,
+        (root_pair, probe_distribution(graph, actions)),
+        state_cap,
+        benchmark,
+    )
 
 
 def menu_from_policy(instance: Instance, policy: Policy) -> LotteryMenu:
@@ -213,16 +272,19 @@ def search_two_lottery_menus(
         benchmark = optimal_adaptive_value(instance, state_cap).expected_value
     points = _grid_points(grid)
     best: tuple[LotteryMenu, PolicyEvaluation] | None = None
+    high_lotteries = [
+        (l, l.key()) for l in (lottery([({anchor}, b), ({high}, 1 - b)]) for b in points)
+    ]
     for a in points:
         lot_a = lottery([({anchor}, a), ({low}, 1 - a)])
-        for b in points:
-            lot_b = lottery([({anchor}, b), ({high}, 1 - b)])
-            if lot_a.key() == lot_b.key():
-                menu = lottery_menu([lot_a])
+        key_a = lot_a.key()
+        for lot_b, key_b in high_lotteries:
+            if key_a == key_b:
+                menu = LotteryMenu((lot_a,))
             elif lot_a.support() == lot_b.support():
                 continue
             else:
-                menu = lottery_menu([lot_a, lot_b])
+                menu = LotteryMenu((lot_a, lot_b))
             evaluation = evaluate_lottery_menu(
                 instance, menu, mode, state_cap, benchmark
             )

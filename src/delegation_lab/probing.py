@@ -1,27 +1,32 @@
-"""Exact adaptive probing: one dynamic program for every prober.
+"""Exact adaptive probing: one compiled state graph, solved in integers.
 
-`solve_probing` runs a dynamic program over probing states (probed element
-set, observed support atoms) whose stop rule values each state.  The
-non-delegated benchmark `optimal_adaptive_value` stops with (u, u), u the
-best inner-feasible observed total; the delegated agent stops with its
-proposal (`delegation`, `lottery`).  `best_nonadaptive_set` exhaustively
-scores every outer-feasible probe set; the ratio of the two is the measured
-adaptivity gap for the instance.
+`probing_graph` compiles an instance's probing states (probed elements and
+their observed support atoms) once: every state lists its outer-feasible
+moves with integer atom weights and successor indices, successors before
+parents.  `solve_probing` values each state by a stop rule, given as one
+(agent, principal) pair per state, in one backward pass of integer
+arithmetic.  The non-delegated benchmark `optimal_adaptive_value` stops with
+(u, u), u the best inner-feasible observed total; the delegated agent stops
+with its proposal (`delegation`, `lottery`).  `best_nonadaptive_set` scores
+every outer-feasible probe set from the same graph; the ratio of the two is
+the measured adaptivity gap for the instance.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
-from bisect import insort
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError
 from .instances import (
     SCENARIO_CAP,
     Instance,
+    Outcome,
     Realization,
     check_scenario_cap,
     known_elements,
@@ -31,12 +36,13 @@ from .set_systems import iter_feasible_sets, max_weight_feasible
 DP_STATE_CAP = 10**6
 OUTER_SET_CAP = 10**5
 
-# A DP state is the sorted tuple of probed elements plus, aligned with it,
-# the tuple of observed atom indices.
+# A probing state is the sorted tuple of probed elements plus, aligned with
+# it, the tuple of observed atom indices.
 StateKey = tuple[tuple[str, ...], tuple[int, ...]]
-ROOT_STATE: StateKey = ((), ())
 # An (agent value, principal value) pair.
 ValuePair = tuple[Fraction, Fraction]
+# A move probes one element: (element index, ((atom weight, successor), ...)).
+Move = tuple[int, tuple[tuple[int, int], ...]]
 
 
 class TieBreak(str, enum.Enum):
@@ -88,56 +94,228 @@ def utility_u(
     return _observed_value(instance, ((e, realization[e]) for e in probed))
 
 
-def _with_probe(state: StateKey, element: str, atom_index: int) -> StateKey:
-    probed, atoms = state
-    items = sorted(zip(probed, atoms))
-    insort(items, (element, atom_index))
-    return tuple(e for e, _ in items), tuple(i for _, i in items)
+@dataclass(frozen=True, eq=False)
+class ProbingGraph:
+    """Every probing state of one instance, indexed successors first.
+
+    Per state s (the root is the last index):
+    - `moves[s]`: the outer-feasible next probes in element order; atom
+      weight w = p * Q_e, with Q_e the lcm of element e's probability
+      denominators;
+    - `scales[s]`: the product of Q_e over the unprobed elements, so
+      sum(w * value * scale[successor]) is the expectation times scale[s];
+    - `probed[s]`: probed elements as a bitmask over element indices;
+    - `masks[s]`: observed outcomes as a bitmask over `outcome_bits`;
+    - `weights[s]`: the probability of the observed atoms times `scales[-1]`;
+    - `observed[s]`: the (element index, atom index) pairs, by element.
+    """
+
+    instance: Instance
+    moves: tuple[tuple[Move, ...], ...]
+    scales: tuple[int, ...]
+    probed: tuple[int, ...]
+    masks: tuple[int, ...]
+    weights: tuple[int, ...]
+    observed: tuple[tuple[tuple[int, int], ...], ...]
+    # one bit per distinct outcome (element, x, y)
+    outcome_bits: Mapping[Outcome, int]
+
+    def __len__(self) -> int:
+        return len(self.moves)
+
+    @functools.cached_property
+    def keys(self) -> tuple[StateKey, ...]:
+        elements = self.instance.elements
+        keys = []
+        for observed in self.observed:
+            pairs = sorted((elements[j], i) for j, i in observed)
+            keys.append((tuple(e for e, _ in pairs), tuple(i for _, i in pairs)))
+        return tuple(keys)
+
+    @functools.cached_property
+    def outcome_sets(self) -> tuple[frozenset[Outcome], ...]:
+        elements = self.instance.elements
+        return tuple(
+            frozenset(self.instance.outcome(elements[j], i) for j, i in observed)
+            for observed in self.observed
+        )
+
+    @functools.cached_property
+    def observed_values(self) -> tuple[Fraction, ...]:
+        """u at every state, computed once per graph."""
+        elements = self.instance.elements
+        return tuple(
+            _observed_value(self.instance, ((elements[j], i) for j, i in observed))
+            for observed in self.observed
+        )
+
+    def element_set(self, probed: int) -> frozenset[str]:
+        elements = self.instance.elements
+        return frozenset(e for j, e in enumerate(elements) if probed >> j & 1)
+
+
+def _too_many_states(state_cap: int) -> CapacityError:
+    return CapacityError(
+        f"probing DP exceeded {state_cap} states", "dp_states", state_cap, state_cap + 1
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
+    """Compile `instance`'s probing states; refuse a state beyond `state_cap`.
+
+    Memoized on the last (instance, state_cap), so every stop rule solved on
+    one instance shares one graph.
+    """
+    elements = instance.elements
+    denominators = [
+        math.lcm(*(a.prob.denominator for a in support)) for support in instance.atoms
+    ]
+    atom_weights = [
+        [a.prob.numerator * (q // a.prob.denominator) for a in support]
+        for q, support in zip(denominators, instance.atoms)
+    ]
+    outcome_bits: dict[Outcome, int] = {}
+    atom_bits = [
+        [
+            1 << outcome_bits.setdefault(instance.outcome(e, i), len(outcome_bits))
+            for i in range(len(support))
+        ]
+        for e, support in zip(elements, instance.atoms)
+    ]
+    # a state's code is sum((atom index + 1) * radix[j]) over probed elements j
+    radix = [1]
+    for support in instance.atoms:
+        radix.append(radix[-1] * (len(support) + 1))
+
+    next_probes: dict[int, list[int]] = {}
+
+    def feasible_next(probed: int) -> list[int]:
+        if probed not in next_probes:
+            ids = {e for j, e in enumerate(elements) if probed >> j & 1}
+            next_probes[probed] = [
+                j
+                for j, e in enumerate(elements)
+                if not probed >> j & 1 and instance.outer.is_feasible(ids | {e})
+            ]
+        return next_probes[probed]
+
+    # Breadth first: every state is found before its successors.
+    if state_cap < 1:
+        raise _too_many_states(state_cap)
+    root_scale = math.prod(denominators)
+    found = {0: 0}
+    codes, scales, probed, masks, weights = [0], [root_scale], [0], [0], [root_scale]
+    observed: list[tuple[tuple[int, int], ...]] = [()]
+    moves: list[tuple[Move, ...]] = []
+    for s, code in enumerate(codes):
+        state_moves = []
+        for j in feasible_next(probed[s]):
+            atoms = []
+            for i, w in enumerate(atom_weights[j]):
+                child = code + (i + 1) * radix[j]
+                t = found.get(child)
+                if t is None:
+                    if len(codes) >= state_cap:
+                        raise _too_many_states(state_cap)
+                    t = found[child] = len(codes)
+                    codes.append(child)
+                    scale = scales[s] // denominators[j]
+                    scales.append(scale)
+                    probed.append(probed[s] | 1 << j)
+                    masks.append(masks[s] | atom_bits[j][i])
+                    weights.append(weights[s] // scales[s] * w * scale)
+                    observed.append(tuple(sorted(observed[s] + ((j, i),))))
+                atoms.append((w, t))
+            state_moves.append((j, tuple(atoms)))
+        moves.append(tuple(state_moves))
+    last = len(codes) - 1
+    return ProbingGraph(
+        instance,
+        tuple(
+            tuple((j, tuple((w, last - t) for w, t in atoms)) for j, atoms in m)
+            for m in reversed(moves)
+        ),
+        tuple(reversed(scales)),
+        tuple(reversed(probed)),
+        tuple(reversed(masks)),
+        tuple(reversed(weights)),
+        tuple(reversed(observed)),
+        outcome_bits,
+    )
 
 
 def solve_probing(
-    instance: Instance,
-    stop_rule: Callable[[StateKey], ValuePair],
+    graph: ProbingGraph,
+    stop_values: Sequence[ValuePair],
     mode: TieBreak,
-    state_cap: int = DP_STATE_CAP,
-) -> tuple[ValuePair, Mapping[StateKey, str | None]]:
-    """Root (agent, principal) value and each state's action (None: stop).
+    unit: int = 1,
+) -> tuple[ValuePair, list[int | None]]:
+    """Root (agent, principal) value and each state's action.
 
-    V(state) = the `prefer`-best of `stop_rule(state)` and the expected
-    successor value of each outer-feasible next probe; open ties go to
-    stopping, then to the earliest element.
+    `stop_values[s]` is state s's stop value pair in units of 1/`unit`
+    (ints or Fractions).  V(s) = the `prefer`-best of the stop value and
+    the expected successor value of each move; open ties go to stopping,
+    then to the earliest element.  The action is the position of the chosen
+    move in `graph.moves[s]`, or None to stop.  Every value at state s is
+    kept as an integer over lcd(stop values) * unit * scales[s], so one pass
+    in integers compares exactly what a Fraction DP would.
     """
-    values: dict[StateKey, ValuePair] = {}
-    actions: dict[StateKey, str | None] = {}
-
-    def visit(state: StateKey) -> ValuePair:
-        if state in values:
-            return values[state]
-        if len(values) >= state_cap:
-            raise CapacityError(f"probing DP exceeded {state_cap} states")
-        probed = frozenset(state[0])
-        best = stop_rule(state)
-        action: str | None = None
-        for e in instance.elements:
-            if e in probed:
-                continue
-            if not instance.outer.is_feasible(probed | {e}):
-                continue
-            agent_total = Fraction(0)
-            principal_total = Fraction(0)
-            for i, atom in enumerate(instance.dist(e)):
-                sub = visit(_with_probe(state, e, i))
-                agent_total += atom.prob * sub[0]
-                principal_total += atom.prob * sub[1]
+    lcd = math.lcm(*(v.denominator for pair in stop_values for v in pair))
+    values: list[tuple[int, int]] = []
+    actions: list[int | None] = []
+    for moves, scale, (agent, principal) in zip(
+        graph.moves, graph.scales, stop_values
+    ):
+        best = (
+            agent.numerator * (lcd // agent.denominator) * scale,
+            principal.numerator * (lcd // principal.denominator) * scale,
+        )
+        action = None
+        for k, (_, atoms) in enumerate(moves):
+            agent_total = principal_total = 0
+            for w, t in atoms:
+                sub_agent, sub_principal = values[t]
+                agent_total += w * sub_agent
+                principal_total += w * sub_principal
             pair = (agent_total, principal_total)
             if prefer(pair, best, mode):
-                best = pair
-                action = e
-        values[state] = best
-        actions[state] = action
-        return best
+                best, action = pair, k
+        values.append(best)
+        actions.append(action)
+    denominator = lcd * unit * graph.scales[-1]
+    root_agent, root_principal = values[-1]
+    return (
+        Fraction(root_agent, denominator),
+        Fraction(root_principal, denominator),
+    ), actions
 
-    return visit(ROOT_STATE), actions
+
+def probe_distribution(
+    graph: ProbingGraph, actions: Sequence[int | None]
+) -> dict[frozenset[str], Fraction]:
+    """The distribution of the probed set at stopping under `actions`.
+
+    Given its observations a state is reached along one path or not at all,
+    so a reached state carries its integer weight; one forward pass marks
+    the reached states.
+    """
+    reached = [False] * len(graph)
+    reached[-1] = True
+    totals: dict[int, int] = {}
+    for s in reversed(range(len(graph))):
+        if not reached[s]:
+            continue
+        action = actions[s]
+        if action is None:
+            totals[graph.probed[s]] = totals.get(graph.probed[s], 0) + graph.weights[s]
+            continue
+        for _, t in graph.moves[s][action][1]:
+            reached[t] = True
+    return {
+        graph.element_set(probed): Fraction(weight, graph.scales[-1])
+        for probed, weight in totals.items()
+    }
 
 
 def optimal_adaptive_value(
@@ -148,15 +326,15 @@ def optimal_adaptive_value(
     V(state) = max(u(observed), max over feasible next probes of the
     expected successor value): `solve_probing` with stop value (u, u).
     """
-
-    def stop_rule(state: StateKey) -> ValuePair:
-        u = _observed_value(instance, zip(*state))
-        return u, u
-
+    graph = probing_graph(instance, state_cap)
     (value, _), actions = solve_probing(
-        instance, stop_rule, TieBreak.LEXICOGRAPHIC, state_cap
+        graph, [(u, u) for u in graph.observed_values], TieBreak.LEXICOGRAPHIC
     )
-    return AdaptiveValueReport(value, actions, len(actions))
+    first_probes = {
+        key: None if k is None else instance.elements[moves[k][0]]
+        for key, moves, k in zip(graph.keys, graph.moves, actions)
+    }
+    return AdaptiveValueReport(value, first_probes, len(graph))
 
 
 def nonadaptive_value(instance: Instance, probe_set: Iterable[str]) -> Fraction:
@@ -184,29 +362,43 @@ def best_nonadaptive_set(
     Ties prefer larger sets (probing more never hurts), then the smallest
     sorted id tuple.  `benchmark` is the adaptive optimum, if known.  No
     probe set's product support exceeds the instance's scenario count,
-    which is checked against `scenario_cap` first.
+    which is checked against `scenario_cap` first.  A set F scores the sum,
+    over the graph states that probed exactly F, of weight times u: the
+    `nonadaptive_value` of F over a denominator shared by every set.
     """
     check_scenario_cap(instance, scenario_cap)
+    graph = probing_graph(instance, state_cap)
+    u_values = graph.observed_values
+    lcd = math.lcm(*(u.denominator for u in u_values))
+    scores: dict[int, int] = {}
+    for probed, weight, u in zip(graph.probed, graph.weights, u_values):
+        scores[probed] = (
+            scores.get(probed, 0) + weight * u.numerator * (lcd // u.denominator)
+        )
+    index = {e: j for j, e in enumerate(instance.elements)}
     best_set: frozenset[str] | None = None
-    best_value = Fraction(-1)
+    best_score = -1
     count = 0
     for candidate in iter_feasible_sets(instance.outer):
         count += 1
         if count > set_cap:
-            raise CapacityError(f"outer-feasible set count exceeds cap {set_cap}")
-        value = nonadaptive_value(instance, candidate)
-        if best_set is None:
-            best_set, best_value = candidate, value
-            continue
-        if value > best_value:
-            best_set, best_value = candidate, value
-        elif value == best_value:
+            raise CapacityError(
+                f"outer-feasible set count exceeds cap {set_cap}",
+                "outer_sets",
+                set_cap,
+                count,
+            )
+        score = scores[sum(1 << index[e] for e in candidate)]
+        if best_set is None or score > best_score:
+            best_set, best_score = candidate, score
+        elif score == best_score:
             if (-len(candidate), tuple(sorted(candidate))) < (
                 -len(best_set),
                 tuple(sorted(best_set)),
             ):
                 best_set = candidate
     assert best_set is not None  # the empty set is always feasible
+    best_value = Fraction(best_score, lcd * graph.scales[-1])
     if benchmark is None:
         benchmark = optimal_adaptive_value(instance, state_cap).expected_value
     ratio = best_value / benchmark if benchmark > 0 else Fraction(1)

@@ -143,6 +143,53 @@ def _worst_order_value(
     return min(totals, default=Fraction(0))
 
 
+# One scenario of the table: its probability and each element's value x_e.
+ScenarioValues = tuple[Fraction, dict[str, Fraction]]
+
+
+def scenario_table(
+    instance: Instance,
+    product_cap: int = ORDERING_PRODUCT_CAP,
+    scenario_cap: int = SCENARIO_CAP,
+) -> tuple[list[ScenarioValues], Fraction]:
+    """Every scenario's values and the prophet value E[max feasible total].
+
+    Shared by every family scored on one instance.  `product_cap` bounds
+    |E|! x scenarios, the orderings the closed form covers.
+    """
+    scenarios = enumerate_scenarios(instance, scenario_cap)
+    n_orders = math.factorial(len(instance.elements))
+    if n_orders * len(scenarios) > product_cap:
+        raise CapacityError(
+            f"orderings x scenarios = {n_orders * len(scenarios)} exceeds cap "
+            f"{product_cap}",
+            "orderings",
+            product_cap,
+            n_orders * len(scenarios),
+        )
+    table = []
+    prophet = Fraction(0)
+    for realization, prob in scenarios:
+        realized = {
+            e: instance.dist(e)[realization[e]].x for e in instance.elements
+        }
+        table.append((prob, realized))
+        prophet += prob * max_weight_feasible(instance.inner, realized)[1]
+    return table, prophet
+
+
+def score_family(
+    family: GreedyFamily, table: list[ScenarioValues], prophet: Fraction
+) -> ProphetReport:
+    """Expected forced-greedy value of `family` under worst-case orderings."""
+    gambler = sum(
+        (prob * _worst_order_value(family, realized) for prob, realized in table),
+        Fraction(0),
+    )
+    ratio = gambler / prophet if prophet > 0 else Fraction(1)
+    return ProphetReport(gambler, prophet, ratio)
+
+
 def evaluate_vs_almighty(
     instance: Instance,
     family: GreedyFamily,
@@ -154,23 +201,9 @@ def evaluate_vs_almighty(
     Each scenario's worst order is scored in closed form (module docstring);
     `product_cap` still bounds |E|! x scenarios, the orderings it covers.
     """
-    scenarios = enumerate_scenarios(instance, scenario_cap)
-    n_orders = math.factorial(len(instance.elements))
-    if n_orders * len(scenarios) > product_cap:
-        raise CapacityError(
-            f"orderings x scenarios = {n_orders * len(scenarios)} exceeds cap "
-            f"{product_cap}"
-        )
-    gambler = Fraction(0)
-    prophet = Fraction(0)
-    for realization, prob in scenarios:
-        realized = {
-            e: instance.dist(e)[realization[e]].x for e in instance.elements
-        }
-        gambler += prob * _worst_order_value(family, realized)
-        prophet += prob * max_weight_feasible(instance.inner, realized)[1]
-    ratio = gambler / prophet if prophet > 0 else Fraction(1)
-    return ProphetReport(gambler, prophet, ratio)
+    return score_family(
+        family, *scenario_table(instance, product_cap, scenario_cap)
+    )
 
 
 def candidate_pair_sets(instance: Instance) -> list[frozenset[OutcomePair]]:
@@ -199,7 +232,10 @@ def best_greedy_family(
     candidates = candidate_pair_sets(instance)
     if 2 ** len(candidates) > family_cap:
         raise CapacityError(
-            f"candidate family lattice 2^{len(candidates)} exceeds cap {family_cap}"
+            f"candidate family lattice 2^{len(candidates)} exceeds cap {family_cap}",
+            "family_sets",
+            family_cap,
+            2 ** len(candidates),
         )
     index = {c: i for i, c in enumerate(candidates)}
     proper_subsets: list[list[int]] = []
@@ -211,6 +247,7 @@ def best_greedy_family(
                 subs.append(index[frozenset(combo)])
         proper_subsets.append(subs)
 
+    table = scenario_table(instance, product_cap, scenario_cap)
     best: tuple[GreedyFamily, ProphetReport] | None = None
     for mask in range(2 ** len(candidates)):
         members = [c for i, c in enumerate(candidates) if mask >> i & 1]
@@ -223,7 +260,7 @@ def best_greedy_family(
         if not closed:
             continue
         family = greedy_family(members, instance.inner)
-        report = evaluate_vs_almighty(instance, family, product_cap, scenario_cap)
+        report = score_family(family, *table)
         if best is None or report.ratio > best[1].ratio:
             best = (family, report)
     assert best is not None  # the empty family is always enumerated

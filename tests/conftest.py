@@ -1,9 +1,21 @@
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from delegation_lab.instances import UtilityAtom, make_instance
 from delegation_lab.set_systems import FreeSystem, UniformSystem
+
+# Tier-1 is a fixed-seed run: every property test draws the same examples
+# each time, and no example database is written.  Hypothesis still caches
+# the constants it reads from source files; that cache goes to a temporary
+# directory removed at exit, so a run leaves no .hypothesis/ behind.
+settings.register_profile("fixed-seed", derandomize=True, database=None)
+settings.load_profile("fixed-seed")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def frac(num, den=1):

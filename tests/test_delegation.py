@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -464,3 +465,37 @@ def test_build_threshold_policy_moves_off_blocked_median():
     assert report.ratio == Fraction(30, 37)
     evaluation = evaluate_policy(inst, policy)
     assert evaluation.alpha >= Fraction(1, 2)
+
+
+def test_threshold_cuts_share_one_scenario_table(monkeypatch):
+    # the cut loop as it was: one full almighty evaluation per cut
+    def literal_threshold_policy(inst):
+        median = samuel_cahn_threshold(inst)
+        cuts = [median] + sorted(
+            {a.x for support in inst.atoms for a in support} - {median}
+        )
+        best = None
+        for cut in cuts:
+            family = threshold_family(inst, cut)
+            report = evaluate_vs_almighty(inst, family)
+            if best is None or report.gambler_value > best[2].gambler_value:
+                best = (cut, family, report)
+        return policy_from_greedy(best[1]), best[0], best[2]
+
+    prophet_module = importlib.import_module("delegation_lab.prophet")
+    original = prophet_module.enumerate_scenarios
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    rng = random.Random(71)
+    for _ in range(40):
+        inst = random_free_outer_instance(rng, max_elements=3)
+        expected = literal_threshold_policy(inst)
+        monkeypatch.setattr(prophet_module, "enumerate_scenarios", counted)
+        calls.clear()
+        assert build_threshold_policy(inst) == expected
+        assert len(calls) == 1
+        monkeypatch.setattr(prophet_module, "enumerate_scenarios", original)

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from delegation_lab.delegation import policy_from_greedy
 from conftest import one_uniform_instance
 
 EPS = Fraction(1, 4)
+# the module, which the package's `lottery` function shadows
+lottery_module = importlib.import_module("delegation_lab.lottery")
 
 
 def _table1_menu(eps):
@@ -62,20 +65,29 @@ def test_empty_menu_yields_nothing():
     assert agent_lottery_choice(lottery_menu([]), frozenset()) == (None, (0, 0))
 
 
-def test_each_lottery_is_scored_once_per_state(monkeypatch):
-    # table1 has 6 probing states and the stated menu 2 lotteries: the stop
-    # rule reuses the chosen lottery's values instead of scoring it again
+def test_each_lottery_is_compiled_once_per_evaluation(monkeypatch):
+    # the stated menu is compiled once into outcome masks; no lottery is
+    # scored again at any of table1's 6 probing states
     menu, _ = _table1_menu(EPS)
-    original = Lottery.expected_values
-    calls = []
+    scored = []
+    compiled = []
+    original_scored = Lottery.expected_values
+    original_compile = lottery_module.menu_stop_values
 
-    def counted(self, probed):
-        calls.append(probed)
-        return original(self, probed)
+    def counted_scored(self, probed):
+        scored.append(probed)
+        return original_scored(self, probed)
 
-    monkeypatch.setattr(Lottery, "expected_values", counted)
-    evaluate_lottery_menu(table1(EPS), menu)
-    assert len(calls) == 12
+    def counted_compile(graph, menu, mode):
+        compiled.append(menu)
+        return original_compile(graph, menu, mode)
+
+    monkeypatch.setattr(Lottery, "expected_values", counted_scored)
+    monkeypatch.setattr(lottery_module, "menu_stop_values", counted_compile)
+    evaluation = evaluate_lottery_menu(table1(EPS), menu)
+    assert compiled == [menu]
+    assert scored == []
+    assert evaluation.principal_value == 2 - 3 * EPS + 2 * EPS**2
 
 
 def test_table1_menu_value_formula():

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -150,3 +151,24 @@ def test_outer_set_cap():
     inst = table1(Fraction(1, 2))
     with pytest.raises(CapacityError, match="outer-feasible"):
         best_nonadaptive_set(inst, set_cap=2)
+
+
+def test_u_is_computed_once_per_state(monkeypatch):
+    # the adaptive DP and the fixed-set scores read u from one graph
+    probing_module = importlib.import_module("delegation_lab.probing")
+    original = probing_module.max_weight_feasible
+    calls = []
+
+    def counted(system, weights):
+        calls.append(weights)
+        return original(system, weights)
+
+    monkeypatch.setattr(probing_module, "max_weight_feasible", counted)
+    rng = random.Random(37)
+    for _ in range(10):
+        inst = random_matroid_outer_instance(rng, max_elements=4)
+        probing_module.probing_graph.cache_clear()
+        calls.clear()
+        adaptive = optimal_adaptive_value(inst)
+        best_nonadaptive_set(inst, benchmark=adaptive.expected_value)
+        assert len(calls) == adaptive.state_count
