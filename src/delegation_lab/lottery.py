@@ -272,9 +272,10 @@ def search_two_lottery_menus(
         benchmark = optimal_adaptive_value(instance, state_cap).expected_value
     points = _grid_points(grid)
     best: tuple[LotteryMenu, PolicyEvaluation] | None = None
-    high_lotteries = [
-        (l, l.key()) for l in (lottery([({anchor}, b), ({high}, 1 - b)]) for b in points)
-    ]
+    high_lotteries = []
+    for b in points:
+        lot_b = lottery([({anchor}, b), ({high}, 1 - b)])
+        high_lotteries.append((lot_b, lot_b.key()))
     for a in points:
         lot_a = lottery([({anchor}, a), ({low}, 1 - a)])
         key_a = lot_a.key()

@@ -131,18 +131,16 @@ def policies(draw, instance):
 
 @st.composite
 def menus(draw, instance):
-    """Up to 3 lotteries over realizable inner-feasible sets and the empty
-    set; sets an outer constraint never lets the agent probe stay in as
-    stale atoms."""
+    """1-3 lotteries over realizable inner-feasible sets and the empty set.
+    Atoms on sets the agent has not fully probed are stale and pay zero;
+    some sets can never be probed under the outer constraint."""
     pool = [frozenset()] + realizable_inner_sets(instance)
     lotteries = []
     supports = set()
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(1, 3))):
         sets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
-        weights = draw(st.lists(st.integers(1, 4), min_size=len(sets), max_size=len(sets)))
-        l = lottery(
-            (s, Fraction(w, sum(weights))) for s, w in zip(sets, weights)
-        )
+        weights = [draw(st.integers(1, 4)) for _ in sets]
+        l = lottery((s, Fraction(w, sum(weights))) for s, w in zip(sets, weights))
         if l.support() not in supports:
             supports.add(l.support())
             lotteries.append(l)
@@ -201,7 +199,11 @@ def test_policies_match_the_literal_dp(data, instance, mode):
     graph = probing_graph(instance, DP_STATE_CAP)
     stops = [stop_values(outcomes) for outcomes in graph.outcome_sets]
     root, distribution = _assert_same_dp(
-        instance, stops, 1, lambda state: stop_values(outcomes_at(instance, state)), mode
+        instance,
+        stops,
+        1,
+        lambda state: stop_values(outcomes_at(instance, state)),
+        mode,
     )
     assert agent_probe_values(instance, stop_values, mode) == (root, distribution)
     evaluation = evaluate_policy(instance, policy, mode)
@@ -255,7 +257,7 @@ def test_state_cap_admits_exactly_the_state_count():
     states = optimal_adaptive_value(inst).state_count
     assert states == 6
     assert optimal_adaptive_value(inst, state_cap=states).state_count == states
-    with pytest.raises(CapacityError, match=f"probing DP exceeded {states - 1} states") as err:
+    with pytest.raises(CapacityError, match=f"exceeded {states - 1} states") as err:
         optimal_adaptive_value(inst, state_cap=states - 1)
     assert (err.value.cap, err.value.limit, err.value.reached) == (
         "dp_states",
