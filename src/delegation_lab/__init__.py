@@ -9,7 +9,6 @@ from .set_systems import (
     SetSystem,
     UniformSystem,
     explicit_system,
-    feasibility_equal,
     iter_feasible_sets,
     max_weight_feasible,
 )
@@ -25,9 +24,7 @@ from .instances import (
     is_inner_feasible_outcome_set,
     load_instance,
     make_instance,
-    outcomes_of,
     realizable_inner_sets,
-    realizable_outcomes,
     table1,
     table2,
 )
@@ -37,7 +34,6 @@ from .probing import (
     best_nonadaptive_set,
     nonadaptive_value,
     optimal_adaptive_value,
-    utility_u,
 )
 from .prophet import (
     GreedyFamily,
@@ -59,13 +55,11 @@ from .delegation import (
     build_threshold_policy,
     compose_outer,
     evaluate_policy,
-    is_symmetric_policy,
     materialize_policy,
     policy_from_greedy,
     policy_from_json,
     policy_to_json,
     restrict_instance,
-    symmetric_groups,
     validate_policy,
 )
 from .lottery import (
@@ -76,10 +70,8 @@ from .lottery import (
     lottery,
     lottery_menu,
     menu_from_json,
-    menu_from_policy,
     menu_to_json,
     search_two_lottery_menus,
-    validate_menu,
 )
 from .oracle import GapReport, enumerate_policies, exact_delegation_gap
 

@@ -108,9 +108,12 @@ def _parse_caps(text: str, base: Caps) -> Caps:
         if key not in names:
             raise ValueError(f"unknown cap {key!r}; valid: {sorted(names)}")
         try:
-            caps = replace(caps, **{key: int(value)})
+            limit = int(value)
         except ValueError:
             raise ValueError(f"cap {key!r} needs an integer, got {value!r}") from None
+        if limit < 0:
+            raise ValueError(f"cap {key!r} must be nonnegative, got {limit}")
+        caps = replace(caps, **{key: limit})
     return caps
 
 
@@ -323,6 +326,11 @@ def _cmd_lottery(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]
     eps = args.epsilon
     table = "table1" if positive else "table2"
     instance = builtin_instance(table, eps)
+    if positive and eps > Fraction(1, 2):
+        # the stated menu puts 1 - 2 * eps on the anchor
+        raise ValueError(
+            f"--epsilon must be at most 1/2 for prop-lottery-positive, got {eps}"
+        )
     # ties are part of the negative scenario
     mode = _tie_break(args) if positive else TieBreak.PRINCIPAL_FAVORING
     benchmark = optimal_adaptive_value(instance, caps.dp_states).expected_value

@@ -51,7 +51,7 @@ from .prophet import (
     score_family,
     threshold_family,
 )
-from .set_systems import FreeSystem, feasibility_equal
+from .set_systems import FreeSystem
 
 
 class Policy:
@@ -302,59 +302,6 @@ def validate_policy(instance: Instance, policy: Policy) -> None:
     if isinstance(policy, ExplicitPolicy):
         for member in policy.acceptable:
             check_outcome_set(instance, member, "policy member")
-
-
-def symmetric_groups(instance: Instance) -> list[frozenset[str]]:
-    """Maximal groups of elements interchangeable in law and constraints."""
-    elems = list(instance.elements)
-    parent = {e: e for e in elems}
-
-    def find(e: str) -> str:
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for a, b in itertools.combinations(elems, 2):
-        if instance.dist(a) != instance.dist(b):
-            continue
-        swap = {e: e for e in elems}
-        swap[a], swap[b] = b, a
-        if not feasibility_equal(instance.inner, instance.inner.relabel(swap)):
-            continue
-        if not feasibility_equal(instance.outer, instance.outer.relabel(swap)):
-            continue
-        parent[find(a)] = find(b)
-    groups: dict[str, set[str]] = {}
-    for e in elems:
-        groups.setdefault(find(e), set()).add(e)
-    return [frozenset(g) for g in groups.values() if len(g) > 1]
-
-
-def _swap_outcome_sets(
-    family: frozenset[frozenset[Outcome]], a: str, b: str
-) -> frozenset[frozenset[Outcome]]:
-    swap = {a: b, b: a}
-    return frozenset(
-        frozenset(
-            Outcome(swap.get(o.element, o.element), o.x, o.y) for o in member
-        )
-        for member in family
-    )
-
-
-def is_symmetric_policy(instance: Instance, policy: Policy) -> bool:
-    """Invariance of the materialized policy under all symmetric swaps.
-
-    Transpositions generate every permutation within a symmetric group, so
-    checking each pair suffices.
-    """
-    materialized = materialize_policy(instance, policy)
-    for group in symmetric_groups(instance):
-        for a, b in itertools.combinations(sorted(group), 2):
-            if _swap_outcome_sets(materialized, a, b) != materialized:
-                return False
-    return True
 
 
 # --- Policy JSON format ------------------------------------------------------

@@ -156,19 +156,6 @@ def known_elements(
     return ids
 
 
-def outcomes_of(
-    instance: Instance, realization: Realization, probed: Iterable[str]
-) -> frozenset[Outcome]:
-    """The outcome set observed when probing `probed` under `realization`."""
-    probed = known_elements(instance, probed, "probed elements")
-    out = set()
-    for e in probed:
-        if e not in realization:
-            raise ValueError(f"realization does not cover element {e!r}")
-        out.add(instance.outcome(e, realization[e]))
-    return frozenset(out)
-
-
 def is_inner_feasible_outcome_set(
     instance: Instance, outcome_set: Iterable[Outcome]
 ) -> bool:
@@ -195,15 +182,6 @@ def check_outcome_set(
             f"{what} {sorted(o.key() for o in outcome_set)} is not an "
             "inner-feasible set of support outcomes"
         )
-
-
-def realizable_outcomes(instance: Instance) -> list[Outcome]:
-    """Every outcome with positive probability, in canonical order."""
-    out = []
-    for e, support in zip(instance.elements, instance.atoms):
-        for atom in support:
-            out.append(Outcome(e, atom.x, atom.y))
-    return sorted(out, key=Outcome.key)
 
 
 def realizable_inner_sets(

@@ -26,11 +26,9 @@ from .instances import (
 )
 from .delegation import (
     DP_STATE_CAP,
-    Policy,
     PolicyEvaluation,
     TieBreak,
     evaluate_agent_solution,
-    materialize_policy,
 )
 from .probing import (
     ProbingGraph,
@@ -118,13 +116,6 @@ def lottery_menu(lotteries: Iterable[Lottery]) -> LotteryMenu:
     return LotteryMenu(tuple(kept))
 
 
-def validate_menu(instance: Instance, menu: LotteryMenu) -> None:
-    for l in menu.lotteries:
-        for outcome_set, _ in l.atoms:
-            if outcome_set:
-                check_outcome_set(instance, outcome_set, "lottery support")
-
-
 def agent_lottery_choice(
     menu: LotteryMenu,
     probed: frozenset[Outcome],
@@ -152,10 +143,13 @@ def menu_stop_values(
     unit: each pair is in units of 1/unit.
 
     The menu is compiled once into (outcome mask, p * y, p * x) triples over
-    `graph.outcome_bits`, so every outcome of the menu must be a support
-    outcome; unit = lcd(outcome utilities) * lcd(menu probabilities).  An
-    atom pays at a state when its mask lies within the observed mask.
+    `graph.outcome_bits`; unit = lcd(outcome utilities) * lcd(menu
+    probabilities).  An atom pays at a state when its mask lies within the
+    observed mask.  The compile is the menu's validation: an atom set with
+    an outcome missing from `outcome_bits`, a repeated element or an
+    inner-infeasible element set raises `check_outcome_set`'s ValueError.
     """
+    instance = graph.instance
     outcome_unit = math.lcm(
         *(v.denominator for o in graph.outcome_bits for v in (o.y, o.x))
     )
@@ -164,9 +158,18 @@ def menu_stop_values(
     for l in menu.lotteries:
         atoms = []
         for outcome_set, p in l.atoms:
+            # one lookup per outcome: hashing an Outcome hashes two Fractions
+            bits = [graph.outcome_bits.get(o) for o in outcome_set]
+            elements = {o.element for o in outcome_set}
+            if (
+                None in bits
+                or len(elements) != len(bits)
+                or not instance.inner.is_feasible(elements)
+            ):
+                check_outcome_set(instance, outcome_set, "lottery support")
             mask = y = x = 0
-            for o in outcome_set:
-                mask |= 1 << graph.outcome_bits[o]
+            for o, bit in zip(outcome_set, bits):
+                mask |= 1 << bit
                 y += o.y.numerator * (outcome_unit // o.y.denominator)
                 x += o.x.numerator * (outcome_unit // o.x.denominator)
             weight = p.numerator * (p_unit // p.denominator)
@@ -199,7 +202,6 @@ def evaluate_lottery_menu(
 
     The menu is compiled once; no lottery is rescored per state.
     """
-    validate_menu(instance, menu)
     graph = probing_graph(instance, state_cap)
     stops, unit = menu_stop_values(graph, menu, mode)
     root_pair, actions = solve_probing(graph, stops, mode, unit)
@@ -208,16 +210,6 @@ def evaluate_lottery_menu(
         (root_pair, probe_distribution(graph, actions)),
         state_cap,
         benchmark,
-    )
-
-
-def menu_from_policy(instance: Instance, policy: Policy) -> LotteryMenu:
-    """Point-mass embedding of a deterministic policy as a lottery menu."""
-    return lottery_menu(
-        lottery([(member, Fraction(1))])
-        for member in sorted(
-            materialize_policy(instance, policy), key=outcome_set_key
-        )
     )
 
 

@@ -27,7 +27,6 @@ from .instances import (
     SCENARIO_CAP,
     Instance,
     Outcome,
-    Realization,
     check_scenario_cap,
     known_elements,
 )
@@ -84,14 +83,6 @@ def _observed_value(
     for e, i in observed:
         weights[e] = instance.dist(e)[i].x
     return max_weight_feasible(instance.inner, weights)[1]
-
-
-def utility_u(
-    instance: Instance, realization: Realization, probed: Iterable[str]
-) -> Fraction:
-    """Best inner-feasible total x among the probed elements."""
-    probed = known_elements(instance, probed, "probed elements")
-    return _observed_value(instance, ((e, realization[e]) for e in probed))
 
 
 @dataclass(frozen=True, eq=False)

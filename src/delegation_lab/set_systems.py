@@ -33,22 +33,12 @@ class SetSystem:
         """The same family intersected with the power set of `subset`."""
         raise NotImplementedError
 
-    def relabel(self, mapping: Mapping[str, str]) -> "SetSystem":
-        """Rewrite every element id through a bijection on the ground set."""
-        raise NotImplementedError
-
     def _check_restriction(self, subset: Iterable[str]) -> frozenset[str]:
         s = frozenset(subset)
         extra = s - self.ground
         if extra:
             raise ValueError(f"restriction set not within ground: {sorted(extra)}")
         return s
-
-    def _check_relabel(self, mapping: Mapping[str, str]) -> dict[str, str]:
-        m = dict(mapping)
-        if set(m) != self.ground or set(m.values()) != self.ground:
-            raise ValueError("relabeling must be a bijection on the ground set")
-        return m
 
 
 @dataclass(frozen=True)
@@ -62,10 +52,6 @@ class FreeSystem(SetSystem):
 
     def restrict(self, subset: Iterable[str]) -> "FreeSystem":
         return FreeSystem(self._check_restriction(subset))
-
-    def relabel(self, mapping: Mapping[str, str]) -> "FreeSystem":
-        self._check_relabel(mapping)
-        return self
 
 
 @dataclass(frozen=True)
@@ -84,10 +70,6 @@ class UniformSystem(SetSystem):
 
     def restrict(self, subset: Iterable[str]) -> "UniformSystem":
         return UniformSystem(self._check_restriction(subset), self.k)
-
-    def relabel(self, mapping: Mapping[str, str]) -> "UniformSystem":
-        self._check_relabel(mapping)
-        return self
 
 
 @dataclass(frozen=True)
@@ -125,11 +107,6 @@ class PartitionSystem(SetSystem):
                 blocks.append(cut)
                 caps.append(cap)
         return PartitionSystem(s, tuple(blocks), tuple(caps))
-
-    def relabel(self, mapping: Mapping[str, str]) -> "PartitionSystem":
-        m = self._check_relabel(mapping)
-        blocks = tuple(frozenset(m[e] for e in block) for block in self.blocks)
-        return PartitionSystem(self.ground, blocks, self.caps)
 
 
 def _antichain(sets: Iterable[frozenset]) -> frozenset[frozenset]:
@@ -173,11 +150,6 @@ class ExplicitSystem(Antichain, SetSystem):
         s = self._check_restriction(subset)
         return ExplicitSystem(s, _antichain(m & s for m in self.maximal))
 
-    def relabel(self, mapping: Mapping[str, str]) -> "ExplicitSystem":
-        m = self._check_relabel(mapping)
-        maximal = frozenset(frozenset(m[e] for e in s) for s in self.maximal)
-        return ExplicitSystem(self.ground, maximal)
-
 
 @dataclass(frozen=True)
 class IntersectionSystem(SetSystem):
@@ -200,12 +172,6 @@ class IntersectionSystem(SetSystem):
         s = self._check_restriction(subset)
         return IntersectionSystem(s, tuple(p.restrict(s) for p in self.parts))
 
-    def relabel(self, mapping: Mapping[str, str]) -> "IntersectionSystem":
-        self._check_relabel(mapping)
-        return IntersectionSystem(
-            self.ground, tuple(p.relabel(mapping) for p in self.parts)
-        )
-
 
 def explicit_system(
     ground: Iterable[str], feasible: Iterable[Iterable[str]]
@@ -225,13 +191,6 @@ def _subsets(ground: Iterable[str]) -> Iterator[frozenset[str]]:
 def iter_feasible_sets(system: SetSystem) -> Iterator[frozenset[str]]:
     """All feasible subsets, in increasing size then lexicographic order."""
     return (s for s in _subsets(system.ground) if system.is_feasible(s))
-
-
-def feasibility_equal(a: SetSystem, b: SetSystem) -> bool:
-    """Exhaustive semantic equality; intended for desk-scale ground sets."""
-    return a.ground == b.ground and all(
-        a.is_feasible(s) == b.is_feasible(s) for s in _subsets(a.ground)
-    )
 
 
 def _checked_weights(

@@ -3,13 +3,14 @@ import io
 import json
 import shlex
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from delegation_lab import probing
-from delegation_lab.cli import argument_parser, run
+from delegation_lab.cli import Caps, argument_parser, run
 from delegation_lab.instances import instance_to_json, table2
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -232,6 +233,34 @@ def test_unknown_cap_rejected(capsys):
     )
     assert code == 2
     assert "unknown cap" in err
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(Caps)])
+def test_negative_caps_are_validation_errors(key, monkeypatch, capsys):
+    code, out, err = run_cli(
+        capsys, "gap", "--builtin", "coins2", "--caps", f"{key}=-1"
+    )
+    assert (code, out) == (2, "")
+    assert f"cap {key!r} must be nonnegative, got -1" in err
+    monkeypatch.setenv("DELEGATION_LAB_CAPS", f"{key}=-2")
+    code, out, err = run_cli(capsys, "gap", "--builtin", "coins2")
+    assert (code, out) == (2, "")
+    assert f"cap {key!r} must be nonnegative, got -2" in err
+
+
+def test_lottery_positive_epsilon_is_at_most_one_half(capsys):
+    # the stated menu puts 1 - 2 * epsilon on the anchor
+    code, out, err = run_cli(
+        capsys, "reproduce", "prop-lottery-positive", "--epsilon", "3/4"
+    )
+    assert (code, out) == (2, "")
+    assert "--epsilon must be at most 1/2" in err
+    code, out, _ = run_cli(
+        capsys, "reproduce", "prop-lottery-positive", "--epsilon", "1/2"
+    )
+    assert code == 0
+    epsilon = json.loads(out)["epsilon"]
+    assert (epsilon["num"], epsilon["den"]) == (1, 2)
 
 
 @pytest.mark.parametrize(

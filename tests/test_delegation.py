@@ -13,13 +13,11 @@ from delegation_lab.delegation import (
     build_threshold_policy,
     compose_outer,
     evaluate_policy,
-    is_symmetric_policy,
     materialize_policy,
     policy_from_greedy,
     policy_from_json,
     policy_to_json,
     restrict_instance,
-    symmetric_groups,
     validate_policy,
 )
 from delegation_lab.instances import (
@@ -30,7 +28,6 @@ from delegation_lab.instances import (
     is_inner_feasible_outcome_set,
     make_instance,
     outcome_totals,
-    outcomes_of,
     realizable_inner_sets,
     table1,
     table2,
@@ -314,7 +311,9 @@ def test_agent_dp_beats_every_fixed_probe_set():
                         for o in agent_best_response(
                             inst,
                             policy,
-                            outcomes_of(inst, realization, probe_set),
+                            frozenset(
+                                inst.outcome(e, realization[e]) for e in probe_set
+                            ),
                             TieBreak.ADVERSARIAL,
                         )
                     ),
@@ -380,32 +379,6 @@ def test_composition_chain_bound():
         assert probe_set == nonadaptive.best_set
         evaluation = evaluate_policy(inst, policy)
         assert evaluation.alpha >= nonadaptive.ratio_to_adaptive * Fraction(1, 2)
-
-
-def test_symmetric_groups_and_policies():
-    inst = coins2()
-    assert symmetric_groups(inst) == [frozenset({"1", "2"})]
-    assert is_symmetric_policy(inst, ThresholdPolicy(Fraction(1)))
-
-    lopsided = ExplicitPolicy(
-        frozenset({frozenset({Outcome("1", Fraction(1), Fraction(1))})})
-    )
-    assert not is_symmetric_policy(inst, lopsided)
-
-
-def test_no_symmetric_elements_makes_every_policy_symmetric():
-    inst = table1(EPS)
-    assert symmetric_groups(inst) == []
-    lopsided = ExplicitPolicy(
-        frozenset({frozenset({Outcome("2", Fraction(1), Fraction(1))})})
-    )
-    assert is_symmetric_policy(inst, lopsided)
-
-
-def test_symmetric_family_gives_symmetric_policy():
-    inst = coins2()
-    family = threshold_family(inst, samuel_cahn_threshold(inst))
-    assert is_symmetric_policy(inst, policy_from_greedy(family))
 
 
 def test_materialize_threshold_policy():

@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -13,13 +12,10 @@ from delegation_lab.instances import (
     instance_to_json,
     is_inner_feasible_outcome_set,
     load_instance,
-    outcomes_of,
     realizable_inner_sets,
-    realizable_outcomes,
     table1,
     table2,
 )
-from delegation_lab.random_instances import random_free_outer_instance
 from delegation_lab.set_systems import FreeSystem, UniformSystem
 
 from conftest import one_uniform_instance
@@ -82,34 +78,6 @@ def test_scenario_cap_names_product_size():
         enumerate_scenarios(inst, cap=3)
 
 
-def test_outcomes_of_empty_probe_set():
-    inst = table1(Fraction(1, 4))
-    realization = {"1": 1, "2": 0}
-    assert outcomes_of(inst, realization, set()) == frozenset()
-
-
-def test_outcomes_of_table1_full_probe():
-    eps = Fraction(1, 4)
-    inst = table1(eps)
-    jackpot = {"1": [i for i, a in enumerate(inst.dist("1")) if a.x > 0][0], "2": 0}
-    assert outcomes_of(inst, jackpot, {"1", "2"}) == frozenset(
-        {Outcome("1", 1 / eps, 1 - eps), Outcome("2", Fraction(1), Fraction(1))}
-    )
-    assert outcomes_of(inst, jackpot, {"2"}) == frozenset(
-        {Outcome("2", Fraction(1), Fraction(1))}
-    )
-
-
-def test_outcomes_of_monotone_in_probe_set():
-    rng = random.Random(3)
-    inst = random_free_outer_instance(rng)
-    for realization, _ in enumerate_scenarios(inst):
-        small = set(inst.elements[: len(inst.elements) // 2])
-        assert outcomes_of(inst, realization, small) <= outcomes_of(
-            inst, realization, set(inst.elements)
-        )
-
-
 def test_inner_feasibility_of_outcome_sets():
     eps = Fraction(1, 4)
     inst = table1(eps)
@@ -127,15 +95,6 @@ def test_inner_feasibility_of_outcome_sets():
     assert not is_inner_feasible_outcome_set(
         inst, {Outcome("2", Fraction(7), Fraction(1))}
     )
-
-
-def test_realizable_outcomes_table1():
-    eps = Fraction(1, 3)
-    assert realizable_outcomes(table1(eps)) == [
-        Outcome("1", Fraction(0), Fraction(0)),
-        Outcome("1", 1 / eps, 1 - eps),
-        Outcome("2", Fraction(1), Fraction(1)),
-    ]
 
 
 def test_realizable_inner_sets_are_singletons_for_pick_one():

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from delegation_lab.delegation import TieBreak, evaluate_policy
+from delegation_lab.delegation import TieBreak, evaluate_policy, materialize_policy
 from delegation_lab.errors import UnsupportedError
-from delegation_lab.instances import Outcome, table1, table2
+from delegation_lab.instances import Outcome, outcome_set_key, table1, table2
 from delegation_lab.lottery import (
     Lottery,
     agent_lottery_choice,
@@ -14,10 +14,8 @@ from delegation_lab.lottery import (
     lottery,
     lottery_menu,
     menu_from_json,
-    menu_from_policy,
     menu_to_json,
     search_two_lottery_menus,
-    validate_menu,
 )
 from delegation_lab.oracle import exact_delegation_gap
 from delegation_lab.random_instances import random_greedy_family, random_tiny_instance
@@ -127,6 +125,16 @@ def test_table2_two_lottery_values_match_parametrization():
         assert value <= 1
 
 
+def menu_from_policy(instance, policy):
+    """Point-mass embedding of a deterministic policy as a lottery menu."""
+    return lottery_menu(
+        lottery([(member, Fraction(1))])
+        for member in sorted(
+            materialize_policy(instance, policy), key=outcome_set_key
+        )
+    )
+
+
 def test_deterministic_policies_embed_as_point_mass_menus():
     rng = random.Random(61)
     for _ in range(12):
@@ -164,13 +172,40 @@ def test_duplicate_lotteries_collapse():
         )
 
 
-def test_menu_validation_rejects_off_support_sets():
-    inst = table1(EPS)
-    menu = lottery_menu(
-        [lottery([({Outcome("2", Fraction(5), Fraction(5))}, Fraction(1))])]
+def _menu_with_atom_set(atom_set):
+    anchor = Outcome("2", Fraction(1), Fraction(1))
+    return lottery_menu(
+        [
+            lottery([({anchor}, Fraction(1))]),
+            lottery([(atom_set, Fraction(1, 2)), (frozenset(), Fraction(1, 2))]),
+        ]
     )
-    with pytest.raises(ValueError, match="inner-feasible"):
-        validate_menu(inst, menu)
+
+
+def test_menu_validation_rejects_off_support_sets():
+    menu = _menu_with_atom_set({Outcome("2", Fraction(5), Fraction(5))})
+    with pytest.raises(ValueError, match="lottery support .* is not an inner-feasible"):
+        evaluate_lottery_menu(table1(EPS), menu)
+
+
+@pytest.mark.parametrize(
+    "atom_set",
+    [
+        pytest.param({Outcome("3", Fraction(1), Fraction(1))}, id="unknown-element"),
+        pytest.param(
+            {Outcome("1", Fraction(0), Fraction(0)), Outcome("1", 1 / EPS, 1 - EPS)},
+            id="two-outcomes-of-one-element",
+        ),
+        pytest.param(
+            {Outcome("1", 1 / EPS, 1 - EPS), Outcome("2", Fraction(1), Fraction(1))},
+            id="inner-infeasible-pair",
+        ),
+    ],
+)
+def test_menu_validation_rejects_bad_atom_sets(atom_set):
+    menu = _menu_with_atom_set(atom_set)
+    with pytest.raises(ValueError, match="lottery support .* is not an inner-feasible"):
+        evaluate_lottery_menu(table1(EPS), menu)
 
 
 def test_search_finds_full_value_on_table2():

@@ -14,7 +14,6 @@ from delegation_lab.probing import (
     best_nonadaptive_set,
     nonadaptive_value,
     optimal_adaptive_value,
-    utility_u,
 )
 from delegation_lab.random_instances import (
     random_free_outer_instance,
@@ -23,35 +22,6 @@ from delegation_lab.random_instances import (
 from delegation_lab.set_systems import UniformSystem, iter_feasible_sets
 
 from conftest import one_uniform_instance
-
-
-def test_utility_of_empty_probe_set():
-    inst = table1(Fraction(1, 4))
-    realization = {"1": 0, "2": 0}
-    assert utility_u(inst, realization, set()) == 0
-
-
-def test_utility_on_table1_scenarios():
-    eps = Fraction(1, 4)
-    inst = table1(eps)
-    jackpot = {"1": 1, "2": 0}
-    blank = {"1": 0, "2": 0}
-    assert utility_u(inst, jackpot, {"1", "2"}) == 1 / eps
-    assert utility_u(inst, blank, {"1", "2"}) == 1
-
-
-def test_utility_monotone_in_probe_set():
-    rng = random.Random(11)
-    for _ in range(20):
-        inst = random_free_outer_instance(rng, max_elements=3)
-        for realization, _ in enumerate_scenarios(inst):
-            values = []
-            probe: set = set()
-            values.append(utility_u(inst, realization, probe))
-            for e in inst.elements:
-                probe.add(e)
-                values.append(utility_u(inst, realization, probe))
-            assert values == sorted(values)
 
 
 def test_adaptive_value_on_table1():
