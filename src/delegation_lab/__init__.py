@@ -1,6 +1,6 @@
 """Exact desk-scale toolkit for delegated stochastic probing mechanisms."""
 
-from .errors import CapacityError, UnsupportedError
+from .errors import CapacityError, Caps, UnsupportedError
 from .set_systems import (
     ExplicitSystem,
     FreeSystem,

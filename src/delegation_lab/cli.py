@@ -20,10 +20,10 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
-from . import instances, oracle, probing, prophet
+from . import oracle
 from .delegation import (
     Policy,
     TieBreak,
@@ -35,7 +35,7 @@ from .delegation import (
     policy_to_json,
     validate_policy,
 )
-from .errors import CapacityError
+from .errors import CapacityError, Caps
 from .instances import (
     BUILTIN_NAMES,
     Instance,
@@ -61,16 +61,6 @@ from .prophet import (
 from .random_instances import random_free_outer_instance
 
 CAPS_ENV_VAR = "DELEGATION_LAB_CAPS"
-
-
-@dataclass(frozen=True)
-class Caps:
-    scenarios: int = instances.SCENARIO_CAP
-    dp_states: int = probing.DP_STATE_CAP
-    outer_sets: int = probing.OUTER_SET_CAP
-    orderings: int = prophet.ORDERING_PRODUCT_CAP
-    policy_sets: int = oracle.POLICY_CANDIDATE_CAP
-    family_sets: int = prophet.FAMILY_CAP
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -169,10 +159,8 @@ def _evaluation_json(evaluation) -> dict:
 def _cmd_gap(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
     instance, label = _load_instance(args)
     mode = _tie_break(args)
-    benchmark = optimal_adaptive_value(instance, caps.dp_states).expected_value
-    report = oracle.exact_delegation_gap(
-        instance, mode, caps.policy_sets, caps.dp_states, benchmark
-    )
+    benchmark = optimal_adaptive_value(instance, caps).expected_value
+    report = oracle.exact_delegation_gap(instance, mode, caps)
     value = report.alpha_star * benchmark
     body = {
         "command": "gap",
@@ -195,12 +183,11 @@ def _policy_report(
     instance: Instance,
     label: str,
     policy: Policy,
-    benchmark: Fraction | None = None,
     **extras,
 ) -> tuple[dict, list[dict]]:
     """Evaluate `policy` and report it (eval-policy and build-policy)."""
     mode = _tie_break(args)
-    evaluation = evaluate_policy(instance, policy, mode, caps.dp_states, benchmark)
+    evaluation = evaluate_policy(instance, policy, mode, caps)
     body = {
         "command": args.command,
         "instance": label,
@@ -222,11 +209,8 @@ def _cmd_eval_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[d
 
 def _cmd_build_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
     instance, label = _load_instance(args)
-    benchmark = None
     if args.method == "threshold":
-        policy, cut, prophet = build_threshold_policy(
-            instance, caps.orderings, caps.scenarios
-        )
+        policy, cut, prophet = build_threshold_policy(instance, caps)
         extras = {
             "threshold": _rational(cut),
             "median_threshold": _rational(samuel_cahn_threshold(instance)),
@@ -234,9 +218,7 @@ def _cmd_build_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[
             "prophet_value": _rational(prophet.prophet_value),
         }
     elif args.method == "from-greedy":
-        family, prophet = best_greedy_family(
-            instance, caps.family_sets, caps.orderings, caps.scenarios
-        )
+        family, prophet = best_greedy_family(instance, caps)
         policy = policy_from_greedy(family)
         members = [sorted(member) for member in family.maximal]
         members.sort(key=lambda m: (len(m), m))
@@ -250,20 +232,14 @@ def _cmd_build_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[
             "family_ratio": _rational(prophet.ratio),
         }
     else:  # composed
-        benchmark = optimal_adaptive_value(instance, caps.dp_states).expected_value
         policy, probe_set = compose_outer(
             instance,
-            lambda restricted: build_threshold_policy(
-                restricted, caps.orderings, caps.scenarios
-            )[0],
-            caps.outer_sets,
-            caps.dp_states,
-            benchmark,
-            caps.scenarios,
+            lambda restricted: build_threshold_policy(restricted, caps)[0],
+            caps,
         )
         extras = {"probe_set": sorted(probe_set)}
     return _policy_report(
-        args, caps, instance, label, policy, benchmark, method=args.method, **extras
+        args, caps, instance, label, policy, method=args.method, **extras
     )
 
 
@@ -271,7 +247,7 @@ def _cmd_prophet_check(args: argparse.Namespace, caps: Caps) -> tuple[dict, list
     instance, label = _load_instance(args)
     tau = samuel_cahn_threshold(instance)
     family = threshold_family(instance, tau)
-    report = evaluate_vs_almighty(instance, family, caps.orderings, caps.scenarios)
+    report = evaluate_vs_almighty(instance, family, caps)
     body = {
         "command": "prophet-check",
         "instance": label,
@@ -286,14 +262,8 @@ def _cmd_prophet_check(args: argparse.Namespace, caps: Caps) -> tuple[dict, list
 
 def _cmd_adaptivity(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
     instance, label = _load_instance(args)
-    adaptive = optimal_adaptive_value(instance, caps.dp_states)
-    nonadaptive = best_nonadaptive_set(
-        instance,
-        caps.outer_sets,
-        caps.dp_states,
-        adaptive.expected_value,
-        caps.scenarios,
-    )
+    adaptive = optimal_adaptive_value(instance, caps)
+    nonadaptive = best_nonadaptive_set(instance, caps)
     body = {
         "command": "adaptivity",
         "instance": label,
@@ -333,10 +303,8 @@ def _cmd_lottery(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]
         )
     # ties are part of the negative scenario
     mode = _tie_break(args) if positive else TieBreak.PRINCIPAL_FAVORING
-    benchmark = optimal_adaptive_value(instance, caps.dp_states).expected_value
-    gap = oracle.exact_delegation_gap(
-        instance, mode, caps.policy_sets, caps.dp_states, benchmark
-    )
+    benchmark = optimal_adaptive_value(instance, caps).expected_value
+    gap = oracle.exact_delegation_gap(instance, mode, caps)
     body = {
         "command": "reproduce",
         "target": args.target,
@@ -347,17 +315,13 @@ def _cmd_lottery(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]
     }
     if positive:
         menu = _stated_menu(eps)
-        evaluation = evaluate_lottery_menu(
-            instance, menu, mode, caps.dp_states, benchmark
-        )
+        evaluation = evaluate_lottery_menu(instance, menu, mode, caps)
         body["lottery_menu"] = menu_to_json(menu)
         body["lottery_value"] = _rational(evaluation.principal_value)
         body["lottery_alpha"] = _rational(evaluation.alpha)
         lottery_command = "reproduce:lottery"
     else:
-        menu, evaluation = search_two_lottery_menus(
-            instance, args.grid, mode, caps.dp_states, benchmark
-        )
+        menu, evaluation = search_two_lottery_menus(instance, args.grid, mode, caps)
         body["grid"] = _rational(args.grid)
         body["best_menu"] = menu_to_json(menu)
         body["best_menu_value"] = _rational(evaluation.principal_value)
@@ -381,8 +345,8 @@ def _cmd_cor_half(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict
     failures = []
     for i in range(args.count):
         instance = random_free_outer_instance(rng)
-        policy, _, _ = build_threshold_policy(instance, caps.orderings, caps.scenarios)
-        evaluation = evaluate_policy(instance, policy, mode, caps.dp_states)
+        policy, _, _ = build_threshold_policy(instance, caps)
+        evaluation = evaluate_policy(instance, policy, mode, caps)
         if min_alpha is None or evaluation.alpha < min_alpha:
             min_alpha = evaluation.alpha
         if evaluation.alpha < half:

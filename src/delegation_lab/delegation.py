@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
+from .errors import Caps
 from .instances import (
-    SCENARIO_CAP,
     Instance,
     Outcome,
     check_outcome_set,
@@ -31,19 +31,16 @@ from .instances import (
     realizable_inner_sets,
 )
 from .probing import (
-    DP_STATE_CAP,
-    OUTER_SET_CAP,
+    ProbingGraph,
     TieBreak,
     ValuePair,
     best_nonadaptive_set,
-    optimal_adaptive_value,
     prefer,
     probe_distribution,
     probing_graph,
     solve_probing,
 )
 from .prophet import (
-    ORDERING_PRODUCT_CAP,
     GreedyFamily,
     ProphetReport,
     samuel_cahn_threshold,
@@ -155,38 +152,36 @@ def agent_best_response(
 
 
 def agent_probe_values(
-    instance: Instance,
+    graph: ProbingGraph,
     stop_values: Callable[[frozenset[Outcome]], ValuePair],
     mode: TieBreak,
-    state_cap: int = DP_STATE_CAP,
 ) -> tuple[ValuePair, Mapping[frozenset[str], Fraction]]:
     """The agent's probing DP (`solve_probing`) and its probe distribution.
 
     `stop_values` maps a probed outcome set to the (agent, principal) value
     pair realized if the agent stops there and proposes; it is asked once
-    per state of the instance's `probing_graph`.  Returns the root value
-    pair and the distribution of probed sets under the strategy.
+    per state of `graph`.  Returns the root value pair and the distribution
+    of probed sets under the strategy.
     """
-    graph = probing_graph(instance, state_cap)
     stops = [stop_values(outcomes) for outcomes in graph.outcome_sets]
     root_pair, actions = solve_probing(graph, stops, mode)
     return root_pair, probe_distribution(graph, actions)
 
 
 def evaluate_agent_solution(
-    instance: Instance,
+    graph: ProbingGraph,
     agent_solution: tuple[ValuePair, Mapping[frozenset[str], Fraction]],
-    state_cap: int,
-    benchmark: Fraction | None,
+    benchmark: Fraction | None = None,
 ) -> PolicyEvaluation:
-    """The agent DP's root values and probe distribution, measured against
-    the adaptive benchmark.
+    """The agent DP's root values and probe distribution on `graph`,
+    measured against the adaptive benchmark (`graph.adaptive` unless
+    given).
 
     The one evaluator behind policies and lottery menus.
     """
     (agent_value, principal_value), distribution = agent_solution
     if benchmark is None:
-        benchmark = optimal_adaptive_value(instance, state_cap).expected_value
+        benchmark = graph.adaptive.expected_value
     alpha = principal_value / benchmark if benchmark > 0 else Fraction(1)
     return PolicyEvaluation(
         principal_value=principal_value,
@@ -201,19 +196,20 @@ def evaluate_policy(
     instance: Instance,
     policy: Policy,
     mode: TieBreak = TieBreak.ADVERSARIAL,
-    state_cap: int = DP_STATE_CAP,
+    caps: Caps = Caps(),
     benchmark: Fraction | None = None,
 ) -> PolicyEvaluation:
-    """Expected principal utility against an exactly best-responding agent."""
+    """Expected principal utility against an exactly best-responding agent.
+
+    `benchmark` replaces the adaptive optimum as the denominator of alpha.
+    """
 
     def stop_values(outcomes: frozenset[Outcome]) -> ValuePair:
         return outcome_totals(agent_best_response(instance, policy, outcomes, mode))
 
+    graph = probing_graph(instance, caps.dp_states)
     return evaluate_agent_solution(
-        instance,
-        agent_probe_values(instance, stop_values, mode, state_cap),
-        state_cap,
-        benchmark,
+        graph, agent_probe_values(graph, stop_values, mode), benchmark
     )
 
 
@@ -233,29 +229,21 @@ def restrict_instance(instance: Instance, subset: Iterable[str]) -> Instance:
 def compose_outer(
     instance: Instance,
     inner_builder: Callable[[Instance], Policy],
-    set_cap: int = OUTER_SET_CAP,
-    state_cap: int = DP_STATE_CAP,
-    benchmark: Fraction | None = None,
-    scenario_cap: int = SCENARIO_CAP,
+    caps: Caps = Caps(),
 ) -> tuple[Policy, frozenset[str]]:
     """Fix the best nonadaptive probe set F, then delegate inside it.
 
     The returned policy only accepts outcomes of elements in F, so the
     agent has no incentive to probe anything else; F itself is feasible in
-    the outer constraint by construction.  `benchmark` is the adaptive
-    optimum, if already known (see `best_nonadaptive_set`).
+    the outer constraint by construction.
     """
-    report = best_nonadaptive_set(
-        instance, set_cap, state_cap, benchmark, scenario_cap
-    )
+    report = best_nonadaptive_set(instance, caps)
     restricted = restrict_instance(instance, report.best_set)
     return inner_builder(restricted), report.best_set
 
 
 def build_threshold_policy(
-    instance: Instance,
-    product_cap: int = ORDERING_PRODUCT_CAP,
-    scenario_cap: int = SCENARIO_CAP,
+    instance: Instance, caps: Caps = Caps()
 ) -> tuple[Policy, Fraction, ProphetReport]:
     """Best single-threshold policy, certified against the almighty adversary.
 
@@ -276,7 +264,7 @@ def build_threshold_policy(
         )
         if x != median
     ]
-    table = scenario_table(instance, product_cap, scenario_cap)
+    table = scenario_table(instance, caps)
     best: tuple[Fraction, GreedyFamily, ProphetReport] | None = None
     for cut in cuts:
         family = threshold_family(instance, cut)

@@ -1,4 +1,22 @@
-"""Error types shared across the library."""
+"""Error types and the capacity caps shared across the library."""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Caps:
+    """Limits that keep every exact enumeration at desk scale.
+
+    Each field is a `--caps` key and the `cap` of the `CapacityError` that
+    refuses past it.
+    """
+
+    scenarios: int = 10**6
+    dp_states: int = 10**6
+    outer_sets: int = 10**5
+    orderings: int = 10**6
+    policy_sets: int = 20
+    family_sets: int = 10**6
 
 
 class CapacityError(RuntimeError):

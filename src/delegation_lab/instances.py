@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, Caps
 from .set_systems import (
     FreeSystem,
     SetSystem,
@@ -26,8 +26,6 @@ from .set_systems import (
 
 # A realization assigns every element the index of its drawn support atom.
 Realization = Mapping[str, int]
-
-SCENARIO_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -121,9 +119,9 @@ def scenario_count(instance: Instance) -> int:
     return count
 
 
-def check_scenario_cap(instance: Instance, cap: int) -> None:
-    """Refuse, before anything is enumerated, a product support over `cap`."""
-    size = scenario_count(instance)
+def check_scenario_cap(instance: Instance, caps: Caps) -> None:
+    """Refuse, before anything is enumerated, a product support over the cap."""
+    size, cap = scenario_count(instance), caps.scenarios
     if size > cap:
         raise CapacityError(
             f"scenario count {size} exceeds cap {cap}", "scenarios", cap, size
@@ -131,10 +129,10 @@ def check_scenario_cap(instance: Instance, cap: int) -> None:
 
 
 def enumerate_scenarios(
-    instance: Instance, cap: int = SCENARIO_CAP
+    instance: Instance, caps: Caps = Caps()
 ) -> list[tuple[Realization, Fraction]]:
     """Every point of the product support with its exact probability."""
-    check_scenario_cap(instance, cap)
+    check_scenario_cap(instance, caps)
     scenarios: list[tuple[Realization, Fraction]] = []
     ranges = [range(len(support)) for support in instance.atoms]
     for choice in itertools.product(*ranges):

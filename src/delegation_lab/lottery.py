@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import UnsupportedError
+from .errors import Caps, UnsupportedError
 from .instances import (
     Instance,
     Outcome,
@@ -24,16 +24,10 @@ from .instances import (
     outcome_set_to_json,
     outcome_totals,
 )
-from .delegation import (
-    DP_STATE_CAP,
-    PolicyEvaluation,
-    TieBreak,
-    evaluate_agent_solution,
-)
+from .delegation import PolicyEvaluation, TieBreak, evaluate_agent_solution
 from .probing import (
     ProbingGraph,
     ValuePair,
-    optimal_adaptive_value,
     prefer,
     probe_distribution,
     probing_graph,
@@ -195,21 +189,17 @@ def evaluate_lottery_menu(
     instance: Instance,
     menu: LotteryMenu,
     mode: TieBreak = TieBreak.ADVERSARIAL,
-    state_cap: int = DP_STATE_CAP,
-    benchmark: Fraction | None = None,
+    caps: Caps = Caps(),
 ) -> PolicyEvaluation:
     """Exact menu value against an adaptively probing, best-responding agent.
 
     The menu is compiled once; no lottery is rescored per state.
     """
-    graph = probing_graph(instance, state_cap)
+    graph = probing_graph(instance, caps.dp_states)
     stops, unit = menu_stop_values(graph, menu, mode)
     root_pair, actions = solve_probing(graph, stops, mode, unit)
     return evaluate_agent_solution(
-        instance,
-        (root_pair, probe_distribution(graph, actions)),
-        state_cap,
-        benchmark,
+        graph, (root_pair, probe_distribution(graph, actions))
     )
 
 
@@ -227,8 +217,7 @@ def search_two_lottery_menus(
     instance: Instance,
     grid: Fraction,
     mode: TieBreak = TieBreak.ADVERSARIAL,
-    state_cap: int = DP_STATE_CAP,
-    benchmark: Fraction | None = None,
+    caps: Caps = Caps(),
 ) -> tuple[LotteryMenu, PolicyEvaluation]:
     """Grid search over two-lottery menus for two-element pick-one instances.
 
@@ -238,7 +227,7 @@ def search_two_lottery_menus(
     high outcome with the deterministic outcome; mixture weights run over
     the grid.  Grid points whose two lotteries would share a support are
     skipped unless they coincide, in which case the menu collapses to one
-    lottery.  `benchmark` is the adaptive optimum, if already known.
+    lottery.
     """
     if len(instance.elements) != 2:
         raise UnsupportedError("two-lottery search needs exactly two elements")
@@ -260,8 +249,6 @@ def search_two_lottery_menus(
     certain_atom = instance.dist(certain)[0]
     anchor = Outcome(certain, certain_atom.x, certain_atom.y)
 
-    if benchmark is None:
-        benchmark = optimal_adaptive_value(instance, state_cap).expected_value
     points = _grid_points(grid)
     best: tuple[LotteryMenu, PolicyEvaluation] | None = None
     high_lotteries = []
@@ -278,9 +265,7 @@ def search_two_lottery_menus(
                 continue
             else:
                 menu = LotteryMenu((lot_a, lot_b))
-            evaluation = evaluate_lottery_menu(
-                instance, menu, mode, state_cap, benchmark
-            )
+            evaluation = evaluate_lottery_menu(instance, menu, mode, caps)
             if best is None or evaluation.principal_value > best[1].principal_value:
                 best = (menu, evaluation)
     assert best is not None

@@ -19,10 +19,8 @@ from .delegation import (
     TieBreak,
     evaluate_policy,
 )
+from .errors import Caps
 from .instances import Instance, realizable_inner_sets
-from .probing import DP_STATE_CAP, optimal_adaptive_value
-
-POLICY_CANDIDATE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -33,10 +31,10 @@ class GapReport:
 
 
 def enumerate_policies(
-    instance: Instance, candidate_cap: int = POLICY_CANDIDATE_CAP
+    instance: Instance, caps: Caps = Caps()
 ) -> Iterator[ExplicitPolicy]:
     """Every subset of the realizable acceptable-set candidates, exactly once."""
-    candidates = realizable_inner_sets(instance, candidate_cap)
+    candidates = realizable_inner_sets(instance, caps.policy_sets)
     for mask in range(2 ** len(candidates)):
         yield ExplicitPolicy(
             frozenset(c for i, c in enumerate(candidates) if mask >> i & 1)
@@ -46,24 +44,15 @@ def enumerate_policies(
 def exact_delegation_gap(
     instance: Instance,
     mode: TieBreak = TieBreak.ADVERSARIAL,
-    candidate_cap: int = POLICY_CANDIDATE_CAP,
-    state_cap: int = DP_STATE_CAP,
-    benchmark: Fraction | None = None,
+    caps: Caps = Caps(),
 ) -> GapReport:
-    """Max over all deterministic policies of the achieved fraction alpha.
-
-    `benchmark` is the adaptive optimum, if already known.
-    """
-    if benchmark is None:
-        benchmark = optimal_adaptive_value(instance, state_cap).expected_value
+    """Max over all deterministic policies of the achieved fraction alpha."""
     best_policy: Policy | None = None
     best: PolicyEvaluation | None = None
     count = 0
-    for policy in enumerate_policies(instance, candidate_cap):
+    for policy in enumerate_policies(instance, caps):
         count += 1
-        evaluation = evaluate_policy(
-            instance, policy, mode, state_cap, benchmark=benchmark
-        )
+        evaluation = evaluate_policy(instance, policy, mode, caps)
         if best is None or evaluation.alpha > best.alpha:
             best_policy, best = policy, evaluation
     assert best_policy is not None and best is not None

@@ -22,18 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CapacityError
-from .instances import (
-    SCENARIO_CAP,
-    Instance,
-    Outcome,
-    check_scenario_cap,
-    known_elements,
-)
+from .errors import CapacityError, Caps
+from .instances import Instance, Outcome, check_scenario_cap, known_elements
 from .set_systems import iter_feasible_sets, max_weight_feasible
-
-DP_STATE_CAP = 10**6
-OUTER_SET_CAP = 10**5
 
 # A probing state is the sorted tuple of probed elements plus, aligned with
 # it, the tuple of observed atom indices.
@@ -139,6 +130,23 @@ class ProbingGraph:
             _observed_value(self.instance, ((elements[j], i) for j, i in observed))
             for observed in self.observed
         )
+
+    @functools.cached_property
+    def adaptive(self) -> AdaptiveValueReport:
+        """The optimal adaptive non-delegated strategy, solved once per graph.
+
+        V(state) = max(u(observed), max over feasible next probes of the
+        expected successor value): `solve_probing` with stop value (u, u).
+        """
+        (value, _), actions = solve_probing(
+            self, [(u, u) for u in self.observed_values], TieBreak.LEXICOGRAPHIC
+        )
+        elements = self.instance.elements
+        first_probes = {
+            key: None if k is None else elements[moves[k][0]]
+            for key, moves, k in zip(self.keys, self.moves, actions)
+        }
+        return AdaptiveValueReport(value, first_probes, len(self))
 
     def element_set(self, probed: int) -> frozenset[str]:
         elements = self.instance.elements
@@ -310,22 +318,11 @@ def probe_distribution(
 
 
 def optimal_adaptive_value(
-    instance: Instance, state_cap: int = DP_STATE_CAP
+    instance: Instance, caps: Caps = Caps()
 ) -> AdaptiveValueReport:
-    """Exact value of the optimal adaptive non-delegated probing strategy.
-
-    V(state) = max(u(observed), max over feasible next probes of the
-    expected successor value): `solve_probing` with stop value (u, u).
-    """
-    graph = probing_graph(instance, state_cap)
-    (value, _), actions = solve_probing(
-        graph, [(u, u) for u in graph.observed_values], TieBreak.LEXICOGRAPHIC
-    )
-    first_probes = {
-        key: None if k is None else instance.elements[moves[k][0]]
-        for key, moves, k in zip(graph.keys, graph.moves, actions)
-    }
-    return AdaptiveValueReport(value, first_probes, len(graph))
+    """Exact value of the optimal adaptive non-delegated probing strategy
+    (`ProbingGraph.adaptive`)."""
+    return probing_graph(instance, caps.dp_states).adaptive
 
 
 def nonadaptive_value(instance: Instance, probe_set: Iterable[str]) -> Fraction:
@@ -342,23 +339,19 @@ def nonadaptive_value(instance: Instance, probe_set: Iterable[str]) -> Fraction:
 
 
 def best_nonadaptive_set(
-    instance: Instance,
-    set_cap: int = OUTER_SET_CAP,
-    state_cap: int = DP_STATE_CAP,
-    benchmark: Fraction | None = None,
-    scenario_cap: int = SCENARIO_CAP,
+    instance: Instance, caps: Caps = Caps()
 ) -> NonAdaptiveReport:
     """Exhaustive best fixed probe set and its ratio to the adaptive optimum.
 
     Ties prefer larger sets (probing more never hurts), then the smallest
-    sorted id tuple.  `benchmark` is the adaptive optimum, if known.  No
-    probe set's product support exceeds the instance's scenario count,
-    which is checked against `scenario_cap` first.  A set F scores the sum,
-    over the graph states that probed exactly F, of weight times u: the
-    `nonadaptive_value` of F over a denominator shared by every set.
+    sorted id tuple.  No probe set's product support exceeds the instance's
+    scenario count, which is checked against `caps.scenarios` first.  A set
+    F scores the sum, over the graph states that probed exactly F, of
+    weight times u: the `nonadaptive_value` of F over a denominator shared
+    by every set.
     """
-    check_scenario_cap(instance, scenario_cap)
-    graph = probing_graph(instance, state_cap)
+    check_scenario_cap(instance, caps)
+    graph = probing_graph(instance, caps.dp_states)
     u_values = graph.observed_values
     lcd = math.lcm(*(u.denominator for u in u_values))
     scores: dict[int, int] = {}
@@ -372,11 +365,11 @@ def best_nonadaptive_set(
     count = 0
     for candidate in iter_feasible_sets(instance.outer):
         count += 1
-        if count > set_cap:
+        if count > caps.outer_sets:
             raise CapacityError(
-                f"outer-feasible set count exceeds cap {set_cap}",
+                f"outer-feasible set count exceeds cap {caps.outer_sets}",
                 "outer_sets",
-                set_cap,
+                caps.outer_sets,
                 count,
             )
         score = scores[sum(1 << index[e] for e in candidate)]
@@ -390,7 +383,6 @@ def best_nonadaptive_set(
                 best_set = candidate
     assert best_set is not None  # the empty set is always feasible
     best_value = Fraction(best_score, lcd * graph.scales[-1])
-    if benchmark is None:
-        benchmark = optimal_adaptive_value(instance, state_cap).expected_value
+    benchmark = graph.adaptive.expected_value
     ratio = best_value / benchmark if benchmark > 0 else Fraction(1)
     return NonAdaptiveReport(best_set, best_value, ratio)

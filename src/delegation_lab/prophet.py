@@ -21,18 +21,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import CapacityError, UnsupportedError
+from .errors import CapacityError, Caps, UnsupportedError
 from .instances import (
-    SCENARIO_CAP,
     Instance,
+    check_scenario_cap,
     enumerate_scenarios,
     realizable_inner_sets,
+    scenario_count,
     x_values,
 )
-from .set_systems import Antichain, SetSystem, _antichain, max_weight_feasible
-
-ORDERING_PRODUCT_CAP = 10**6
-FAMILY_CAP = 10**6
+from .set_systems import (
+    Antichain,
+    SetSystem,
+    _antichain,
+    iter_feasible_sets,
+    max_weight_feasible,
+)
 
 OutcomePair = tuple[str, Fraction]
 
@@ -148,25 +152,24 @@ ScenarioValues = tuple[Fraction, dict[str, Fraction]]
 
 
 def scenario_table(
-    instance: Instance,
-    product_cap: int = ORDERING_PRODUCT_CAP,
-    scenario_cap: int = SCENARIO_CAP,
+    instance: Instance, caps: Caps = Caps()
 ) -> tuple[list[ScenarioValues], Fraction]:
     """Every scenario's values and the prophet value E[max feasible total].
 
-    Shared by every family scored on one instance.  `product_cap` bounds
-    |E|! x scenarios, the orderings the closed form covers.
+    Shared by every family scored on one instance.  `caps.orderings` bounds
+    |E|! x scenarios, the orderings the closed form covers; both caps are
+    checked before any scenario is built.
     """
-    scenarios = enumerate_scenarios(instance, scenario_cap)
-    n_orders = math.factorial(len(instance.elements))
-    if n_orders * len(scenarios) > product_cap:
+    check_scenario_cap(instance, caps)
+    orderings = math.factorial(len(instance.elements)) * scenario_count(instance)
+    if orderings > caps.orderings:
         raise CapacityError(
-            f"orderings x scenarios = {n_orders * len(scenarios)} exceeds cap "
-            f"{product_cap}",
+            f"orderings x scenarios = {orderings} exceeds cap {caps.orderings}",
             "orderings",
-            product_cap,
-            n_orders * len(scenarios),
+            caps.orderings,
+            orderings,
         )
+    scenarios = enumerate_scenarios(instance, caps)
     table = []
     prophet = Fraction(0)
     for realization, prob in scenarios:
@@ -191,19 +194,14 @@ def score_family(
 
 
 def evaluate_vs_almighty(
-    instance: Instance,
-    family: GreedyFamily,
-    product_cap: int = ORDERING_PRODUCT_CAP,
-    scenario_cap: int = SCENARIO_CAP,
+    instance: Instance, family: GreedyFamily, caps: Caps = Caps()
 ) -> ProphetReport:
     """Expected forced-greedy value under worst-case per-scenario orderings.
 
     Each scenario's worst order is scored in closed form (module docstring);
-    `product_cap` still bounds |E|! x scenarios, the orderings it covers.
+    `caps.orderings` still bounds |E|! x scenarios, the orderings it covers.
     """
-    return score_family(
-        family, *scenario_table(instance, product_cap, scenario_cap)
-    )
+    return score_family(family, *scenario_table(instance, caps))
 
 
 def candidate_pair_sets(instance: Instance) -> list[frozenset[OutcomePair]]:
@@ -219,24 +217,29 @@ def candidate_pair_sets(instance: Instance) -> list[frozenset[OutcomePair]]:
 
 
 def best_greedy_family(
-    instance: Instance,
-    family_cap: int = FAMILY_CAP,
-    product_cap: int = ORDERING_PRODUCT_CAP,
-    scenario_cap: int = SCENARIO_CAP,
+    instance: Instance, caps: Caps = Caps()
 ) -> tuple[GreedyFamily, ProphetReport]:
     """Exhaustive search over downward-closed families of realizable outcomes.
 
     Returns a family maximizing the almighty-adversary ratio; ties keep the
-    first candidate in canonical enumeration order.
+    first candidate in canonical enumeration order.  The lattice size is
+    checked against `caps.family_sets` before any candidate set is built.
     """
-    candidates = candidate_pair_sets(instance)
-    if 2 ** len(candidates) > family_cap:
+    # len(candidate_pair_sets(instance)): each nonempty inner-feasible
+    # element set contributes the product of its elements' distinct x values
+    count = sum(
+        math.prod(len(x_values(instance, e)) for e in elements)
+        for elements in iter_feasible_sets(instance.inner)
+        if elements
+    )
+    if 2**count > caps.family_sets:
         raise CapacityError(
-            f"candidate family lattice 2^{len(candidates)} exceeds cap {family_cap}",
+            f"candidate family lattice 2^{count} exceeds cap {caps.family_sets}",
             "family_sets",
-            family_cap,
-            2 ** len(candidates),
+            caps.family_sets,
+            2**count,
         )
+    candidates = candidate_pair_sets(instance)
     index = {c: i for i, c in enumerate(candidates)}
     proper_subsets: list[list[int]] = []
     for c in candidates:
@@ -247,7 +250,7 @@ def best_greedy_family(
                 subs.append(index[frozenset(combo)])
         proper_subsets.append(subs)
 
-    table = scenario_table(instance, product_cap, scenario_cap)
+    table = scenario_table(instance, caps)
     best: tuple[GreedyFamily, ProphetReport] | None = None
     for mask in range(2 ** len(candidates)):
         members = [c for i, c in enumerate(candidates) if mask >> i & 1]

@@ -1,8 +1,8 @@
 import csv
+import functools
 import io
 import json
 import shlex
-import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -320,18 +320,19 @@ def test_csv_rows_carry_the_evaluated_tie_break(argv, capsys):
     ],
 )
 def test_one_adaptive_dp_per_command(argv, monkeypatch, capsys):
-    original = probing.optimal_adaptive_value
+    # count computations of the adaptive solve, on a cold graph cache
+    probing.probing_graph.cache_clear()
+    descriptor = vars(probing.ProbingGraph)["adaptive"]
+    assert isinstance(descriptor, functools.cached_property)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(graph):
+        calls.append(graph)
+        return descriptor.func(graph)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("delegation_lab") and getattr(
-            module, "optimal_adaptive_value", None
-        ) is original:
-            monkeypatch.setattr(module, "optimal_adaptive_value", counted)
+    fresh = functools.cached_property(counted)
+    fresh.__set_name__(probing.ProbingGraph, "adaptive")
+    monkeypatch.setattr(probing.ProbingGraph, "adaptive", fresh)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == 1

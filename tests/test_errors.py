@@ -1,12 +1,29 @@
+import importlib
+import inspect
+import pkgutil
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from delegation_lab.cli import Caps
-from delegation_lab.errors import CapacityError
-from delegation_lab.instances import coins2, enumerate_scenarios, table1
-from delegation_lab.oracle import enumerate_policies
+import delegation_lab
+from delegation_lab import cli, errors
+from delegation_lab.delegation import (
+    ThresholdPolicy,
+    TieBreak,
+    build_threshold_policy,
+    compose_outer,
+    evaluate_policy,
+)
+from delegation_lab.errors import CapacityError, Caps
+from delegation_lab.instances import Outcome, coins2, enumerate_scenarios, table1
+from delegation_lab.lottery import (
+    evaluate_lottery_menu,
+    lottery,
+    lottery_menu,
+    search_two_lottery_menus,
+)
+from delegation_lab.oracle import enumerate_policies, exact_delegation_gap
 from delegation_lab.probing import best_nonadaptive_set, optimal_adaptive_value
 from delegation_lab.prophet import (
     best_greedy_family,
@@ -20,17 +37,17 @@ HALF = Fraction(1, 2)
 @pytest.mark.parametrize(
     "refused, cap, limit, reached, message",
     [
-        (lambda: enumerate_scenarios(coins2(), 3), "scenarios", 3, 4,
+        (lambda: enumerate_scenarios(coins2(), Caps(scenarios=3)), "scenarios", 3, 4,
          "scenario count 4 exceeds cap 3"),
-        (lambda: list(enumerate_policies(table1(HALF), 2)), "policy_sets", 2, 3,
+        (lambda: list(enumerate_policies(table1(HALF), Caps(policy_sets=2))), "policy_sets", 2, 3,
          "inner-feasible outcome sets exceed cap 2 (count reached 3)"),
-        (lambda: optimal_adaptive_value(table1(HALF), 2), "dp_states", 2, 3,
+        (lambda: optimal_adaptive_value(table1(HALF), Caps(dp_states=2)), "dp_states", 2, 3,
          "probing DP exceeded 2 states"),
-        (lambda: best_nonadaptive_set(table1(HALF), set_cap=2), "outer_sets", 2, 3,
+        (lambda: best_nonadaptive_set(table1(HALF), Caps(outer_sets=2)), "outer_sets", 2, 3,
          "outer-feasible set count exceeds cap 2"),
-        (lambda: evaluate_vs_almighty(coins2(), threshold_family(coins2(), 1), 7),
+        (lambda: evaluate_vs_almighty(coins2(), threshold_family(coins2(), 1), Caps(orderings=7)),
          "orderings", 7, 8, "orderings x scenarios = 8 exceeds cap 7"),
-        (lambda: best_greedy_family(coins2(), family_cap=8), "family_sets", 8, 16,
+        (lambda: best_greedy_family(coins2(), Caps(family_sets=8)), "family_sets", 8, 16,
          "candidate family lattice 2^4 exceeds cap 8"),
     ],
 )
@@ -42,3 +59,123 @@ def test_capacity_errors_name_the_cap_its_limit_and_the_count(
     assert str(err.value) == message
     assert (err.value.cap, err.value.limit, err.value.reached) == (cap, limit, reached)
     assert cap in {f.name for f in fields(Caps)}  # the --caps key that lifts it
+
+
+
+MODE = TieBreak.ADVERSARIAL
+
+
+def _anchor_menu():
+    (anchor,) = table1(HALF).dist("2")
+    return lottery_menu([lottery([({Outcome("2", anchor.x, anchor.y)}, 1)])])
+
+
+def _composed(caps):
+    builder = lambda restricted: build_threshold_policy(restricted, caps)[0]
+    return compose_outer(coins2(), builder, caps)
+
+
+# Each entry point that takes `caps`, with every cap it checks or forwards
+# and the count it needs: coins2 has 4 scenarios, 9 probing states, 4 outer
+# sets, 2! x 4 orderings and a 2^4 family lattice; table1(1/2) has 6
+# probing states and 3 policy candidate sets.
+FORWARDING = [
+    (lambda caps: enumerate_scenarios(coins2(), caps), "scenarios", 4),
+    (lambda caps: optimal_adaptive_value(coins2(), caps), "dp_states", 9),
+    (lambda caps: best_nonadaptive_set(coins2(), caps), "scenarios", 4),
+    (lambda caps: best_nonadaptive_set(coins2(), caps), "dp_states", 9),
+    (lambda caps: best_nonadaptive_set(coins2(), caps), "outer_sets", 4),
+    (_composed, "scenarios", 4),
+    (_composed, "dp_states", 9),
+    (_composed, "outer_sets", 4),
+    (lambda caps: build_threshold_policy(coins2(), caps), "scenarios", 4),
+    (lambda caps: build_threshold_policy(coins2(), caps), "orderings", 8),
+    (
+        lambda caps: evaluate_vs_almighty(
+            coins2(), threshold_family(coins2(), Fraction(1)), caps
+        ),
+        "orderings",
+        8,
+    ),
+    (lambda caps: best_greedy_family(coins2(), caps), "scenarios", 4),
+    (lambda caps: best_greedy_family(coins2(), caps), "orderings", 8),
+    (lambda caps: best_greedy_family(coins2(), caps), "family_sets", 16),
+    (
+        lambda caps: evaluate_policy(coins2(), ThresholdPolicy(Fraction(1)), MODE, caps),
+        "dp_states",
+        9,
+    ),
+    (lambda caps: list(enumerate_policies(table1(HALF), caps)), "policy_sets", 3),
+    (lambda caps: exact_delegation_gap(table1(HALF), MODE, caps), "policy_sets", 3),
+    (lambda caps: exact_delegation_gap(table1(HALF), MODE, caps), "dp_states", 6),
+    (
+        lambda caps: evaluate_lottery_menu(table1(HALF), _anchor_menu(), MODE, caps),
+        "dp_states",
+        6,
+    ),
+    (
+        lambda caps: search_two_lottery_menus(table1(HALF), HALF, MODE, caps),
+        "dp_states",
+        6,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, key, needed",
+    FORWARDING,
+    ids=[f"{i}-{key}" for i, (_, key, _) in enumerate(FORWARDING)],
+)
+def test_every_entry_point_forwards_its_caps(call, key, needed):
+    call(Caps(**{key: needed}))
+    with pytest.raises(CapacityError) as err:
+        call(Caps(**{key: needed - 1}))
+    assert (err.value.cap, err.value.limit, err.value.reached) == (
+        key,
+        needed - 1,
+        needed,
+    )
+
+
+def _library_modules():
+    names = [m.name for m in pkgutil.iter_modules(delegation_lab.__path__)]
+    return [delegation_lab] + [
+        importlib.import_module(f"delegation_lab.{name}") for name in names
+    ]
+
+
+def test_caps_are_defined_once():
+    assert cli.Caps is errors.Caps
+    assert delegation_lab.Caps is errors.Caps
+    for module in _library_modules():
+        constants = [name for name in vars(module) if name.endswith("_CAP")]
+        assert not constants, module.__name__
+    # Only the internals that check one int take a bare cap; CapacityError's
+    # `cap` holds a key's name, not a limit.
+    found = set()
+    for module in _library_modules():
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != (
+                module.__name__
+            ):
+                continue
+            if inspect.isclass(value):
+                members = [
+                    (f"{name}.{attr}", member)
+                    for attr, member in vars(value).items()
+                    if inspect.isfunction(member)
+                    and (attr == "__init__" or not attr.startswith("_"))
+                ]
+            elif callable(value):
+                members = [(name, value)]
+            else:
+                continue
+            for qualname, member in members:
+                for parameter in inspect.signature(member).parameters:
+                    if parameter == "cap" or parameter.endswith("_cap"):
+                        found.add((qualname, parameter))
+    assert found == {
+        ("probing_graph", "state_cap"),
+        ("realizable_inner_sets", "cap"),
+        ("CapacityError.__init__", "cap"),
+    }

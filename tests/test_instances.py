@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from delegation_lab.errors import CapacityError
+from delegation_lab.errors import CapacityError, Caps
 from delegation_lab.instances import (
     Outcome,
     UtilityAtom,
@@ -75,7 +75,7 @@ def test_scenario_cap_names_product_size():
         }
     )
     with pytest.raises(CapacityError, match="4"):
-        enumerate_scenarios(inst, cap=3)
+        enumerate_scenarios(inst, Caps(scenarios=3))
 
 
 def test_inner_feasibility_of_outcome_sets():

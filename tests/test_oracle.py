@@ -10,7 +10,7 @@ from delegation_lab.delegation import (
     evaluate_policy,
     policy_from_greedy,
 )
-from delegation_lab.errors import CapacityError
+from delegation_lab.errors import CapacityError, Caps
 from delegation_lab.instances import UtilityAtom, make_instance, table1, table2
 from delegation_lab.oracle import enumerate_policies, exact_delegation_gap
 from delegation_lab.prophet import samuel_cahn_threshold, threshold_family
@@ -48,7 +48,7 @@ def test_policy_count_with_nothing_acceptable():
 def test_candidate_cap():
     inst = table1(Fraction(1, 2))
     with pytest.raises(CapacityError, match="cap"):
-        list(enumerate_policies(inst, candidate_cap=2))
+        list(enumerate_policies(inst, Caps(policy_sets=2)))
 
 
 def test_candidate_cap_stops_counting_at_the_cap():
@@ -62,7 +62,7 @@ def test_candidate_cap_stops_counting_at_the_cap():
         FreeSystem(ground),
     )
     with pytest.raises(CapacityError, match=r"cap 1 \(count reached 2\)"):
-        list(enumerate_policies(inst, candidate_cap=1))
+        list(enumerate_policies(inst, Caps(policy_sets=1)))
 
 
 def test_gap_table2_principal_favoring():

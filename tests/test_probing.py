@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from delegation_lab.errors import CapacityError
+from delegation_lab.errors import CapacityError, Caps
 from delegation_lab.instances import (
     enumerate_scenarios,
     make_instance,
@@ -114,13 +114,13 @@ def test_nonadaptive_report_ratio_bounds():
 def test_adaptive_state_cap():
     inst = table1(Fraction(1, 2))
     with pytest.raises(CapacityError, match="states"):
-        optimal_adaptive_value(inst, state_cap=2)
+        optimal_adaptive_value(inst, Caps(dp_states=2))
 
 
 def test_outer_set_cap():
     inst = table1(Fraction(1, 2))
     with pytest.raises(CapacityError, match="outer-feasible"):
-        best_nonadaptive_set(inst, set_cap=2)
+        best_nonadaptive_set(inst, Caps(outer_sets=2))
 
 
 def test_u_is_computed_once_per_state(monkeypatch):
@@ -140,5 +140,5 @@ def test_u_is_computed_once_per_state(monkeypatch):
         probing_module.probing_graph.cache_clear()
         calls.clear()
         adaptive = optimal_adaptive_value(inst)
-        best_nonadaptive_set(inst, benchmark=adaptive.expected_value)
+        best_nonadaptive_set(inst)
         assert len(calls) == adaptive.state_count

@@ -22,7 +22,7 @@ from delegation_lab.delegation import (
     evaluate_policy,
     policy_from_greedy,
 )
-from delegation_lab.errors import CapacityError
+from delegation_lab.errors import CapacityError, Caps
 from delegation_lab.instances import (
     Instance,
     UtilityAtom,
@@ -39,7 +39,6 @@ from delegation_lab.lottery import (
     menu_stop_values,
 )
 from delegation_lab.probing import (
-    DP_STATE_CAP,
     _observed_value,
     best_nonadaptive_set,
     nonadaptive_value,
@@ -157,7 +156,7 @@ def _graph_actions(graph, actions):
 
 def _assert_same_dp(instance, stops, unit, literal_stop, mode):
     """The graph solve equals the literal DP: root, actions, distribution."""
-    graph = probing_graph(instance, DP_STATE_CAP)
+    graph = probing_graph(instance, Caps.dp_states)
     root, actions = solve_probing(graph, stops, mode, unit)
     literal_root, literal_actions = literal_solve(instance, literal_stop, mode)
     assert root == literal_root
@@ -171,7 +170,7 @@ def _assert_same_dp(instance, stops, unit, literal_stop, mode):
 @settings(max_examples=150, deadline=None)
 @given(instances(), st.sampled_from(MODES))
 def test_adaptive_u_matches_the_literal_dp(instance, mode):
-    graph = probing_graph(instance, DP_STATE_CAP)
+    graph = probing_graph(instance, Caps.dp_states)
 
     def literal_u(state):
         u = _observed_value(instance, zip(*state))
@@ -196,7 +195,7 @@ def test_policies_match_the_literal_dp(data, instance, mode):
     def stop_values(outcomes):
         return outcome_totals(agent_best_response(instance, policy, outcomes, mode))
 
-    graph = probing_graph(instance, DP_STATE_CAP)
+    graph = probing_graph(instance, Caps.dp_states)
     stops = [stop_values(outcomes) for outcomes in graph.outcome_sets]
     root, distribution = _assert_same_dp(
         instance,
@@ -205,7 +204,7 @@ def test_policies_match_the_literal_dp(data, instance, mode):
         lambda state: stop_values(outcomes_at(instance, state)),
         mode,
     )
-    assert agent_probe_values(instance, stop_values, mode) == (root, distribution)
+    assert agent_probe_values(graph, stop_values, mode) == (root, distribution)
     evaluation = evaluate_policy(instance, policy, mode)
     assert (evaluation.agent_value, evaluation.principal_value) == root
     assert evaluation.probe_distribution == distribution
@@ -215,7 +214,7 @@ def test_policies_match_the_literal_dp(data, instance, mode):
 @given(st.data(), instances(), st.sampled_from(MODES))
 def test_menus_match_the_literal_dp(data, instance, mode):
     menu = data.draw(menus(instance))
-    graph = probing_graph(instance, DP_STATE_CAP)
+    graph = probing_graph(instance, Caps.dp_states)
     stops, unit = menu_stop_values(graph, menu, mode)
 
     def literal_stop(state):
@@ -231,7 +230,7 @@ def test_menus_match_the_literal_dp(data, instance, mode):
 @given(st.data(), instances(), st.sampled_from(MODES))
 def test_compiled_menu_stop_value_is_the_agents_choice(data, instance, mode):
     menu = data.draw(menus(instance))
-    graph = probing_graph(instance, DP_STATE_CAP)
+    graph = probing_graph(instance, Caps.dp_states)
     stops, unit = menu_stop_values(graph, menu, mode)
     for outcomes, (agent, principal) in zip(graph.outcome_sets, stops):
         chosen = agent_lottery_choice(menu, outcomes, mode)[1]
@@ -256,24 +255,24 @@ def test_state_cap_admits_exactly_the_state_count():
     inst = table1(Fraction(1, 2))
     states = optimal_adaptive_value(inst).state_count
     assert states == 6
-    assert optimal_adaptive_value(inst, state_cap=states).state_count == states
+    assert optimal_adaptive_value(inst, Caps(dp_states=states)).state_count == states
     with pytest.raises(CapacityError, match=f"exceeded {states - 1} states") as err:
-        optimal_adaptive_value(inst, state_cap=states - 1)
+        optimal_adaptive_value(inst, Caps(dp_states=states - 1))
     assert (err.value.cap, err.value.limit, err.value.reached) == (
         "dp_states",
         states - 1,
         states,
     )
     with pytest.raises(CapacityError, match="probing DP exceeded 0 states"):
-        optimal_adaptive_value(inst, state_cap=0)
+        optimal_adaptive_value(inst, Caps(dp_states=0))
 
 
 def test_graph_is_shared_by_every_stop_rule_on_one_instance():
     inst = table1(Fraction(1, 3))
-    graph = probing_graph(inst, DP_STATE_CAP)
+    graph = probing_graph(inst, Caps.dp_states)
     optimal_adaptive_value(inst)
     evaluate_policy(inst, ThresholdPolicy(Fraction(1)))
-    assert probing_graph(inst, DP_STATE_CAP) is graph
+    assert probing_graph(inst, Caps.dp_states) is graph
     # successors come before their parents; the root is last
     for s, moves in enumerate(graph.moves):
         assert all(t < s for _, atoms in moves for _, t in atoms)

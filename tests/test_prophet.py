@@ -1,10 +1,12 @@
+import importlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from delegation_lab.errors import CapacityError, UnsupportedError
+from delegation_lab.errors import CapacityError, Caps, UnsupportedError
 from delegation_lab.instances import (
     UtilityAtom,
     coins2,
@@ -24,7 +26,12 @@ from delegation_lab.random_instances import (
     random_free_outer_instance,
     random_greedy_family,
 )
-from delegation_lab.set_systems import FreeSystem, PartitionSystem, UniformSystem
+from delegation_lab.set_systems import (
+    FreeSystem,
+    PartitionSystem,
+    UniformSystem,
+    explicit_system,
+)
 
 from conftest import one_uniform_instance
 
@@ -211,7 +218,7 @@ def test_ordering_cap():
     inst = coins2()
     family = threshold_family(inst, Fraction(1))
     with pytest.raises(CapacityError, match="orderings"):
-        evaluate_vs_almighty(inst, family, product_cap=7)
+        evaluate_vs_almighty(inst, family, Caps(orderings=7))
 
 
 def test_symmetric_scenarios_give_symmetric_gambler_values():
@@ -264,7 +271,86 @@ def test_best_family_table1_at_least_half():
 def test_family_cap():
     inst = coins2()
     with pytest.raises(CapacityError, match="lattice"):
-        best_greedy_family(inst, family_cap=8)
+        best_greedy_family(inst, Caps(family_sets=8))
+
+
+def _three_atom_instance(n, inner):
+    """n elements of three atoms each, free outer constraint."""
+    ids = [f"e{i}" for i in range(n)]
+    atoms = [UtilityAtom(Fraction(k), Fraction(k + 1), Fraction(1, 3)) for k in range(3)]
+    ground = frozenset(ids)
+    return make_instance(ids, {e: atoms for e in ids}, FreeSystem(ground), inner(ground))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("materialized before the cap was checked")
+
+
+def test_orderings_cap_refuses_before_enumerating_scenarios(monkeypatch):
+    # 3^12 scenarios are within the scenarios cap; 12! times that is not
+    inst = _three_atom_instance(12, lambda ground: UniformSystem(ground, 1))
+    family = threshold_family(inst, Fraction(1))
+    prophet_module = importlib.import_module("delegation_lab.prophet")
+    monkeypatch.setattr(prophet_module, "enumerate_scenarios", _refuse)
+    reached = math.factorial(12) * 3**12
+    with pytest.raises(CapacityError) as err:
+        evaluate_vs_almighty(inst, family)
+    assert str(err.value) == f"orderings x scenarios = {reached} exceeds cap {10**6}"
+    assert (err.value.cap, err.value.limit, err.value.reached) == (
+        "orderings",
+        10**6,
+        reached,
+    )
+    # the scenarios cap is still checked first
+    with pytest.raises(CapacityError) as err:
+        evaluate_vs_almighty(inst, family, Caps(scenarios=3**12 - 1))
+    assert err.value.cap == "scenarios"
+
+
+def test_family_cap_refuses_before_building_candidate_sets(monkeypatch):
+    # free inner: sum over nonempty F of 3^|F| = 4^8 - 1 candidate sets
+    inst = _three_atom_instance(8, FreeSystem)
+    prophet_module = importlib.import_module("delegation_lab.prophet")
+    monkeypatch.setattr(prophet_module, "realizable_inner_sets", _refuse)
+    with pytest.raises(CapacityError) as err:
+        best_greedy_family(inst)
+    assert str(err.value) == f"candidate family lattice 2^65535 exceeds cap {10**6}"
+    assert (err.value.cap, err.value.limit, err.value.reached) == (
+        "family_sets",
+        10**6,
+        2**65535,
+    )
+
+
+def test_family_cap_counts_the_candidate_sets():
+    rng = random.Random(43)
+    inners = {
+        "free": FreeSystem,
+        "one-uniform": lambda ground: UniformSystem(ground, 1),
+        "uniform": lambda ground: UniformSystem(ground, rng.randint(0, len(ground))),
+        "explicit": lambda ground: explicit_system(
+            ground,
+            [rng.sample(sorted(ground), rng.randint(0, len(ground))) for _ in range(3)],
+        ),
+    }
+    for _ in range(100):
+        ids = [f"e{i}" for i in range(rng.randint(1, 4))]
+        # x repeats across atoms, so the (element, x) projection merges some
+        sizes = {e: rng.randint(1, 3) for e in ids}
+        dists = {
+            e: [
+                UtilityAtom(Fraction(rng.randint(0, 2)), Fraction(k), Fraction(1, m))
+                for k in range(m)
+            ]
+            for e, m in sizes.items()
+        }
+        for kind, inner in inners.items():
+            ground = frozenset(ids)
+            inst = make_instance(ids, dists, FreeSystem(ground), inner(ground))
+            # the lattice is refused from the count, before any set is built
+            with pytest.raises(CapacityError) as err:
+                best_greedy_family(inst, Caps(family_sets=0))
+            assert err.value.reached == 2 ** len(candidate_pair_sets(inst)), kind
 
 
 def test_family_requires_feasible_members():
