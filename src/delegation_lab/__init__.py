@@ -67,7 +67,6 @@ from .lottery import (
     LotteryMenu,
     agent_lottery_choice,
     evaluate_lottery_menu,
-    lottery,
     lottery_menu,
     menu_from_json,
     menu_to_json,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import Caps
 from .instances import (
@@ -26,6 +26,7 @@ from .instances import (
     known_elements,
     make_instance,
     outcome_set_from_json,
+    outcome_set_key,
     outcome_set_to_json,
     outcome_totals,
     realizable_inner_sets,
@@ -33,7 +34,6 @@ from .instances import (
 from .probing import (
     ProbingGraph,
     TieBreak,
-    ValuePair,
     best_nonadaptive_set,
     prefer,
     probe_distribution,
@@ -102,6 +102,11 @@ def policy_from_greedy(family: GreedyFamily) -> GreedyFamilyPolicy:
     return GreedyFamilyPolicy(family)
 
 
+# An offer's atoms (outcome mask, p * y, p * x), integers over a shared unit;
+# a deterministic proposal is one atom with p = 1.
+Offer = list[tuple[int, int, int]]
+
+
 @dataclass(frozen=True)
 class PolicyEvaluation:
     principal_value: Fraction
@@ -129,6 +134,9 @@ def agent_best_response(
     element infeasible alone) are dropped first: inner constraints are
     downward closed, so no candidate holds one.  Subsets must have distinct,
     inner-feasible elements before the policy is asked.
+
+    Evaluations scan `policy_offers` instead; this walk is their test
+    reference, and the benchmark's tracer wraps it by name.
     """
     best = frozenset()
     best_pair = (Fraction(0), Fraction(0))
@@ -151,42 +159,74 @@ def agent_best_response(
     return best
 
 
+def offer_stop_values(
+    graph: ProbingGraph, offers: Sequence[Offer], mode: TieBreak
+) -> list[tuple[int, int]]:
+    """The agent's best offer's (agent, principal) values at every state.
+
+    An atom pays when its mask lies within the observed mask.  Offers
+    compete after the empty proposal, worth (0, 0), and win only when
+    `prefer` says so, so remaining ties go to the earliest.
+    """
+    stops = []
+    for observed in graph.masks:
+        best = (0, 0)
+        for atoms in offers:
+            agent = principal = 0
+            for mask, y, x in atoms:
+                if mask & observed == mask:
+                    agent += y
+                    principal += x
+            pair = (agent, principal)
+            if prefer(pair, best, mode):
+                best = pair
+        stops.append(best)
+    return stops
+
+
+def policy_offers(graph: ProbingGraph, policy: Policy) -> tuple[list[Offer], int]:
+    """`policy` compiled into point-mass offers on `graph`, and their unit.
+
+    Every proposal (a nonempty inner-feasible subset of what was observed)
+    is a graph state, the outer constraint being downward closed, so
+    `accepts` is asked once per such state.  Offers follow `outcome_set_key`,
+    `agent_best_response`'s candidate order, so every tie resolves as there.
+    """
+    inner = graph.instance.inner
+    unit = graph.outcome_unit
+    accepted = []
+    for probed, mask, outcomes in zip(graph.probed, graph.masks, graph.outcome_sets):
+        if (
+            probed
+            and inner.is_feasible(graph.element_set(probed))
+            and policy.accepts(outcomes)
+        ):
+            y, x = outcome_totals(outcomes)
+            offer = [(mask, int(y * unit), int(x * unit))]
+            accepted.append((outcome_set_key(outcomes), offer))
+    accepted.sort(key=lambda a: a[0])
+    return [offer for _, offer in accepted], unit
+
+
 def agent_probe_values(
     graph: ProbingGraph,
-    stop_values: Callable[[frozenset[Outcome]], ValuePair],
+    offers: Sequence[Offer],
+    unit: int,
     mode: TieBreak,
-) -> tuple[ValuePair, Mapping[frozenset[str], Fraction]]:
-    """The agent's probing DP (`solve_probing`) and its probe distribution.
-
-    `stop_values` maps a probed outcome set to the (agent, principal) value
-    pair realized if the agent stops there and proposes; it is asked once
-    per state of `graph`.  Returns the root value pair and the distribution
-    of probed sets under the strategy.
-    """
-    stops = [stop_values(outcomes) for outcomes in graph.outcome_sets]
-    root_pair, actions = solve_probing(graph, stops, mode)
-    return root_pair, probe_distribution(graph, actions)
-
-
-def evaluate_agent_solution(
-    graph: ProbingGraph,
-    agent_solution: tuple[ValuePair, Mapping[frozenset[str], Fraction]],
     benchmark: Fraction | None = None,
 ) -> PolicyEvaluation:
-    """The agent DP's root values and probe distribution on `graph`,
-    measured against the adaptive benchmark (`graph.adaptive` unless
-    given).
-
-    The one evaluator behind policies and lottery menus.
-    """
-    (agent_value, principal_value), distribution = agent_solution
+    """The one evaluator of policies and menus: the agent's probing DP
+    against `offers` (in units of 1/`unit`), measured against the adaptive
+    benchmark (`graph.adaptive` unless given)."""
+    stops = offer_stop_values(graph, offers, mode)
+    (agent_value, principal_value), actions = solve_probing(graph, stops, mode, unit)
     if benchmark is None:
         benchmark = graph.adaptive.expected_value
     alpha = principal_value / benchmark if benchmark > 0 else Fraction(1)
     return PolicyEvaluation(
         principal_value=principal_value,
         agent_value=agent_value,
-        probe_distribution=distribution,
+        probe_distribution=probe_distribution(graph, actions),
         benchmark_value=benchmark,
         alpha=alpha,
     )
@@ -203,14 +243,8 @@ def evaluate_policy(
 
     `benchmark` replaces the adaptive optimum as the denominator of alpha.
     """
-
-    def stop_values(outcomes: frozenset[Outcome]) -> ValuePair:
-        return outcome_totals(agent_best_response(instance, policy, outcomes, mode))
-
     graph = probing_graph(instance, caps.dp_states)
-    return evaluate_agent_solution(
-        graph, agent_probe_values(graph, stop_values, mode), benchmark
-    )
+    return agent_probe_values(graph, *policy_offers(graph, policy), mode, benchmark)
 
 
 def restrict_instance(instance: Instance, subset: Iterable[str]) -> Instance:

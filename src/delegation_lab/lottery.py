@@ -24,15 +24,8 @@ from .instances import (
     outcome_set_to_json,
     outcome_totals,
 )
-from .delegation import PolicyEvaluation, TieBreak, evaluate_agent_solution
-from .probing import (
-    ProbingGraph,
-    ValuePair,
-    prefer,
-    probe_distribution,
-    probing_graph,
-    solve_probing,
-)
+from .delegation import Offer, PolicyEvaluation, TieBreak, agent_probe_values
+from .probing import ProbingGraph, ValuePair, prefer, probing_graph
 from .prophet import _is_one_uniform
 
 LotteryAtom = tuple[frozenset[Outcome], Fraction]
@@ -130,25 +123,19 @@ def agent_lottery_choice(
     return best, best_pair
 
 
-def menu_stop_values(
-    graph: ProbingGraph, menu: LotteryMenu, mode: TieBreak
-) -> tuple[list[tuple[int, int]], int]:
-    """`agent_lottery_choice`'s values at every state of `graph`, and their
-    unit: each pair is in units of 1/unit.
+def menu_offers(graph: ProbingGraph, menu: LotteryMenu) -> tuple[list[Offer], int]:
+    """`menu` compiled once into offers on `graph`, and their unit.
 
-    The menu is compiled once into (outcome mask, p * y, p * x) triples over
-    `graph.outcome_bits`; unit = lcd(outcome utilities) * lcd(menu
-    probabilities).  An atom pays at a state when its mask lies within the
-    observed mask.  The compile is the menu's validation: an atom set with
+    Each lottery becomes one offer of (outcome mask, p * y, p * x) triples
+    over `graph.outcome_bits`; unit = lcd(outcome utilities) * lcd(menu
+    probabilities).  The compile is the menu's validation: an atom set with
     an outcome missing from `outcome_bits`, a repeated element or an
     inner-infeasible element set raises `check_outcome_set`'s ValueError.
     """
     instance = graph.instance
-    outcome_unit = math.lcm(
-        *(v.denominator for o in graph.outcome_bits for v in (o.y, o.x))
-    )
+    outcome_unit = graph.outcome_unit
     p_unit = math.lcm(*(p.denominator for l in menu.lotteries for _, p in l.atoms))
-    compiled = []
+    offers = []
     for l in menu.lotteries:
         atoms = []
         for outcome_set, p in l.atoms:
@@ -168,21 +155,8 @@ def menu_stop_values(
                 x += o.x.numerator * (outcome_unit // o.x.denominator)
             weight = p.numerator * (p_unit // p.denominator)
             atoms.append((mask, weight * y, weight * x))
-        compiled.append(atoms)
-    stops = []
-    for observed in graph.masks:
-        best = (0, 0)
-        for atoms in compiled:
-            agent = principal = 0
-            for mask, y, x in atoms:
-                if mask & observed == mask:
-                    agent += y
-                    principal += x
-            pair = (agent, principal)
-            if prefer(pair, best, mode):
-                best = pair
-        stops.append(best)
-    return stops, outcome_unit * p_unit
+        offers.append(atoms)
+    return offers, outcome_unit * p_unit
 
 
 def evaluate_lottery_menu(
@@ -196,11 +170,7 @@ def evaluate_lottery_menu(
     The menu is compiled once; no lottery is rescored per state.
     """
     graph = probing_graph(instance, caps.dp_states)
-    stops, unit = menu_stop_values(graph, menu, mode)
-    root_pair, actions = solve_probing(graph, stops, mode, unit)
-    return evaluate_agent_solution(
-        graph, (root_pair, probe_distribution(graph, actions))
-    )
+    return agent_probe_values(graph, *menu_offers(graph, menu), mode)
 
 
 def _grid_points(step: Fraction) -> list[Fraction]:

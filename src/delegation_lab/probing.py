@@ -26,9 +26,6 @@ from .errors import CapacityError, Caps
 from .instances import Instance, Outcome, check_scenario_cap, known_elements
 from .set_systems import iter_feasible_sets, max_weight_feasible
 
-# A probing state is the sorted tuple of probed elements plus, aligned with
-# it, the tuple of observed atom indices.
-StateKey = tuple[tuple[str, ...], tuple[int, ...]]
 # An (agent value, principal value) pair.
 ValuePair = tuple[Fraction, Fraction]
 # A move probes one element: (element index, ((atom weight, successor), ...)).
@@ -44,7 +41,6 @@ class TieBreak(str, enum.Enum):
 @dataclass(frozen=True)
 class AdaptiveValueReport:
     expected_value: Fraction
-    optimal_first_probes: Mapping[StateKey, str | None]
     state_count: int
 
 
@@ -106,20 +102,18 @@ class ProbingGraph:
         return len(self.moves)
 
     @functools.cached_property
-    def keys(self) -> tuple[StateKey, ...]:
-        elements = self.instance.elements
-        keys = []
-        for observed in self.observed:
-            pairs = sorted((elements[j], i) for j, i in observed)
-            keys.append((tuple(e for e, _ in pairs), tuple(i for _, i in pairs)))
-        return tuple(keys)
-
-    @functools.cached_property
     def outcome_sets(self) -> tuple[frozenset[Outcome], ...]:
         elements = self.instance.elements
         return tuple(
             frozenset(self.instance.outcome(elements[j], i) for j, i in observed)
             for observed in self.observed
+        )
+
+    @functools.cached_property
+    def outcome_unit(self) -> int:
+        """The lcd of every outcome's y and x: their multiples are integers."""
+        return math.lcm(
+            *(v.denominator for o in self.outcome_bits for v in (o.y, o.x))
         )
 
     @functools.cached_property
@@ -138,15 +132,10 @@ class ProbingGraph:
         V(state) = max(u(observed), max over feasible next probes of the
         expected successor value): `solve_probing` with stop value (u, u).
         """
-        (value, _), actions = solve_probing(
+        (value, _), _ = solve_probing(
             self, [(u, u) for u in self.observed_values], TieBreak.LEXICOGRAPHIC
         )
-        elements = self.instance.elements
-        first_probes = {
-            key: None if k is None else elements[moves[k][0]]
-            for key, moves, k in zip(self.keys, self.moves, actions)
-        }
-        return AdaptiveValueReport(value, first_probes, len(self))
+        return AdaptiveValueReport(value, len(self))
 
     def element_set(self, probed: int) -> frozenset[str]:
         elements = self.instance.elements

@@ -232,12 +232,13 @@ def best_greedy_family(
         for elements in iter_feasible_sets(instance.inner)
         if elements
     )
-    if 2**count > caps.family_sets:
+    # 2^count > limit, without building 2^count
+    if count >= max(caps.family_sets, 0).bit_length():
         raise CapacityError(
             f"candidate family lattice 2^{count} exceeds cap {caps.family_sets}",
             "family_sets",
             caps.family_sets,
-            2**count,
+            caps.family_sets + 1,
         )
     candidates = candidate_pair_sets(instance)
     index = {c: i for i, c in enumerate(candidates)}

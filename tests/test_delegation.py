@@ -7,6 +7,7 @@ import pytest
 
 from delegation_lab.delegation import (
     ExplicitPolicy,
+    Policy,
     ThresholdPolicy,
     TieBreak,
     agent_best_response,
@@ -27,6 +28,7 @@ from delegation_lab.instances import (
     enumerate_scenarios,
     is_inner_feasible_outcome_set,
     make_instance,
+    outcome_set_key,
     outcome_totals,
     realizable_inner_sets,
     table1,
@@ -472,3 +474,50 @@ def test_threshold_cuts_share_one_scenario_table(monkeypatch):
         assert build_threshold_policy(inst) == expected
         assert len(calls) == 1
         monkeypatch.setattr(prophet_module, "enumerate_scenarios", original)
+
+
+def test_each_policy_is_compiled_once_per_evaluation(monkeypatch):
+    # 3 elements of 2 atoms, free outer, 2-uniform inner: the nonempty
+    # inner-feasible probing states are the 3 x 2 singles and the 3 x 4
+    # pairs, and the policy is asked about each once, in one compile; no
+    # state walks the proposal subsets
+    ids = ["a", "b", "c"]
+    atoms = [UtilityAtom(Fraction(k), Fraction(2 - k), Fraction(1, 2)) for k in range(2)]
+    ground = frozenset(ids)
+    inst = make_instance(
+        ids, {e: atoms for e in ids}, FreeSystem(ground), UniformSystem(ground, 2)
+    )
+    asked = []
+
+    class AskedPolicy(Policy):
+        def accepts(self, outcome_set):
+            asked.append(outcome_set)
+            return len(outcome_set) == 1
+
+    delegation_module = importlib.import_module("delegation_lab.delegation")
+    compiled = []
+    walked = []
+    original_compile = delegation_module.policy_offers
+
+    def counted_compile(graph, policy):
+        compiled.append(policy)
+        return original_compile(graph, policy)
+
+    monkeypatch.setattr(delegation_module, "policy_offers", counted_compile)
+    monkeypatch.setattr(
+        delegation_module, "agent_best_response", lambda *args: walked.append(args)
+    )
+    policy = AskedPolicy()
+    evaluation = evaluate_policy(inst, policy)
+    assert compiled == [policy]
+    assert walked == []
+    expected = [
+        frozenset(inst.outcome(e, i) for e, i in zip(chosen, choice))
+        for r in (1, 2)
+        for chosen in itertools.combinations(ids, r)
+        for choice in itertools.product(range(2), repeat=r)
+    ]
+    assert len(expected) == 18
+    assert sorted(asked, key=outcome_set_key) == sorted(expected, key=outcome_set_key)
+    # the agent probes until it sees y = 2, then proposes that single
+    assert evaluation.agent_value == Fraction(15, 8)

@@ -1,9 +1,10 @@
-import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import delegation_lab.delegation as delegation_module
+import delegation_lab.lottery as lottery_module
 from delegation_lab.delegation import TieBreak, evaluate_policy, materialize_policy
 from delegation_lab.errors import UnsupportedError
 from delegation_lab.instances import Outcome, outcome_set_key, table1, table2
@@ -24,8 +25,6 @@ from delegation_lab.delegation import policy_from_greedy
 from conftest import one_uniform_instance
 
 EPS = Fraction(1, 4)
-# the module, which the package's `lottery` function shadows
-lottery_module = importlib.import_module("delegation_lab.lottery")
 
 
 def _table1_menu(eps):
@@ -64,26 +63,34 @@ def test_empty_menu_yields_nothing():
 
 
 def test_each_lottery_is_compiled_once_per_evaluation(monkeypatch):
-    # the stated menu is compiled once into outcome masks; no lottery is
-    # scored again at any of table1's 6 probing states
+    # the stated menu is compiled once into outcome masks and scanned once;
+    # no lottery is scored again at any of table1's 6 probing states
     menu, _ = _table1_menu(EPS)
     scored = []
     compiled = []
+    scans = []
     original_scored = Lottery.expected_values
-    original_compile = lottery_module.menu_stop_values
+    original_compile = lottery_module.menu_offers
+    original_scan = delegation_module.offer_stop_values
 
     def counted_scored(self, probed):
         scored.append(probed)
         return original_scored(self, probed)
 
-    def counted_compile(graph, menu, mode):
+    def counted_compile(graph, menu):
         compiled.append(menu)
-        return original_compile(graph, menu, mode)
+        return original_compile(graph, menu)
+
+    def counted_scan(graph, offers, mode):
+        scans.append(offers)
+        return original_scan(graph, offers, mode)
 
     monkeypatch.setattr(Lottery, "expected_values", counted_scored)
-    monkeypatch.setattr(lottery_module, "menu_stop_values", counted_compile)
+    monkeypatch.setattr(lottery_module, "menu_offers", counted_compile)
+    monkeypatch.setattr(delegation_module, "offer_stop_values", counted_scan)
     evaluation = evaluate_lottery_menu(table1(EPS), menu)
     assert compiled == [menu]
+    assert len(scans) == 1
     assert scored == []
     assert evaluation.principal_value == 2 - 3 * EPS + 2 * EPS**2
 

@@ -11,9 +11,12 @@ from delegation_lab.instances import (
     table1,
 )
 from delegation_lab.probing import (
+    TieBreak,
     best_nonadaptive_set,
     nonadaptive_value,
     optimal_adaptive_value,
+    probing_graph,
+    solve_probing,
 )
 from delegation_lab.random_instances import (
     random_free_outer_instance,
@@ -54,7 +57,10 @@ def test_adaptive_value_two_fair_coins():
 def test_adaptive_policy_probes_everything_under_free_outer():
     inst = table1(Fraction(1, 2))
     report = optimal_adaptive_value(inst)
-    assert report.optimal_first_probes[((), ())] is not None
+    graph = probing_graph(inst, Caps.dp_states)
+    u_stops = [(u, u) for u in graph.observed_values]
+    _, actions = solve_probing(graph, u_stops, TieBreak.LEXICOGRAPHIC)
+    assert actions[-1] is not None  # the root probes
     assert report.state_count == 6  # {}, {1}x2, {2}, {1,2}x2
 
 

@@ -18,9 +18,10 @@ from delegation_lab.delegation import (
     ThresholdPolicy,
     TieBreak,
     agent_best_response,
-    agent_probe_values,
     evaluate_policy,
+    offer_stop_values,
     policy_from_greedy,
+    policy_offers,
 )
 from delegation_lab.errors import CapacityError, Caps
 from delegation_lab.instances import (
@@ -36,7 +37,7 @@ from delegation_lab.lottery import (
     agent_lottery_choice,
     evaluate_lottery_menu,
     lottery,
-    menu_stop_values,
+    menu_offers,
 )
 from delegation_lab.probing import (
     _observed_value,
@@ -146,11 +147,17 @@ def menus(draw, instance):
     return LotteryMenu(tuple(lotteries))
 
 
+def _state_key(graph, observed):
+    """The literal DP's state key: sorted probed ids, aligned atom indices."""
+    pairs = sorted((graph.instance.elements[j], i) for j, i in observed)
+    return tuple(e for e, _ in pairs), tuple(i for _, i in pairs)
+
+
 def _graph_actions(graph, actions):
     elements = graph.instance.elements
     return {
-        key: None if k is None else elements[moves[k][0]]
-        for key, moves, k in zip(graph.keys, graph.moves, actions)
+        _state_key(graph, observed): None if k is None else elements[moves[k][0]]
+        for observed, moves, k in zip(graph.observed, graph.moves, actions)
     }
 
 
@@ -183,7 +190,8 @@ def test_adaptive_u_matches_the_literal_dp(instance, mode):
         instance, literal_u, TieBreak.LEXICOGRAPHIC
     )
     assert report.expected_value == literal_root[0]
-    assert report.optimal_first_probes == literal_actions
+    _, actions = solve_probing(graph, stops, TieBreak.LEXICOGRAPHIC)
+    assert _graph_actions(graph, actions) == literal_actions
     assert report.state_count == len(graph) == len(literal_actions)
 
 
@@ -204,7 +212,17 @@ def test_policies_match_the_literal_dp(data, instance, mode):
         lambda state: stop_values(outcomes_at(instance, state)),
         mode,
     )
-    assert agent_probe_values(graph, stop_values, mode) == (root, distribution)
+    # the compiled offers score every state, reached or not, as the walk does
+    offers, unit = policy_offers(graph, policy)
+    for walk_mode in MODES:
+        walked = (
+            agent_best_response(instance, policy, outcomes, walk_mode)
+            for outcomes in graph.outcome_sets
+        )
+        assert offer_stop_values(graph, offers, walk_mode) == [
+            (agent * unit, principal * unit)
+            for agent, principal in map(outcome_totals, walked)
+        ]
     evaluation = evaluate_policy(instance, policy, mode)
     assert (evaluation.agent_value, evaluation.principal_value) == root
     assert evaluation.probe_distribution == distribution
@@ -215,7 +233,8 @@ def test_policies_match_the_literal_dp(data, instance, mode):
 def test_menus_match_the_literal_dp(data, instance, mode):
     menu = data.draw(menus(instance))
     graph = probing_graph(instance, Caps.dp_states)
-    stops, unit = menu_stop_values(graph, menu, mode)
+    offers, unit = menu_offers(graph, menu)
+    stops = offer_stop_values(graph, offers, mode)
 
     def literal_stop(state):
         return agent_lottery_choice(menu, outcomes_at(instance, state), mode)[1]
@@ -231,7 +250,8 @@ def test_menus_match_the_literal_dp(data, instance, mode):
 def test_compiled_menu_stop_value_is_the_agents_choice(data, instance, mode):
     menu = data.draw(menus(instance))
     graph = probing_graph(instance, Caps.dp_states)
-    stops, unit = menu_stop_values(graph, menu, mode)
+    offers, unit = menu_offers(graph, menu)
+    stops = offer_stop_values(graph, offers, mode)
     for outcomes, (agent, principal) in zip(graph.outcome_sets, stops):
         chosen = agent_lottery_choice(menu, outcomes, mode)[1]
         assert (Fraction(agent, unit), Fraction(principal, unit)) == chosen
@@ -276,4 +296,4 @@ def test_graph_is_shared_by_every_stop_rule_on_one_instance():
     # successors come before their parents; the root is last
     for s, moves in enumerate(graph.moves):
         assert all(t < s for _, atoms in moves for _, t in atoms)
-    assert graph.keys[-1] == ((), ())
+    assert graph.observed[-1] == ()

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -318,8 +319,19 @@ def test_family_cap_refuses_before_building_candidate_sets(monkeypatch):
     assert (err.value.cap, err.value.limit, err.value.reached) == (
         "family_sets",
         10**6,
-        2**65535,
+        10**6 + 1,
     )
+
+
+def test_family_cap_refusal_is_quick_and_printable():
+    # a 2^65535 lattice: neither built nor kept as `reached`, which would be
+    # too long for str()
+    inst = _three_atom_instance(8, FreeSystem)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as err:
+        best_greedy_family(inst)
+    assert time.perf_counter() - start < 1
+    assert str(err.value.reached) == "1000001"
 
 
 def test_family_cap_counts_the_candidate_sets():
@@ -350,7 +362,10 @@ def test_family_cap_counts_the_candidate_sets():
             # the lattice is refused from the count, before any set is built
             with pytest.raises(CapacityError) as err:
                 best_greedy_family(inst, Caps(family_sets=0))
-            assert err.value.reached == 2 ** len(candidate_pair_sets(inst)), kind
+            count = len(candidate_pair_sets(inst))
+            assert str(err.value) == (
+                f"candidate family lattice 2^{count} exceeds cap 0"
+            ), kind
 
 
 def test_family_requires_feasible_members():
