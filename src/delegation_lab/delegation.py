@@ -192,15 +192,12 @@ def policy_offers(graph: ProbingGraph, policy: Policy) -> tuple[list[Offer], int
     `accepts` is asked once per such state.  Offers follow `outcome_set_key`,
     `agent_best_response`'s candidate order, so every tie resolves as there.
     """
-    inner = graph.instance.inner
     unit = graph.outcome_unit
     accepted = []
-    for probed, mask, outcomes in zip(graph.probed, graph.masks, graph.outcome_sets):
-        if (
-            probed
-            and inner.is_feasible(graph.element_set(probed))
-            and policy.accepts(outcomes)
-        ):
+    for probed, feasible, mask, outcomes in zip(
+        graph.probed, graph.inner_feasible, graph.masks, graph.outcome_sets
+    ):
+        if probed and feasible and policy.accepts(outcomes):
             y, x = outcome_totals(outcomes)
             offer = [(mask, int(y * unit), int(x * unit))]
             accepted.append((outcome_set_key(outcomes), offer))

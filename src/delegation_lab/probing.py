@@ -117,13 +117,31 @@ class ProbingGraph:
         )
 
     @functools.cached_property
-    def observed_values(self) -> tuple[Fraction, ...]:
-        """u at every state, computed once per graph."""
-        elements = self.instance.elements
-        return tuple(
-            _observed_value(self.instance, ((elements[j], i) for j, i in observed))
-            for observed in self.observed
-        )
+    def inner_feasible(self) -> tuple[bool, ...]:
+        """Whether each state's probed set is inner-feasible, asked once per
+        distinct probed set."""
+        inner = self.instance.inner
+        feasible = {p: inner.is_feasible(self.element_set(p)) for p in set(self.probed)}
+        return tuple(feasible[p] for p in self.probed)
+
+    @functools.cached_property
+    def observed_values(self) -> tuple[int, ...]:
+        """u at every state over `outcome_unit`, in one root-first pass: u(s) =
+        max(x(s) if s's probed set is inner-feasible, u of each parent).  The
+        outer constraint is downward closed, so every subset of what s
+        observed is a state with a path of moves to s."""
+        unit = self.outcome_unit
+        atom_x = [[int(a.x * unit) for a in support] for support in self.instance.atoms]
+        x = [0] * len(self)
+        u = [0] * len(self)
+        for s in reversed(range(len(self))):
+            best = u[s] = max(u[s], x[s]) if self.inner_feasible[s] else u[s]
+            for j, atoms in self.moves[s]:
+                for (_, t), atom in zip(atoms, atom_x[j]):
+                    x[t] = x[s] + atom
+                    if best > u[t]:
+                        u[t] = best
+        return tuple(u)
 
     @functools.cached_property
     def adaptive(self) -> AdaptiveValueReport:
@@ -132,8 +150,9 @@ class ProbingGraph:
         V(state) = max(u(observed), max over feasible next probes of the
         expected successor value): `solve_probing` with stop value (u, u).
         """
+        stops = [(u, u) for u in self.observed_values]
         (value, _), _ = solve_probing(
-            self, [(u, u) for u in self.observed_values], TieBreak.LEXICOGRAPHIC
+            self, stops, TieBreak.LEXICOGRAPHIC, self.outcome_unit
         )
         return AdaptiveValueReport(value, len(self))
 
@@ -341,13 +360,9 @@ def best_nonadaptive_set(
     """
     check_scenario_cap(instance, caps)
     graph = probing_graph(instance, caps.dp_states)
-    u_values = graph.observed_values
-    lcd = math.lcm(*(u.denominator for u in u_values))
     scores: dict[int, int] = {}
-    for probed, weight, u in zip(graph.probed, graph.weights, u_values):
-        scores[probed] = (
-            scores.get(probed, 0) + weight * u.numerator * (lcd // u.denominator)
-        )
+    for probed, weight, u in zip(graph.probed, graph.weights, graph.observed_values):
+        scores[probed] = scores.get(probed, 0) + weight * u
     index = {e: j for j, e in enumerate(instance.elements)}
     best_set: frozenset[str] | None = None
     best_score = -1
@@ -371,7 +386,7 @@ def best_nonadaptive_set(
             ):
                 best_set = candidate
     assert best_set is not None  # the empty set is always feasible
-    best_value = Fraction(best_score, lcd * graph.scales[-1])
+    best_value = Fraction(best_score, graph.outcome_unit * graph.scales[-1])
     benchmark = graph.adaptive.expected_value
     ratio = best_value / benchmark if benchmark > 0 else Fraction(1)
     return NonAdaptiveReport(best_set, best_value, ratio)

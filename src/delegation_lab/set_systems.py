@@ -213,10 +213,10 @@ def max_weight_feasible(
     """A maximum-weight feasible set and its weight.
 
     Uniform, partition and free systems are matroids, so the greedy rule
-    (weight descending, element id ascending) is exact; explicit and
-    intersection systems fall back to exhaustive search.  Zero-weight
-    elements are never included, and ties between optimal sets resolve to
-    the lexicographically smallest sorted id tuple.
+    (weight descending, element id ascending) is exact; an explicit system's
+    optimum is the positive part of a maximal set; intersection systems fall
+    back to exhaustive search.  Zero-weight elements are never included, and
+    ties between optimal sets resolve to the smallest sorted id tuple.
     """
     w = _checked_weights(system, weights)
     positive = [e for e in system.ground if w[e] > 0]
@@ -227,11 +227,13 @@ def max_weight_feasible(
                 chosen.add(e)
         value = sum((w[e] for e in chosen), Fraction(0))
         return frozenset(chosen), value
+    if isinstance(system, ExplicitSystem):
+        candidates = (m.intersection(positive) for m in system.maximal)
+    else:
+        candidates = (s for s in _subsets(positive) if system._feasible(s))
     best_set: frozenset[str] = frozenset()
     best_value = Fraction(0)
-    for s in _subsets(positive):
-        if not system._feasible(s):
-            continue
+    for s in candidates:
         value = sum((w[e] for e in s), Fraction(0))
         if value > best_value or (value == best_value and sorted(s) < sorted(best_set)):
             best_set, best_value = s, value

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import importlib
 import random
 from fractions import Fraction
@@ -22,7 +24,7 @@ from delegation_lab.random_instances import (
     random_free_outer_instance,
     random_matroid_outer_instance,
 )
-from delegation_lab.set_systems import UniformSystem, iter_feasible_sets
+from delegation_lab.set_systems import SetSystem, UniformSystem, iter_feasible_sets
 
 from conftest import one_uniform_instance
 
@@ -129,22 +131,53 @@ def test_outer_set_cap():
         best_nonadaptive_set(inst, Caps(outer_sets=2))
 
 
-def test_u_is_computed_once_per_state(monkeypatch):
-    # the adaptive DP and the fixed-set scores read u from one graph
+class _CountingSystem(SetSystem):
+    """`system`'s family, recording every set whose feasibility is asked."""
+
+    def __init__(self, system):
+        self.ground = system.ground
+        self.system = system
+        self.asked = []
+
+    def _feasible(self, s):
+        self.asked.append(s)
+        return self.system._feasible(s)
+
+
+def test_u_is_one_integer_pass_per_graph(monkeypatch):
+    # the adaptive DP and the fixed-set scores read u from one edge pass:
+    # no max-weight search, inner feasibility once per distinct probed set
     probing_module = importlib.import_module("delegation_lab.probing")
-    original = probing_module.max_weight_feasible
-    calls = []
+    set_systems_module = importlib.import_module("delegation_lab.set_systems")
+    searches = []
 
-    def counted(system, weights):
-        calls.append(weights)
-        return original(system, weights)
+    def counted_search(system, weights):
+        searches.append(weights)
+        return set_systems_module.max_weight_feasible(system, weights)
 
-    monkeypatch.setattr(probing_module, "max_weight_feasible", counted)
+    monkeypatch.setattr(probing_module, "max_weight_feasible", counted_search)
+    descriptor = vars(probing_module.ProbingGraph)["observed_values"]
+    assert isinstance(descriptor, functools.cached_property)
+    passes = []
+
+    def counted_pass(graph):
+        passes.append(graph)
+        return descriptor.func(graph)
+
+    fresh = functools.cached_property(counted_pass)
+    fresh.__set_name__(probing_module.ProbingGraph, "observed_values")
+    monkeypatch.setattr(probing_module.ProbingGraph, "observed_values", fresh)
     rng = random.Random(37)
     for _ in range(10):
-        inst = random_matroid_outer_instance(rng, max_elements=4)
+        base = random_matroid_outer_instance(rng, max_elements=4)
+        inner = _CountingSystem(base.inner)
+        inst = dataclasses.replace(base, inner=inner)
         probing_module.probing_graph.cache_clear()
-        calls.clear()
-        adaptive = optimal_adaptive_value(inst)
+        passes.clear()
+        optimal_adaptive_value(inst)
         best_nonadaptive_set(inst)
-        assert len(calls) == adaptive.state_count
+        graph = probing_graph(inst, Caps.dp_states)
+        assert searches == []
+        assert passes == [graph]
+        assert len(inner.asked) == len(set(inner.asked))
+        assert set(inner.asked) <= {graph.element_set(p) for p in graph.probed}

@@ -7,6 +7,7 @@ tie modes; the root pair, every state's action and the probe distribution
 must agree exactly.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,7 @@ from delegation_lab.probing import (
 from delegation_lab.prophet import candidate_pair_sets, greedy_family
 from delegation_lab.set_systems import (
     FreeSystem,
+    IntersectionSystem,
     PartitionSystem,
     UniformSystem,
     explicit_system,
@@ -86,6 +88,22 @@ def outer_systems(draw, ids):
         return draw(partitions(ids))
     members = draw(st.lists(st.sets(st.sampled_from(ids)), max_size=4))
     return explicit_system(ground, members)
+
+
+@st.composite
+def inner_systems(draw, ids):
+    """Every inner kind: the four outer kinds and explicit ∩ uniform."""
+    ground = frozenset(ids)
+    if draw(st.booleans()):
+        return draw(outer_systems(ids))
+    members = draw(st.lists(st.sets(st.sampled_from(ids)), max_size=4))
+    return IntersectionSystem(
+        ground,
+        (
+            explicit_system(ground, members),
+            UniformSystem(ground, draw(st.integers(0, len(ids)))),
+        ),
+    )
 
 
 @st.composite
@@ -184,7 +202,7 @@ def test_adaptive_u_matches_the_literal_dp(instance, mode):
         return u, u
 
     stops = [(u, u) for u in graph.observed_values]
-    _assert_same_dp(instance, stops, 1, literal_u, mode)
+    _assert_same_dp(instance, stops, graph.outcome_unit, literal_u, mode)
     report = optimal_adaptive_value(instance)
     literal_root, literal_actions = literal_solve(
         instance, literal_u, TieBreak.LEXICOGRAPHIC
@@ -193,6 +211,17 @@ def test_adaptive_u_matches_the_literal_dp(instance, mode):
     _, actions = solve_probing(graph, stops, TieBreak.LEXICOGRAPHIC)
     assert _graph_actions(graph, actions) == literal_actions
     assert report.state_count == len(graph) == len(literal_actions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), instances())
+def test_graph_u_matches_the_max_weight_search(data, base):
+    ids = list(base.elements)
+    instance = dataclasses.replace(base, inner=data.draw(inner_systems(ids)))
+    graph = probing_graph(instance, Caps.dp_states)
+    for observed, u in zip(graph.observed, graph.observed_values):
+        pairs = [(instance.elements[j], i) for j, i in observed]
+        assert Fraction(u, graph.outcome_unit) == _observed_value(instance, pairs)
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delegation_lab import set_systems
 from delegation_lab.set_systems import (
     ExplicitSystem,
     FreeSystem,
@@ -193,6 +194,35 @@ def test_greedy_matches_exhaustive_on_matroids(seed):
     assert max_weight_feasible(system, weights) == _exhaustive_max_weight(
         system, weights
     )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_explicit_scan_matches_exhaustive(seed):
+    # small weights, zeros included, so equal-weight optima are common
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    ground = [f"e{i}" for i in range(n)]
+    members = [rng.sample(ground, rng.randint(0, n)) for _ in range(rng.randint(0, 5))]
+    system = explicit_system(ground, members)
+    weights = {e: Fraction(rng.randint(0, 3), rng.choice([1, 2])) for e in ground}
+    assert max_weight_feasible(system, weights) == _exhaustive_max_weight(
+        system, weights
+    )
+
+
+def test_explicit_scan_walks_no_subsets(monkeypatch):
+    # 2^23 subsets would not finish; the scan reads the three maximal sets,
+    # two of which tie at 12 and resolve to the smaller sorted id list
+    def no_walk(ground):
+        raise AssertionError("subset walk on an explicit system")
+
+    monkeypatch.setattr(set_systems, "_subsets", no_walk)
+    ground = [f"e{i:02d}" for i in range(24)]
+    system = explicit_system(ground, [ground[:12], ground[12:], ground[::2]])
+    weights = {e: Fraction(1) for e in ground}
+    weights["e23"] = Fraction(0)
+    chosen, value = max_weight_feasible(system, weights)
+    assert (chosen, value) == (frozenset(ground[:12]), Fraction(12))
 
 
 def test_intersection_feasibility_is_conjunction():
