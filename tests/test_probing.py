@@ -149,13 +149,15 @@ def test_u_is_one_integer_pass_per_graph(monkeypatch):
     # no max-weight search, inner feasibility once per distinct probed set
     probing_module = importlib.import_module("delegation_lab.probing")
     set_systems_module = importlib.import_module("delegation_lab.set_systems")
+    original = set_systems_module.max_weight_feasible
     searches = []
 
     def counted_search(system, weights):
         searches.append(weights)
-        return set_systems_module.max_weight_feasible(system, weights)
+        return original(system, weights)
 
-    monkeypatch.setattr(probing_module, "max_weight_feasible", counted_search)
+    for module in (probing_module, set_systems_module):
+        monkeypatch.setattr(module, "max_weight_feasible", counted_search)
     descriptor = vars(probing_module.ProbingGraph)["observed_values"]
     assert isinstance(descriptor, functools.cached_property)
     passes = []

@@ -216,8 +216,8 @@ def test_adaptive_u_matches_the_literal_dp(instance, mode):
 @settings(max_examples=150, deadline=None)
 @given(st.data(), instances())
 def test_graph_u_matches_the_max_weight_search(data, base):
-    ids = list(base.elements)
-    instance = dataclasses.replace(base, inner=data.draw(inner_systems(ids)))
+    inner = data.draw(inner_systems(list(base.elements)))
+    instance = dataclasses.replace(base, inner=inner)
     graph = probing_graph(instance, Caps.dp_states)
     for observed, u in zip(graph.observed, graph.observed_values):
         pairs = [(instance.elements[j], i) for j, i in observed]
