@@ -2,14 +2,15 @@
 
 `probing_graph` compiles an instance's probing states (probed elements and
 their observed support atoms) once: every state lists its outer-feasible
-moves with integer atom weights and successor indices, successors before
-parents.  `solve_probing` values each state by a stop rule, given as one
-(agent, principal) pair per state, in one backward pass of integer
-arithmetic.  The non-delegated benchmark `optimal_adaptive_value` stops with
-(u, u), u the best inner-feasible observed total; the delegated agent stops
-with its proposal (`delegation`, `lottery`).  `best_nonadaptive_set` scores
-every outer-feasible probe set from the same graph; the ratio of the two is
-the measured adaptivity gap for the instance.
+moves with integer atom weights and successor indices, root first, every
+move to a later state.  `solve_probing` values each state by a stop rule,
+given as one integer (agent, principal) pair per state, in one backward pass
+of integer arithmetic.  The non-delegated benchmark `optimal_adaptive_value`
+stops with (u, u), u the best inner-feasible observed total; the delegated
+agent stops with its proposal (`delegation`, `lottery`).
+`best_nonadaptive_set` scores every probed set of the same graph, which are
+exactly the outer-feasible probe sets; the ratio of the two is the measured
+adaptivity gap for the instance.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, Caps
 from .instances import Instance, Outcome, check_scenario_cap, known_elements
-from .set_systems import iter_feasible_sets, max_weight_feasible
+from .set_systems import max_weight_feasible
 
 # An (agent value, principal value) pair.
 ValuePair = tuple[Fraction, Fraction]
@@ -74,9 +75,9 @@ def _observed_value(
 
 @dataclass(frozen=True, eq=False)
 class ProbingGraph:
-    """Every probing state of one instance, indexed successors first.
+    """Every probing state of one instance, indexed in discovery order.
 
-    Per state s (the root is the last index):
+    Per state s (the root is state 0; every move leads to a later state):
     - `moves[s]`: the outer-feasible next probes in element order; atom
       weight w = p * Q_e, with Q_e the lcm of element e's probability
       denominators;
@@ -84,7 +85,7 @@ class ProbingGraph:
       sum(w * value * scale[successor]) is the expectation times scale[s];
     - `probed[s]`: probed elements as a bitmask over element indices;
     - `masks[s]`: observed outcomes as a bitmask over `outcome_bits`;
-    - `weights[s]`: the probability of the observed atoms times `scales[-1]`;
+    - `weights[s]`: the probability of the observed atoms times `scales[0]`;
     - `observed[s]`: the (element index, atom index) pairs, by element.
     """
 
@@ -134,7 +135,7 @@ class ProbingGraph:
         atom_x = [[int(a.x * unit) for a in support] for support in self.instance.atoms]
         x = [0] * len(self)
         u = [0] * len(self)
-        for s in reversed(range(len(self))):
+        for s in range(len(self)):
             best = u[s] = max(u[s], x[s]) if self.inner_feasible[s] else u[s]
             for j, atoms in self.moves[s]:
                 for (_, t), atom in zip(atoms, atom_x[j]):
@@ -236,50 +237,42 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
                 atoms.append((w, t))
             state_moves.append((j, tuple(atoms)))
         moves.append(tuple(state_moves))
-    last = len(codes) - 1
     return ProbingGraph(
         instance,
-        tuple(
-            tuple((j, tuple((w, last - t) for w, t in atoms)) for j, atoms in m)
-            for m in reversed(moves)
-        ),
-        tuple(reversed(scales)),
-        tuple(reversed(probed)),
-        tuple(reversed(masks)),
-        tuple(reversed(weights)),
-        tuple(reversed(observed)),
+        tuple(moves),
+        tuple(scales),
+        tuple(probed),
+        tuple(masks),
+        tuple(weights),
+        tuple(observed),
         outcome_bits,
     )
 
 
 def solve_probing(
     graph: ProbingGraph,
-    stop_values: Sequence[ValuePair],
+    stop_values: Sequence[tuple[int, int]],
     mode: TieBreak,
     unit: int = 1,
 ) -> tuple[ValuePair, list[int | None]]:
     """Root (agent, principal) value and each state's action.
 
-    `stop_values[s]` is state s's stop value pair in units of 1/`unit`
-    (ints or Fractions).  V(s) = the `prefer`-best of the stop value and
-    the expected successor value of each move; open ties go to stopping,
-    then to the earliest element.  The action is the position of the chosen
-    move in `graph.moves[s]`, or None to stop.  Every value at state s is
-    kept as an integer over lcd(stop values) * unit * scales[s], so one pass
-    in integers compares exactly what a Fraction DP would.
+    `stop_values[s]` is state s's stop value pair as integers over `unit`.
+    V(s) = the `prefer`-best of the stop value and the expected successor
+    value of each move; open ties go to stopping, then to the earliest
+    element.  The action is the position of the chosen move in
+    `graph.moves[s]`, or None to stop.  Every value at state s is kept as an
+    integer over unit * scales[s], so one pass from the last state back to
+    the root compares exactly what a Fraction DP would.
     """
-    lcd = math.lcm(*(v.denominator for pair in stop_values for v in pair))
-    values: list[tuple[int, int]] = []
-    actions: list[int | None] = []
-    for moves, scale, (agent, principal) in zip(
-        graph.moves, graph.scales, stop_values
-    ):
-        best = (
-            agent.numerator * (lcd // agent.denominator) * scale,
-            principal.numerator * (lcd // principal.denominator) * scale,
-        )
+    values: list[tuple[int, int]] = [(0, 0)] * len(graph)
+    actions: list[int | None] = [None] * len(graph)
+    for s in reversed(range(len(graph))):
+        scale = graph.scales[s]
+        agent, principal = stop_values[s]
+        best = (agent * scale, principal * scale)
         action = None
-        for k, (_, atoms) in enumerate(moves):
+        for k, (_, atoms) in enumerate(graph.moves[s]):
             agent_total = principal_total = 0
             for w, t in atoms:
                 sub_agent, sub_principal = values[t]
@@ -288,10 +281,10 @@ def solve_probing(
             pair = (agent_total, principal_total)
             if prefer(pair, best, mode):
                 best, action = pair, k
-        values.append(best)
-        actions.append(action)
-    denominator = lcd * unit * graph.scales[-1]
-    root_agent, root_principal = values[-1]
+        values[s] = best
+        actions[s] = action
+    denominator = unit * graph.scales[0]
+    root_agent, root_principal = values[0]
     return (
         Fraction(root_agent, denominator),
         Fraction(root_principal, denominator),
@@ -308,9 +301,9 @@ def probe_distribution(
     the reached states.
     """
     reached = [False] * len(graph)
-    reached[-1] = True
+    reached[0] = True
     totals: dict[int, int] = {}
-    for s in reversed(range(len(graph))):
+    for s in range(len(graph)):
         if not reached[s]:
             continue
         action = actions[s]
@@ -320,7 +313,7 @@ def probe_distribution(
         for _, t in graph.moves[s][action][1]:
             reached[t] = True
     return {
-        graph.element_set(probed): Fraction(weight, graph.scales[-1])
+        graph.element_set(probed): Fraction(weight, graph.scales[0])
         for probed, weight in totals.items()
     }
 
@@ -351,42 +344,25 @@ def best_nonadaptive_set(
 ) -> NonAdaptiveReport:
     """Exhaustive best fixed probe set and its ratio to the adaptive optimum.
 
-    Ties prefer larger sets (probing more never hurts), then the smallest
-    sorted id tuple.  No probe set's product support exceeds the instance's
-    scenario count, which is checked against `caps.scenarios` first.  A set
-    F scores the sum, over the graph states that probed exactly F, of
-    weight times u: the `nonadaptive_value` of F over a denominator shared
-    by every set.
+    The graph's distinct probed sets are exactly the outer-feasible sets, the
+    outer constraint being downward closed, so no walk of the outer
+    constraint is needed.  A set F scores the sum, over the graph states
+    that probed exactly F, of weight times u: the `nonadaptive_value` of F
+    over a denominator shared by every set.  Ties prefer larger sets
+    (probing more never hurts), then the smallest sorted id tuple.  No
+    product support is built, but `caps.scenarios` is still checked first:
+    the CLI's adaptivity command refuses an instance past it.
     """
     check_scenario_cap(instance, caps)
     graph = probing_graph(instance, caps.dp_states)
     scores: dict[int, int] = {}
     for probed, weight, u in zip(graph.probed, graph.weights, graph.observed_values):
         scores[probed] = scores.get(probed, 0) + weight * u
-    index = {e: j for j, e in enumerate(instance.elements)}
-    best_set: frozenset[str] | None = None
-    best_score = -1
-    count = 0
-    for candidate in iter_feasible_sets(instance.outer):
-        count += 1
-        if count > caps.outer_sets:
-            raise CapacityError(
-                f"outer-feasible set count exceeds cap {caps.outer_sets}",
-                "outer_sets",
-                caps.outer_sets,
-                count,
-            )
-        score = scores[sum(1 << index[e] for e in candidate)]
-        if best_set is None or score > best_score:
-            best_set, best_score = candidate, score
-        elif score == best_score:
-            if (-len(candidate), tuple(sorted(candidate))) < (
-                -len(best_set),
-                tuple(sorted(best_set)),
-            ):
-                best_set = candidate
-    assert best_set is not None  # the empty set is always feasible
-    best_value = Fraction(best_score, graph.outcome_unit * graph.scales[-1])
+    negated_score, _, ids = min(
+        (-score, -probed.bit_count(), tuple(sorted(graph.element_set(probed))))
+        for probed, score in scores.items()
+    )
+    best_value = Fraction(-negated_score, graph.outcome_unit * graph.scales[0])
     benchmark = graph.adaptive.expected_value
     ratio = best_value / benchmark if benchmark > 0 else Fraction(1)
-    return NonAdaptiveReport(best_set, best_value, ratio)
+    return NonAdaptiveReport(frozenset(ids), best_value, ratio)

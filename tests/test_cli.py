@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import json
+import re
 import shlex
 from dataclasses import fields
 from fractions import Fraction
@@ -233,6 +234,25 @@ def test_unknown_cap_rejected(capsys):
     )
     assert code == 2
     assert "unknown cap" in err
+
+
+def test_removed_outer_sets_cap_is_unknown(monkeypatch, capsys):
+    code, out, err = run_cli(
+        capsys, "adaptivity", "--builtin", "coins2", "--caps", "outer_sets=5"
+    )
+    assert (code, out) == (2, "")
+    assert "unknown cap 'outer_sets'" in err
+    monkeypatch.setenv("DELEGATION_LAB_CAPS", "outer_sets=5")
+    code, out, err = run_cli(capsys, "adaptivity", "--builtin", "coins2")
+    assert (code, out) == (2, "")
+    assert "unknown cap 'outer_sets'" in err
+
+
+def test_readme_lists_exactly_the_caps():
+    readme = (ROOT / "README.md").read_text()
+    listed = re.search(r"Capacity caps \((.*?)\)", readme, re.DOTALL)
+    assert listed is not None
+    assert re.findall(r"`(\w+)`", listed.group(1)) == [f.name for f in fields(Caps)]
 
 
 @pytest.mark.parametrize("key", [f.name for f in fields(Caps)])

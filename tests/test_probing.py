@@ -8,6 +8,7 @@ import pytest
 
 from delegation_lab.errors import CapacityError, Caps
 from delegation_lab.instances import (
+    UtilityAtom,
     enumerate_scenarios,
     make_instance,
     table1,
@@ -62,7 +63,7 @@ def test_adaptive_policy_probes_everything_under_free_outer():
     graph = probing_graph(inst, Caps.dp_states)
     u_stops = [(u, u) for u in graph.observed_values]
     _, actions = solve_probing(graph, u_stops, TieBreak.LEXICOGRAPHIC)
-    assert actions[-1] is not None  # the root probes
+    assert actions[0] is not None  # the root probes
     assert report.state_count == 6  # {}, {1}x2, {2}, {1,2}x2
 
 
@@ -125,12 +126,6 @@ def test_adaptive_state_cap():
         optimal_adaptive_value(inst, Caps(dp_states=2))
 
 
-def test_outer_set_cap():
-    inst = table1(Fraction(1, 2))
-    with pytest.raises(CapacityError, match="outer-feasible"):
-        best_nonadaptive_set(inst, Caps(outer_sets=2))
-
-
 class _CountingSystem(SetSystem):
     """`system`'s family, recording every set whose feasibility is asked."""
 
@@ -183,3 +178,21 @@ def test_u_is_one_integer_pass_per_graph(monkeypatch):
         assert passes == [graph]
         assert len(inner.asked) == len(set(inner.asked))
         assert set(inner.asked) <= {graph.element_set(p) for p in graph.probed}
+
+
+def test_fixed_sets_are_read_off_the_graph():
+    # the fixed-set search scores the graph's distinct probed sets, so outer
+    # feasibility is asked only by the compile, not over all 2^|E| subsets
+    elements = [f"e{j}" for j in range(16)]
+    ground = frozenset(elements)
+    dists = {
+        e: [UtilityAtom(Fraction(j + 1), Fraction(1), Fraction(1))]
+        for j, e in enumerate(elements)
+    }
+    outer = _CountingSystem(UniformSystem(ground, 1))
+    inst = make_instance(elements, dists, outer, UniformSystem(ground, 1))
+    report = best_nonadaptive_set(inst)
+    graph = probing_graph(inst, Caps.dp_states)
+    assert report.best_set == {"e15"}
+    assert len(graph) == 17
+    assert len(outer.asked) <= len(set(graph.probed)) * len(elements)

@@ -322,7 +322,7 @@ def test_graph_is_shared_by_every_stop_rule_on_one_instance():
     optimal_adaptive_value(inst)
     evaluate_policy(inst, ThresholdPolicy(Fraction(1)))
     assert probing_graph(inst, Caps.dp_states) is graph
-    # successors come before their parents; the root is last
+    # the root comes first; every move leads to a later state
     for s, moves in enumerate(graph.moves):
-        assert all(t < s for _, atoms in moves for _, t in atoms)
-    assert graph.observed[-1] == ()
+        assert all(t > s for _, atoms in moves for _, t in atoms)
+    assert graph.observed[0] == ()
