@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import Caps
 from .instances import (
@@ -23,13 +23,12 @@ from .instances import (
     fraction_from_json,
     fraction_to_json,
     is_inner_feasible_outcome_set,
-    known_elements,
-    make_instance,
     outcome_set_from_json,
     outcome_set_key,
     outcome_set_to_json,
     outcome_totals,
     realizable_inner_sets,
+    restrict_instance,
 )
 from .probing import (
     ProbingGraph,
@@ -48,7 +47,6 @@ from .prophet import (
     score_family,
     threshold_family,
 )
-from .set_systems import FreeSystem
 
 
 class Policy:
@@ -244,19 +242,6 @@ def evaluate_policy(
     return agent_probe_values(graph, *policy_offers(graph, policy), mode, benchmark)
 
 
-def restrict_instance(instance: Instance, subset: Iterable[str]) -> Instance:
-    """Restriction to `subset` with a free outer constraint."""
-    keep = known_elements(instance, subset, "restriction")
-    elements = [e for e in instance.elements if e in keep]
-    dists = {e: list(instance.dist(e)) for e in elements}
-    return make_instance(
-        elements,
-        dists,
-        FreeSystem(frozenset(elements)),
-        instance.inner.restrict(keep),
-    )
-
-
 def compose_outer(
     instance: Instance,
     inner_builder: Callable[[Instance], Policy],
@@ -299,7 +284,7 @@ def build_threshold_policy(
     best: tuple[Fraction, GreedyFamily, ProphetReport] | None = None
     for cut in cuts:
         family = threshold_family(instance, cut)
-        report = score_family(family, *table)
+        report = score_family(family, table)
         if best is None or report.gambler_value > best[2].gambler_value:
             best = (cut, family, report)
     assert best is not None

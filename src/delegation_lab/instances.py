@@ -9,6 +9,7 @@ computed by full scenario enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,6 +75,15 @@ class Instance:
             total = sum((a.prob for a in support), Fraction(0))
             if total != 1:
                 raise ValueError(f"probabilities of element {e!r} sum to {total}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """Hashed once: compiled graphs are cached by instance, and hashing
+        every atom's Fractions again cost each lookup more than its work."""
+        return hash((self.elements, self.atoms, self.outer, self.inner))
 
     def dist(self, element: str) -> tuple[UtilityAtom, ...]:
         return self.atoms[self.elements.index(element)]
@@ -152,6 +162,19 @@ def known_elements(
     if extra:
         raise ValueError(f"{what} outside instance: {sorted(extra)}")
     return ids
+
+
+def restrict_instance(instance: Instance, subset: Iterable[str]) -> Instance:
+    """Restriction to `subset` with a free outer constraint."""
+    keep = known_elements(instance, subset, "restriction")
+    elements = [e for e in instance.elements if e in keep]
+    dists = {e: list(instance.dist(e)) for e in elements}
+    return make_instance(
+        elements,
+        dists,
+        FreeSystem(frozenset(elements)),
+        instance.inner.restrict(keep),
+    )
 
 
 def is_inner_feasible_outcome_set(

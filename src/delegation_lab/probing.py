@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, Caps
 from .instances import Instance, Outcome, check_scenario_cap, known_elements
-from .set_systems import max_weight_feasible
+from .set_systems import FreeSystem, max_weight_feasible
 
 # An (agent value, principal value) pair.
 ValuePair = tuple[Fraction, Fraction]
@@ -157,6 +157,33 @@ class ProbingGraph:
         )
         return AdaptiveValueReport(value, len(self))
 
+    @functools.cached_property
+    def full_probes(self) -> tuple[tuple[int, int, int], ...]:
+        """(weight, outcome mask, u) of every state that probed all elements:
+        one row per scenario when the outer constraint is free."""
+        everything = (1 << len(self.instance.elements)) - 1
+        return tuple(
+            (weight, mask, u)
+            for probed, weight, mask, u in zip(
+                self.probed, self.weights, self.masks, self.observed_values
+            )
+            if probed == everything
+        )
+
+    @functools.cached_property
+    def pair_masks(self) -> dict[tuple[str, Fraction], int]:
+        """The OR of the outcome bits of each (element, x) pair."""
+        masks: dict[tuple[str, Fraction], int] = {}
+        for outcome, bit in self.outcome_bits.items():
+            pair = (outcome.element, outcome.x)
+            masks[pair] = masks.get(pair, 0) | 1 << bit
+        return masks
+
+    @functools.cached_property
+    def outcome_x(self) -> tuple[int, ...]:
+        """Each outcome bit's x over `outcome_unit`, by bit."""
+        return tuple(int(o.x * self.outcome_unit) for o in self.outcome_bits)
+
     def element_set(self, probed: int) -> frozenset[str]:
         elements = self.instance.elements
         return frozenset(e for j, e in enumerate(elements) if probed >> j & 1)
@@ -168,12 +195,15 @@ def _too_many_states(state_cap: int) -> CapacityError:
     )
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     """Compile `instance`'s probing states; refuse a state beyond `state_cap`.
 
-    Memoized on the last (instance, state_cap), so every stop rule solved on
-    one instance shares one graph.
+    Memoized on the last two (instance, state_cap), so every stop rule solved
+    on one instance shares one graph, and an instance under an outer
+    constraint keeps its graph beside its free-outer one (`prophet`).  A free
+    outer constraint has exactly prod(k_e + 1) states, so past the cap it is
+    refused before any state is built.
     """
     elements = instance.elements
     denominators = [
@@ -209,7 +239,10 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
         return next_probes[probed]
 
     # Breadth first: every state is found before its successors.
-    if state_cap < 1:
+    if state_cap < 1 or (
+        isinstance(instance.outer, FreeSystem)
+        and math.prod(len(support) + 1 for support in instance.atoms) > state_cap
+    ):
         raise _too_many_states(state_cap)
     root_scale = math.prod(denominators)
     found = {0: 0}

@@ -11,6 +11,14 @@ in any order, stops on a set that is maximal among the B_A (the family is
 downward closed, so an outcome refused once stays refused), and presenting
 the elements of a maximal B_A first makes it stop exactly there.  So the
 adversary scores the lightest maximal B_A, and no ordering is enumerated.
+
+Everything is scored in integers on the compiled probing graph of the
+instance under a free outer constraint.  Its full-probe states are the
+scenarios, each with an integer weight and the bitmask of its realized
+outcomes (`ProbingGraph.full_probes`), and its `observed_values` at those
+states are the prophet's best feasible totals.  A family compiles once into
+one outcome mask per maximal set A, the OR of the bits of every outcome with
+an (element, x) pair in A; a scenario's B_A is then its mask AND A's mask.
 """
 
 from __future__ import annotations
@@ -25,17 +33,18 @@ from .errors import CapacityError, Caps, UnsupportedError
 from .instances import (
     Instance,
     check_scenario_cap,
-    enumerate_scenarios,
     realizable_inner_sets,
+    restrict_instance,
     scenario_count,
     x_values,
 )
+from .probing import ProbingGraph, probing_graph
 from .set_systems import (
     Antichain,
+    FreeSystem,
     SetSystem,
     _antichain,
     iter_feasible_sets,
-    max_weight_feasible,
 )
 
 OutcomePair = tuple[str, Fraction]
@@ -129,36 +138,14 @@ def threshold_family(instance: Instance, tau: Fraction) -> GreedyFamily:
     return greedy_family(members, instance.inner)
 
 
-def _worst_order_value(
-    family: GreedyFamily, realized: dict[str, Fraction]
-) -> Fraction:
-    """Forced-greedy value of one scenario under its worst element order.
+def scenario_table(instance: Instance, caps: Caps = Caps()) -> ProbingGraph:
+    """The free-outer probing graph of `instance`, whose full-probe states
+    are its scenarios (module docstring).
 
-    The smallest total over the maximal sets B_A of realized outcomes that
-    a maximal acceptable set A contains; 0 when the family is empty.
-    """
-    reached = (
-        frozenset(e for e, x in member if realized.get(e) == x)
-        for member in family.maximal
-    )
-    totals = (
-        sum((realized[e] for e in stop), Fraction(0)) for stop in _antichain(reached)
-    )
-    return min(totals, default=Fraction(0))
-
-
-# One scenario of the table: its probability and each element's value x_e.
-ScenarioValues = tuple[Fraction, dict[str, Fraction]]
-
-
-def scenario_table(
-    instance: Instance, caps: Caps = Caps()
-) -> tuple[list[ScenarioValues], Fraction]:
-    """Every scenario's values and the prophet value E[max feasible total].
-
-    Shared by every family scored on one instance.  `caps.orderings` bounds
-    |E|! x scenarios, the orderings the closed form covers; both caps are
-    checked before any scenario is built.
+    Shared, with its scenario rows, by every family scored on one instance.
+    `caps.orderings` bounds |E|! x scenarios, the orderings the closed form
+    covers; it and `caps.scenarios` are checked before the compile, which
+    `caps.dp_states` bounds.
     """
     check_scenario_cap(instance, caps)
     orderings = math.factorial(len(instance.elements)) * scenario_count(instance)
@@ -169,28 +156,54 @@ def scenario_table(
             caps.orderings,
             orderings,
         )
-    scenarios = enumerate_scenarios(instance, caps)
-    table = []
-    prophet = Fraction(0)
-    for realization, prob in scenarios:
-        realized = {
-            e: instance.dist(e)[realization[e]].x for e in instance.elements
-        }
-        table.append((prob, realized))
-        prophet += prob * max_weight_feasible(instance.inner, realized)[1]
-    return table, prophet
+    if not isinstance(instance.outer, FreeSystem):
+        instance = restrict_instance(instance, instance.elements)
+    return probing_graph(instance, caps.dp_states)
 
 
-def score_family(
-    family: GreedyFamily, table: list[ScenarioValues], prophet: Fraction
-) -> ProphetReport:
-    """Expected forced-greedy value of `family` under worst-case orderings."""
-    gambler = sum(
-        (prob * _worst_order_value(family, realized) for prob, realized in table),
-        Fraction(0),
-    )
-    ratio = gambler / prophet if prophet > 0 else Fraction(1)
-    return ProphetReport(gambler, prophet, ratio)
+def _mask_x(mask: int, outcome_x: tuple[int, ...]) -> int:
+    """The total x of the outcome bits in `mask`."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += outcome_x[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def score_family(family: GreedyFamily, graph: ProbingGraph) -> ProphetReport:
+    """Expected forced-greedy value of `family` under worst-case orderings.
+
+    `graph` is the `scenario_table`.  Each scenario scores its lightest
+    maximal B_A, in integers over the outcome unit times the root scale.
+    """
+    pair_masks, outcome_x = graph.pair_masks, graph.outcome_x
+    # distinct pairs own disjoint outcome bits, so their sum is their OR; an
+    # empty B_A is never maximal beside a nonempty one, and scores 0 alone
+    family_masks = {
+        sum(pair_masks.get(pair, 0) for pair in member) for member in family.maximal
+    }
+    totals: dict[int, int] = {}  # x of each B_A met so far
+    gambler = prophet = 0
+    for weight, observed, u in graph.full_probes:
+        prophet += weight * u
+        reached = {observed & mask for mask in family_masks}
+        reached.discard(0)
+        lightest = None
+        for stop in reached:
+            if any(stop != other and stop & other == stop for other in reached):
+                continue  # not maximal
+            if stop not in totals:
+                totals[stop] = _mask_x(stop, outcome_x)
+            if lightest is None or totals[stop] < lightest:
+                lightest = totals[stop]
+        if lightest is not None:
+            gambler += weight * lightest
+    denominator = graph.outcome_unit * graph.scales[0]
+    gambler_value = Fraction(gambler, denominator)
+    prophet_value = Fraction(prophet, denominator)
+    ratio = gambler_value / prophet_value if prophet > 0 else Fraction(1)
+    return ProphetReport(gambler_value, prophet_value, ratio)
 
 
 def evaluate_vs_almighty(
@@ -201,7 +214,7 @@ def evaluate_vs_almighty(
     Each scenario's worst order is scored in closed form (module docstring);
     `caps.orderings` still bounds |E|! x scenarios, the orderings it covers.
     """
-    return score_family(family, *scenario_table(instance, caps))
+    return score_family(family, scenario_table(instance, caps))
 
 
 def candidate_pair_sets(instance: Instance) -> list[frozenset[OutcomePair]]:
@@ -264,7 +277,7 @@ def best_greedy_family(
         if not closed:
             continue
         family = greedy_family(members, instance.inner)
-        report = score_family(family, *table)
+        report = score_family(family, table)
         if best is None or report.ratio > best[1].ratio:
             best = (family, report)
     assert best is not None  # the empty family is always enumerated

@@ -447,3 +447,15 @@ def test_readme_command_lines_parse():
         "prop-lottery-negative",
         "cor-half",
     }
+
+
+def test_constrained_outer_build_policy_compiles_each_graph_once(capsys):
+    # the instance's matroid-outer graph (best fixed set, then the policy's
+    # evaluation) and the free-outer graph of the set it restricts to
+    probing.probing_graph.cache_clear()
+    instance = str(ROOT / "tests" / "golden" / "matroid_outer.instance.json")
+    code, _, _ = run_cli(
+        capsys, "build-policy", "--instance", instance, "--method", "composed"
+    )
+    assert code == 0
+    assert probing.probing_graph.cache_info().misses == 2

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from delegation_lab import probing
 from delegation_lab.delegation import (
     ExplicitPolicy,
     Policy,
@@ -457,23 +459,40 @@ def test_threshold_cuts_share_one_scenario_table(monkeypatch):
                 best = (cut, family, report)
         return policy_from_greedy(best[1]), best[0], best[2]
 
-    prophet_module = importlib.import_module("delegation_lab.prophet")
-    original = prophet_module.enumerate_scenarios
-    calls = []
+    # count table requests, graph compiles and scenario-row builds, on a
+    # cold graph cache
+    delegation_module = importlib.import_module("delegation_lab.delegation")
+    original = delegation_module.scenario_table
+    requests = []
 
     def counted(*args):
-        calls.append(args)
+        requests.append(args)
         return original(*args)
 
+    descriptor = vars(probing.ProbingGraph)["full_probes"]
+    assert isinstance(descriptor, functools.cached_property)
+    builds = []
+
+    def counted_rows(graph):
+        builds.append(graph)
+        return descriptor.func(graph)
+
+    fresh = functools.cached_property(counted_rows)
+    fresh.__set_name__(probing.ProbingGraph, "full_probes")
+    monkeypatch.setattr(probing.ProbingGraph, "full_probes", fresh)
     rng = random.Random(71)
     for _ in range(40):
         inst = random_free_outer_instance(rng, max_elements=3)
         expected = literal_threshold_policy(inst)
-        monkeypatch.setattr(prophet_module, "enumerate_scenarios", counted)
-        calls.clear()
+        monkeypatch.setattr(delegation_module, "scenario_table", counted)
+        probing.probing_graph.cache_clear()
+        requests.clear()
+        builds.clear()
         assert build_threshold_policy(inst) == expected
-        assert len(calls) == 1
-        monkeypatch.setattr(prophet_module, "enumerate_scenarios", original)
+        assert len(requests) == 1
+        assert probing.probing_graph.cache_info().misses == 1
+        assert len(builds) == 1
+        monkeypatch.setattr(delegation_module, "scenario_table", original)
 
 
 def test_each_policy_is_compiled_once_per_evaluation(monkeypatch):

@@ -233,11 +233,15 @@ def test_policies_match_the_literal_dp(data, instance, mode):
         return outcome_totals(agent_best_response(instance, policy, outcomes, mode))
 
     graph = probing_graph(instance, Caps.dp_states)
-    stops = [stop_values(outcomes) for outcomes in graph.outcome_sets]
+    unit = graph.outcome_unit
+    stops = [
+        (int(agent * unit), int(principal * unit))
+        for agent, principal in map(stop_values, graph.outcome_sets)
+    ]
     root, distribution = _assert_same_dp(
         instance,
         stops,
-        1,
+        unit,
         lambda state: stop_values(outcomes_at(instance, state)),
         mode,
     )

@@ -3,6 +3,8 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from delegation_lab.instances import (
     make_instance,
     table1,
 )
+from delegation_lab.probing import optimal_adaptive_value
 from delegation_lab.prophet import (
     best_greedy_family,
     candidate_pair_sets,
@@ -29,12 +32,14 @@ from delegation_lab.random_instances import (
 )
 from delegation_lab.set_systems import (
     FreeSystem,
+    IntersectionSystem,
     PartitionSystem,
     UniformSystem,
     explicit_system,
 )
 
 from conftest import one_uniform_instance
+from literal_prophet import literal_vs_almighty
 
 
 def test_median_threshold_two_fair_coins():
@@ -195,6 +200,74 @@ def test_adversary_equals_the_literal_minimum_over_orderings():
     assert min(seen.values()) >= 20, seen
 
 
+def _mixed_instance(rng):
+    """1 to 4 elements with repeated x values, under a free, uniform or
+    partition outer constraint and a uniform, free, partition, explicit or
+    intersection inner constraint."""
+    elements = [f"e{i}" for i in range(1, rng.randint(1, 4) + 1)]
+    ground = frozenset(elements)
+    dists = {}
+    for e in elements:
+        weights = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        dists[e] = [
+            UtilityAtom(
+                Fraction(rng.randint(0, 6), rng.choice((1, 2, 3))),
+                Fraction(i),
+                Fraction(w, sum(weights)),
+            )
+            for i, w in enumerate(weights)
+        ]
+
+    def partition():
+        cut = rng.randint(0, len(elements))
+        halves = (frozenset(elements[:cut]), frozenset(elements[cut:]))
+        blocks = tuple(b for b in halves if b)
+        return PartitionSystem(ground, blocks, tuple(rng.randint(1, 2) for _ in blocks))
+
+    def explicit():
+        sets = [rng.sample(elements, rng.randint(0, len(elements))) for _ in range(3)]
+        return explicit_system(ground, sets)
+
+    outers = {
+        "free": lambda: FreeSystem(ground),
+        "uniform": lambda: UniformSystem(ground, rng.randint(1, 3)),
+        "partition": partition,
+    }
+    inners = {
+        "uniform": lambda: UniformSystem(ground, rng.randint(1, 3)),
+        "free": lambda: FreeSystem(ground),
+        "partition": partition,
+        "explicit": explicit,
+        "intersection": lambda: IntersectionSystem(
+            ground, (explicit(), UniformSystem(ground, rng.randint(1, 2)))
+        ),
+    }
+    outer_kind, inner_kind = rng.choice(list(outers)), rng.choice(list(inners))
+    instance = make_instance(elements, dists, outers[outer_kind](), inners[inner_kind]())
+    return instance, f"outer {outer_kind}", f"inner {inner_kind}"
+
+
+def test_integer_reports_equal_the_literal_fraction_reports():
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(300):
+        instance, outer_kind, inner_kind = _mixed_instance(rng)
+        candidates = candidate_pair_sets(instance)
+        seen[outer_kind] += 1
+        seen[inner_kind] += 1
+        adaptive = optimal_adaptive_value(instance).expected_value
+        for _ in range(3):
+            members = rng.sample(candidates, rng.randint(0, min(5, len(candidates))))
+            family = greedy_family(members, instance.inner)
+            seen["empty"] += not family.maximal
+            seen["multi"] += any(len(m) > 1 for m in family.maximal)
+            report = evaluate_vs_almighty(instance, family)
+            assert report == literal_vs_almighty(instance, family)
+            if outer_kind == "outer free":
+                assert report.prophet_value == adaptive
+    assert len(seen) == 10 and min(seen.values()) >= 30, seen
+
+
 def test_adversary_scores_only_maximal_reachable_sets():
     # members {(a,1),(b,1)} and {(a,1),(b,2)}: whichever b realizes, {a}
     # alone is reachable but not maximal, so greedy always takes b as well
@@ -292,7 +365,7 @@ def test_orderings_cap_refuses_before_enumerating_scenarios(monkeypatch):
     inst = _three_atom_instance(12, lambda ground: UniformSystem(ground, 1))
     family = threshold_family(inst, Fraction(1))
     prophet_module = importlib.import_module("delegation_lab.prophet")
-    monkeypatch.setattr(prophet_module, "enumerate_scenarios", _refuse)
+    monkeypatch.setattr(prophet_module, "probing_graph", _refuse)
     reached = math.factorial(12) * 3**12
     with pytest.raises(CapacityError) as err:
         evaluate_vs_almighty(inst, family)
@@ -306,6 +379,36 @@ def test_orderings_cap_refuses_before_enumerating_scenarios(monkeypatch):
     with pytest.raises(CapacityError) as err:
         evaluate_vs_almighty(inst, family, Caps(scenarios=3**12 - 1))
     assert err.value.cap == "scenarios"
+
+
+def test_free_graph_states_are_capped_before_the_compile(monkeypatch):
+    # 3 elements of 3 atoms: 27 scenarios and 3! x 27 orderings pass their
+    # caps, but the free-outer graph has 4^3 = 64 states
+    inst = _three_atom_instance(3, lambda ground: UniformSystem(ground, 1))
+    family = threshold_family(inst, Fraction(1))
+    caps = Caps(scenarios=27, orderings=6 * 27, dp_states=63)
+    assert evaluate_vs_almighty(inst, family, replace(caps, dp_states=64)) == (
+        evaluate_vs_almighty(inst, family)
+    )
+    # refused from the state count: not even the root's moves are asked for
+    monkeypatch.setattr(FreeSystem, "_feasible", _refuse)
+    constrained = replace(inst, outer=UniformSystem(inst.outer.ground, 1))
+    for instance in (inst, constrained):  # the latter's free-outer graph
+        with pytest.raises(CapacityError) as err:
+            evaluate_vs_almighty(instance, family, caps)
+        assert str(err.value) == "probing DP exceeded 63 states"
+        assert (err.value.cap, err.value.limit, err.value.reached) == (
+            "dp_states",
+            63,
+            64,
+        )
+    # the scenarios and orderings caps still refuse before any compile
+    prophet_module = importlib.import_module("delegation_lab.prophet")
+    monkeypatch.setattr(prophet_module, "probing_graph", _refuse)
+    for cap, tight in (("scenarios", 26), ("orderings", 6 * 27 - 1)):
+        with pytest.raises(CapacityError) as err:
+            evaluate_vs_almighty(constrained, family, replace(caps, **{cap: tight}))
+        assert (err.value.cap, err.value.limit) == (cap, tight)
 
 
 def test_family_cap_refuses_before_building_candidate_sets(monkeypatch):
