@@ -24,7 +24,6 @@ from .instances import (
     fraction_to_json,
     is_inner_feasible_outcome_set,
     outcome_set_from_json,
-    outcome_set_key,
     outcome_set_to_json,
     outcome_totals,
     realizable_inner_sets,
@@ -187,20 +186,16 @@ def policy_offers(graph: ProbingGraph, policy: Policy) -> tuple[list[Offer], int
 
     Every proposal (a nonempty inner-feasible subset of what was observed)
     is a graph state, the outer constraint being downward closed, so
-    `accepts` is asked once per such state.  Offers follow `outcome_set_key`,
-    `agent_best_response`'s candidate order, so every tie resolves as there.
+    `accepts` is asked once per `graph.proposals` row.  Offers keep its
+    `outcome_set_key` order, `agent_best_response`'s candidate order, so
+    every tie resolves as there.
     """
-    unit = graph.outcome_unit
-    accepted = []
-    for probed, feasible, mask, outcomes in zip(
-        graph.probed, graph.inner_feasible, graph.masks, graph.outcome_sets
-    ):
-        if probed and feasible and policy.accepts(outcomes):
-            y, x = outcome_totals(outcomes)
-            offer = [(mask, int(y * unit), int(x * unit))]
-            accepted.append((outcome_set_key(outcomes), offer))
-    accepted.sort(key=lambda a: a[0])
-    return [offer for _, offer in accepted], unit
+    offers = [
+        [(mask, y, x)]
+        for outcomes, mask, y, x in graph.proposals
+        if policy.accepts(outcomes)
+    ]
+    return offers, graph.outcome_unit
 
 
 def agent_probe_values(

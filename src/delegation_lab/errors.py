@@ -13,7 +13,6 @@ class Caps:
 
     scenarios: int = 10**6
     dp_states: int = 10**6
-    orderings: int = 10**6
     policy_sets: int = 20
     family_sets: int = 10**6
 

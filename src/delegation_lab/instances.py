@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -123,10 +124,7 @@ def x_values(instance: Instance, element: str) -> list[Fraction]:
 
 
 def scenario_count(instance: Instance) -> int:
-    count = 1
-    for support in instance.atoms:
-        count *= len(support)
-    return count
+    return math.prod(len(support) for support in instance.atoms)
 
 
 def check_scenario_cap(instance: Instance, caps: Caps) -> None:

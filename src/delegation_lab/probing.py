@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, Caps
-from .instances import Instance, Outcome, check_scenario_cap, known_elements
+from .instances import Instance, Outcome, known_elements, outcome_set_key, outcome_totals
 from .set_systems import FreeSystem, max_weight_feasible
 
 # An (agent value, principal value) pair.
@@ -103,12 +103,18 @@ class ProbingGraph:
         return len(self.moves)
 
     @functools.cached_property
-    def outcome_sets(self) -> tuple[frozenset[Outcome], ...]:
-        elements = self.instance.elements
-        return tuple(
-            frozenset(self.instance.outcome(elements[j], i) for j, i in observed)
-            for observed in self.observed
-        )
+    def proposals(self) -> tuple[tuple[frozenset[Outcome], int, int, int], ...]:
+        """(outcome set, mask, y, x) of each nonempty inner-feasible state, y
+        and x over `outcome_unit`, in `outcome_set_key` order (ties in graph
+        order): every proposal the agent can make (`policy_offers`)."""
+        outcome, elements = self.instance.outcome, self.instance.elements
+        unit, rows = self.outcome_unit, []
+        for s, observed in enumerate(self.observed):
+            if self.probed[s] and self.inner_feasible[s]:
+                outcomes = frozenset(outcome(elements[j], i) for j, i in observed)
+                y, x = outcome_totals(outcomes)
+                rows.append((outcomes, self.masks[s], int(y * unit), int(x * unit)))
+        return tuple(sorted(rows, key=lambda row: outcome_set_key(row[0])))
 
     @functools.cached_property
     def outcome_unit(self) -> int:
@@ -226,17 +232,14 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     for support in instance.atoms:
         radix.append(radix[-1] * (len(support) + 1))
 
-    next_probes: dict[int, list[int]] = {}
-
+    @functools.cache
     def feasible_next(probed: int) -> list[int]:
-        if probed not in next_probes:
-            ids = {e for j, e in enumerate(elements) if probed >> j & 1}
-            next_probes[probed] = [
-                j
-                for j, e in enumerate(elements)
-                if not probed >> j & 1 and instance.outer.is_feasible(ids | {e})
-            ]
-        return next_probes[probed]
+        ids = {e for j, e in enumerate(elements) if probed >> j & 1}
+        return [
+            j
+            for j, e in enumerate(elements)
+            if not probed >> j & 1 and instance.outer.is_feasible(ids | {e})
+        ]
 
     # Breadth first: every state is found before its successors.
     if state_cap < 1 or (
@@ -383,10 +386,8 @@ def best_nonadaptive_set(
     that probed exactly F, of weight times u: the `nonadaptive_value` of F
     over a denominator shared by every set.  Ties prefer larger sets
     (probing more never hurts), then the smallest sorted id tuple.  No
-    product support is built, but `caps.scenarios` is still checked first:
-    the CLI's adaptivity command refuses an instance past it.
+    product support is built: only `caps.dp_states` bounds the work.
     """
-    check_scenario_cap(instance, caps)
     graph = probing_graph(instance, caps.dp_states)
     scores: dict[int, int] = {}
     for probed, weight, u in zip(graph.probed, graph.weights, graph.observed_values):

@@ -23,6 +23,7 @@ an (element, x) pair in A; a scenario's B_A is then its mask AND A's mask.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ from .instances import (
     check_scenario_cap,
     realizable_inner_sets,
     restrict_instance,
-    scenario_count,
     x_values,
 )
 from .probing import ProbingGraph, probing_graph
@@ -138,26 +138,23 @@ def threshold_family(instance: Instance, tau: Fraction) -> GreedyFamily:
     return greedy_family(members, instance.inner)
 
 
+@functools.lru_cache(maxsize=2)
+def _free_outer(instance: Instance) -> Instance:
+    """`instance` under a free outer constraint, built once per instance."""
+    return restrict_instance(instance, instance.elements)
+
+
 def scenario_table(instance: Instance, caps: Caps = Caps()) -> ProbingGraph:
     """The free-outer probing graph of `instance`, whose full-probe states
     are its scenarios (module docstring).
 
     Shared, with its scenario rows, by every family scored on one instance.
-    `caps.orderings` bounds |E|! x scenarios, the orderings the closed form
-    covers; it and `caps.scenarios` are checked before the compile, which
-    `caps.dp_states` bounds.
+    `caps.scenarios` bounds those rows and is checked before the compile,
+    which `caps.dp_states` bounds.
     """
     check_scenario_cap(instance, caps)
-    orderings = math.factorial(len(instance.elements)) * scenario_count(instance)
-    if orderings > caps.orderings:
-        raise CapacityError(
-            f"orderings x scenarios = {orderings} exceeds cap {caps.orderings}",
-            "orderings",
-            caps.orderings,
-            orderings,
-        )
     if not isinstance(instance.outer, FreeSystem):
-        instance = restrict_instance(instance, instance.elements)
+        instance = _free_outer(instance)
     return probing_graph(instance, caps.dp_states)
 
 
@@ -211,8 +208,8 @@ def evaluate_vs_almighty(
 ) -> ProphetReport:
     """Expected forced-greedy value under worst-case per-scenario orderings.
 
-    Each scenario's worst order is scored in closed form (module docstring);
-    `caps.orderings` still bounds |E|! x scenarios, the orderings it covers.
+    Each scenario's worst order is scored in closed form (module docstring),
+    so no ordering is enumerated and no cap bounds one.
     """
     return score_family(family, scenario_table(instance, caps))
 
@@ -255,27 +252,17 @@ def best_greedy_family(
         )
     candidates = candidate_pair_sets(instance)
     index = {c: i for i, c in enumerate(candidates)}
-    proper_subsets: list[list[int]] = []
-    for c in candidates:
-        subs = []
-        items = sorted(c)
-        for r in range(1, len(items)):
-            for combo in itertools.combinations(items, r):
-                subs.append(index[frozenset(combo)])
-        proper_subsets.append(subs)
+    # a family is downward closed iff it holds each member less any one pair
+    below = [
+        sum(1 << index[c - {pair}] for pair in c if len(c) > 1) for c in candidates
+    ]
 
     table = scenario_table(instance, caps)
     best: tuple[GreedyFamily, ProphetReport] | None = None
     for mask in range(2 ** len(candidates)):
-        members = [c for i, c in enumerate(candidates) if mask >> i & 1]
-        closed = all(
-            mask >> j & 1
-            for i, c in enumerate(candidates)
-            if mask >> i & 1
-            for j in proper_subsets[i]
-        )
-        if not closed:
+        if any(mask >> i & 1 and mask & sub != sub for i, sub in enumerate(below)):
             continue
+        members = [c for i, c in enumerate(candidates) if mask >> i & 1]
         family = greedy_family(members, instance.inner)
         report = score_family(family, table)
         if best is None or report.ratio > best[1].ratio:

@@ -8,8 +8,10 @@ zero.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
+from typing import Callable
 
 from .instances import Instance, UtilityAtom, make_instance
 from .prophet import GreedyFamily, candidate_pair_sets, greedy_family
@@ -39,9 +41,24 @@ def _support(
     ]
 
 
-def _elements(rng: random.Random, max_elements: int, min_elements: int) -> list[str]:
+def _draw(
+    rng: random.Random,
+    min_elements: int,
+    max_elements: int,
+    max_support: int,
+    max_value: int,
+    outer: Callable[[random.Random, list[str]], SetSystem],
+) -> Instance:
+    """Elements, their supports, then `outer(rng, elements)`; 1-uniform inner."""
     n = rng.randint(min_elements, max_elements)
-    return [f"e{i}" for i in range(1, n + 1)]
+    elements = [f"e{i}" for i in range(1, n + 1)]
+    dists = {
+        e: _support(rng, rng.randint(1, max_support), max_value, True)
+        for e in elements
+    }
+    return make_instance(
+        elements, dists, outer(rng, elements), UniformSystem(frozenset(elements), 1)
+    )
 
 
 def random_free_outer_instance(
@@ -49,18 +66,10 @@ def random_free_outer_instance(
     max_elements: int = 4,
     max_support: int = 3,
     max_value: int = 10,
-    positive_y: bool = True,
 ) -> Instance:
     """1-uniform inner constraint, no outer constraint."""
-    elements = _elements(rng, max_elements, 1)
-    ground = frozenset(elements)
-    dists = {
-        e: _support(rng, rng.randint(1, max_support), max_value, positive_y)
-        for e in elements
-    }
-    return make_instance(
-        elements, dists, FreeSystem(ground), UniformSystem(ground, 1)
-    )
+    free = lambda rng, elements: FreeSystem(frozenset(elements))
+    return _draw(rng, 1, max_elements, max_support, max_value, free)
 
 
 def _random_partition(rng: random.Random, elements: list[str]) -> PartitionSystem:
@@ -77,6 +86,12 @@ def _random_partition(rng: random.Random, elements: list[str]) -> PartitionSyste
     return PartitionSystem(frozenset(elements), tuple(blocks), caps)
 
 
+def _random_matroid(rng: random.Random, elements: list[str]) -> SetSystem:
+    if rng.random() < 0.5:
+        return UniformSystem(frozenset(elements), rng.randint(1, len(elements)))
+    return _random_partition(rng, elements)
+
+
 def random_partition_outer_instance(
     rng: random.Random,
     max_elements: int = 4,
@@ -84,15 +99,7 @@ def random_partition_outer_instance(
     max_value: int = 10,
 ) -> Instance:
     """Partition-matroid outer constraint (at most 3 blocks), 1-uniform inner."""
-    elements = _elements(rng, max_elements, 2)
-    ground = frozenset(elements)
-    dists = {
-        e: _support(rng, rng.randint(1, max_support), max_value, True)
-        for e in elements
-    }
-    return make_instance(
-        elements, dists, _random_partition(rng, elements), UniformSystem(ground, 1)
-    )
+    return _draw(rng, 2, max_elements, max_support, max_value, _random_partition)
 
 
 def random_matroid_outer_instance(
@@ -102,23 +109,16 @@ def random_matroid_outer_instance(
     max_value: int = 10,
 ) -> Instance:
     """Uniform or partition matroid outer constraint, 1-uniform inner."""
-    elements = _elements(rng, max_elements, 2)
-    ground = frozenset(elements)
-    dists = {
-        e: _support(rng, rng.randint(1, max_support), max_value, True)
-        for e in elements
-    }
-    outer: SetSystem
-    if rng.random() < 0.5:
-        outer = UniformSystem(ground, rng.randint(1, len(elements)))
-    else:
-        outer = _random_partition(rng, elements)
-    return make_instance(elements, dists, outer, UniformSystem(ground, 1))
+    return _draw(rng, 2, max_elements, max_support, max_value, _random_matroid)
+
+
+# consecutive draws on one instance share its candidate sets
+_candidates = functools.lru_cache(maxsize=1)(candidate_pair_sets)
 
 
 def random_greedy_family(rng: random.Random, instance: Instance) -> GreedyFamily:
     """Downward closure of a random sample of feasible realizable outcome sets."""
-    candidates = candidate_pair_sets(instance)
+    candidates = _candidates(instance)
     if not candidates:
         return greedy_family([], instance.inner)
     count = rng.randint(0, len(candidates))

@@ -7,7 +7,10 @@ exactly as stated next to them.
 """
 
 import functools
+import hashlib
+import importlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -159,6 +162,28 @@ def test_criterion_4_policy_dominates_gambler(half_policy_suite):
             assert value >= gambler, instance_to_json(inst)
             checked += 1
     return f"{checked} (instance, family) pairs"
+
+
+def test_criterion_4_draws_the_same_families(half_policy_suite):
+    # the candidate sets are built once per instance, not once per draw, and
+    # every family drawn is the same: sha256 over each family's sorted
+    # maximal sets as [element, x numerator, x denominator] triples
+    candidates = importlib.import_module("delegation_lab.random_instances")._candidates
+    candidates.cache_clear()
+    family_rng = random.Random(FAMILY_SEED)
+    digest = hashlib.sha256()
+    for inst in half_policy_suite:
+        for _ in range(20):
+            family = random_greedy_family(family_rng, inst)
+            members = sorted(
+                sorted((e, x.numerator, x.denominator) for e, x in member)
+                for member in family.maximal
+            )
+            digest.update(json.dumps(members).encode())
+    assert candidates.cache_info().misses == len(half_policy_suite)
+    assert digest.hexdigest() == (
+        "19d766ad1aba6caf0ad60c55a8a55a6f02116b64a7e863914c1492b26ae27806"
+    )
 
 
 @criterion(5, "outer composition keeps its factor")

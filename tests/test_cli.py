@@ -248,6 +248,84 @@ def test_removed_outer_sets_cap_is_unknown(monkeypatch, capsys):
     assert "unknown cap 'outer_sets'" in err
 
 
+def test_removed_orderings_cap_is_unknown(capsys):
+    code, out, err = run_cli(
+        capsys, "prophet-check", "--builtin", "coins2", "--caps", "orderings=1"
+    )
+    assert (code, out) == (2, "")
+    assert (
+        "unknown cap 'orderings'; valid: "
+        "['dp_states', 'family_sets', 'policy_sets', 'scenarios']"
+    ) in err
+
+
+def test_adaptivity_builds_no_scenario(capsys):
+    code, out, _ = run_cli(
+        capsys, "adaptivity", "--builtin", "coins2", "--caps", "scenarios=1"
+    )
+    assert code == 0
+    assert json.loads(out)["dp_state_count"] == 9
+
+
+def _write_instance(path, supports, outer):
+    """Elements e0, e1, ... with equally likely (x, y) atoms, 1-uniform inner."""
+    elements = [
+        {
+            "id": f"e{i}",
+            "support": [
+                {"x": [x, 1], "y": [y, 1], "p": [1, len(atoms)]} for x, y in atoms
+            ],
+        }
+        for i, atoms in enumerate(supports)
+    ]
+    obj = {"elements": elements, "outer": outer, "inner": {"kind": "uniform", "k": 1}}
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, supports, outer, value",
+    [
+        # 10! orderings of one scenario
+        (
+            ["prophet-check"],
+            [[(i + 1, 2 * i + 1)] for i in range(10)],
+            {"kind": "free"},
+            ("gambler_value", 10, 1),
+        ),
+        # 9! x 2^9 orderings, 3^9 free-outer states
+        (
+            ["prophet-check"],
+            [[(i % 3, 1), (i + 2, i + 1)] for i in range(9)],
+            {"kind": "free"},
+            ("gambler_value", 7, 1),
+        ),
+        (
+            ["build-policy", "--method", "threshold"],
+            [[(i % 3, 1), (i + 2, i + 1)] for i in range(9)],
+            {"kind": "free"},
+            ("gambler_value", 15, 2),
+        ),
+        # 2^20 scenarios, 41 probing states
+        (
+            ["adaptivity"],
+            [[(i % 4, 1), (i + 3, 2)] for i in range(20)],
+            {"kind": "uniform", "k": 1},
+            ("nonadaptive_value", 25, 2),
+        ),
+    ],
+)
+def test_no_cap_refuses_what_is_not_built(
+    argv, supports, outer, value, tmp_path, capsys
+):
+    path = _write_instance(tmp_path / "instance.json", supports, outer)
+    code, out, _ = run_cli(capsys, *argv, "--instance", path)
+    assert code == 0
+    key, num, den = value
+    report = json.loads(out)
+    assert (report[key]["num"], report[key]["den"]) == (num, den)
+
+
 def test_readme_lists_exactly_the_caps():
     readme = (ROOT / "README.md").read_text()
     listed = re.search(r"Capacity caps \((.*?)\)", readme, re.DOTALL)
@@ -300,7 +378,6 @@ def test_lottery_positive_epsilon_is_at_most_one_half(capsys):
             "scenario count 4 exceeds cap 1",
         ),
         (["reproduce", "cor-half", "--count", "3"], "exceeds cap 1"),
-        (["adaptivity", "--builtin", "coins2"], "scenario count 4 exceeds cap 1"),
     ],
 )
 def test_scenario_cap_is_honoured(argv, message, capsys):

@@ -2,6 +2,7 @@ import functools
 import importlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -540,3 +541,27 @@ def test_each_policy_is_compiled_once_per_evaluation(monkeypatch):
     assert sorted(asked, key=outcome_set_key) == sorted(expected, key=outcome_set_key)
     # the agent probes until it sees y = 2, then proposes that single
     assert evaluation.agent_value == Fraction(15, 8)
+
+
+def test_a_second_evaluation_computes_no_outcome_totals_or_keys(monkeypatch):
+    # the proposal table is built once per graph; a later policy on the same
+    # instance only filters it
+    atoms = [UtilityAtom(Fraction(k), Fraction(k + 1), Fraction(1, 3)) for k in range(3)]
+    ground = frozenset("ab")
+    inst = make_instance(
+        ["a", "b"], {"a": atoms, "b": atoms}, FreeSystem(ground), FreeSystem(ground)
+    )
+    first = evaluate_policy(inst, ThresholdPolicy(Fraction(1)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("outcome totals or keys computed again")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("delegation_lab"):
+            for helper in ("outcome_totals", "outcome_set_key"):
+                if hasattr(module, helper):
+                    monkeypatch.setattr(module, helper, refuse)
+    monkeypatch.setattr(Outcome, "key", refuse)
+    second = evaluate_policy(inst, ThresholdPolicy(Fraction(2)))
+    assert second.principal_value < first.principal_value
+    assert evaluate_policy(inst, ThresholdPolicy(Fraction(1))) == first

@@ -25,11 +25,7 @@ from delegation_lab.lottery import (
 )
 from delegation_lab.oracle import enumerate_policies, exact_delegation_gap
 from delegation_lab.probing import best_nonadaptive_set, optimal_adaptive_value
-from delegation_lab.prophet import (
-    best_greedy_family,
-    evaluate_vs_almighty,
-    threshold_family,
-)
+from delegation_lab.prophet import best_greedy_family
 
 HALF = Fraction(1, 2)
 
@@ -43,8 +39,6 @@ HALF = Fraction(1, 2)
          "inner-feasible outcome sets exceed cap 2 (count reached 3)"),
         (lambda: optimal_adaptive_value(table1(HALF), Caps(dp_states=2)), "dp_states", 2, 3,
          "probing DP exceeded 2 states"),
-        (lambda: evaluate_vs_almighty(coins2(), threshold_family(coins2(), 1), Caps(orderings=7)),
-         "orderings", 7, 8, "orderings x scenarios = 8 exceeds cap 7"),
         (lambda: best_greedy_family(coins2(), Caps(family_sets=8)), "family_sets", 8, 9,
          "candidate family lattice 2^4 exceeds cap 8"),
     ],
@@ -74,28 +68,18 @@ def _composed(caps):
 
 
 # Each entry point that takes `caps`, with every cap it checks or forwards
-# and the count it needs: coins2 has 4 scenarios, 9 probing states, 2! x 4
-# orderings and a 2^4 family lattice; table1(1/2) has 6 probing states and
-# 3 policy candidate sets.  Rows are keyed by a fixed number, which names
+# and the count it needs: coins2 has 4 scenarios, 9 probing states and a
+# 2^4 family lattice; table1(1/2) has 6 probing states and 3 policy
+# candidate sets.  Rows are keyed by a fixed number, which names
 # the test case, so removing a row renames no other case.
 FORWARDING = {
     0: (lambda caps: enumerate_scenarios(coins2(), caps), "scenarios", 4),
     1: (lambda caps: optimal_adaptive_value(coins2(), caps), "dp_states", 9),
-    2: (lambda caps: best_nonadaptive_set(coins2(), caps), "scenarios", 4),
     3: (lambda caps: best_nonadaptive_set(coins2(), caps), "dp_states", 9),
     5: (_composed, "scenarios", 4),
     6: (_composed, "dp_states", 9),
     8: (lambda caps: build_threshold_policy(coins2(), caps), "scenarios", 4),
-    9: (lambda caps: build_threshold_policy(coins2(), caps), "orderings", 8),
-    10: (
-        lambda caps: evaluate_vs_almighty(
-            coins2(), threshold_family(coins2(), Fraction(1)), caps
-        ),
-        "orderings",
-        8,
-    ),
     11: (lambda caps: best_greedy_family(coins2(), caps), "scenarios", 4),
-    12: (lambda caps: best_greedy_family(coins2(), caps), "orderings", 8),
     13: (lambda caps: best_greedy_family(coins2(), caps), "family_sets", 16),
     14: (
         lambda caps: evaluate_policy(coins2(), ThresholdPolicy(Fraction(1)), MODE, caps),

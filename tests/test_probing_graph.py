@@ -62,6 +62,18 @@ from delegation_lab.set_systems import (
 from literal_probing import literal_distribution, literal_solve, outcomes_at
 
 MODES = list(TieBreak)
+
+
+def state_outcomes(graph):
+    """Each state's observed outcome set, read from `graph.observed`."""
+    elements = graph.instance.elements
+    return [
+        outcomes_at(
+            graph.instance,
+            ([elements[j] for j, _ in observed], [i for _, i in observed]),
+        )
+        for observed in graph.observed
+    ]
 VALUES = st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 2, 3]))
 
 
@@ -224,6 +236,26 @@ def test_graph_u_matches_the_max_weight_search(data, base):
         assert Fraction(u, graph.outcome_unit) == _observed_value(instance, pairs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data(), instances())
+def test_proposals_are_the_realizable_inner_sets(data, base):
+    # free outer: every nonempty inner-feasible outcome set is a state; the
+    # elements are reordered, so graph order is not outcome-key order
+    ids = data.draw(st.permutations(base.elements))
+    instance = make_instance(
+        ids,
+        dict(zip(base.elements, base.atoms)),
+        FreeSystem(frozenset(ids)),
+        data.draw(inner_systems(ids)),
+    )
+    graph = probing_graph(instance, Caps.dp_states)
+    assert [s for s, *_ in graph.proposals] == realizable_inner_sets(instance)
+    unit = graph.outcome_unit
+    for outcomes, mask, y, x in graph.proposals:
+        assert mask == sum(1 << graph.outcome_bits[o] for o in outcomes)
+        assert (Fraction(y, unit), Fraction(x, unit)) == outcome_totals(outcomes)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data(), instances(), st.sampled_from(MODES))
 def test_policies_match_the_literal_dp(data, instance, mode):
@@ -236,7 +268,7 @@ def test_policies_match_the_literal_dp(data, instance, mode):
     unit = graph.outcome_unit
     stops = [
         (int(agent * unit), int(principal * unit))
-        for agent, principal in map(stop_values, graph.outcome_sets)
+        for agent, principal in map(stop_values, state_outcomes(graph))
     ]
     root, distribution = _assert_same_dp(
         instance,
@@ -250,7 +282,7 @@ def test_policies_match_the_literal_dp(data, instance, mode):
     for walk_mode in MODES:
         walked = (
             agent_best_response(instance, policy, outcomes, walk_mode)
-            for outcomes in graph.outcome_sets
+            for outcomes in state_outcomes(graph)
         )
         assert offer_stop_values(graph, offers, walk_mode) == [
             (agent * unit, principal * unit)
@@ -285,7 +317,7 @@ def test_compiled_menu_stop_value_is_the_agents_choice(data, instance, mode):
     graph = probing_graph(instance, Caps.dp_states)
     offers, unit = menu_offers(graph, menu)
     stops = offer_stop_values(graph, offers, mode)
-    for outcomes, (agent, principal) in zip(graph.outcome_sets, stops):
+    for outcomes, (agent, principal) in zip(state_outcomes(graph), stops):
         chosen = agent_lottery_choice(menu, outcomes, mode)[1]
         assert (Fraction(agent, unit), Fraction(principal, unit)) == chosen
 

@@ -1,6 +1,5 @@
 import importlib
 import itertools
-import math
 import random
 import time
 from collections import Counter
@@ -288,13 +287,6 @@ def test_adversary_scores_only_maximal_reachable_sets():
     assert literal_gambler_value(free, family) == Fraction(5, 2)
 
 
-def test_ordering_cap():
-    inst = coins2()
-    family = threshold_family(inst, Fraction(1))
-    with pytest.raises(CapacityError, match="orderings"):
-        evaluate_vs_almighty(inst, family, Caps(orderings=7))
-
-
 def test_symmetric_scenarios_give_symmetric_gambler_values():
     inst = coins2()
     family = threshold_family(inst, Fraction(1))
@@ -361,19 +353,19 @@ def _refuse(*args, **kwargs):
 
 
 def test_orderings_cap_refuses_before_enumerating_scenarios(monkeypatch):
-    # 3^12 scenarios are within the scenarios cap; 12! times that is not
+    # No cap bounds orderings, which the closed form never enumerates.  3^12
+    # scenarios are within the scenarios cap; the 4^12 states of the
+    # free-outer graph are not, and are refused before any move is asked for
     inst = _three_atom_instance(12, lambda ground: UniformSystem(ground, 1))
     family = threshold_family(inst, Fraction(1))
-    prophet_module = importlib.import_module("delegation_lab.prophet")
-    monkeypatch.setattr(prophet_module, "probing_graph", _refuse)
-    reached = math.factorial(12) * 3**12
+    monkeypatch.setattr(FreeSystem, "_feasible", _refuse)
     with pytest.raises(CapacityError) as err:
         evaluate_vs_almighty(inst, family)
-    assert str(err.value) == f"orderings x scenarios = {reached} exceeds cap {10**6}"
+    assert str(err.value) == f"probing DP exceeded {10**6} states"
     assert (err.value.cap, err.value.limit, err.value.reached) == (
-        "orderings",
+        "dp_states",
         10**6,
-        reached,
+        10**6 + 1,
     )
     # the scenarios cap is still checked first
     with pytest.raises(CapacityError) as err:
@@ -382,11 +374,11 @@ def test_orderings_cap_refuses_before_enumerating_scenarios(monkeypatch):
 
 
 def test_free_graph_states_are_capped_before_the_compile(monkeypatch):
-    # 3 elements of 3 atoms: 27 scenarios and 3! x 27 orderings pass their
-    # caps, but the free-outer graph has 4^3 = 64 states
+    # 3 elements of 3 atoms: 27 scenarios pass their cap, but the free-outer
+    # graph has 4^3 = 64 states
     inst = _three_atom_instance(3, lambda ground: UniformSystem(ground, 1))
     family = threshold_family(inst, Fraction(1))
-    caps = Caps(scenarios=27, orderings=6 * 27, dp_states=63)
+    caps = Caps(scenarios=27, dp_states=63)
     assert evaluate_vs_almighty(inst, family, replace(caps, dp_states=64)) == (
         evaluate_vs_almighty(inst, family)
     )
@@ -402,13 +394,91 @@ def test_free_graph_states_are_capped_before_the_compile(monkeypatch):
             63,
             64,
         )
-    # the scenarios and orderings caps still refuse before any compile
+    # the scenarios cap still refuses before any compile
     prophet_module = importlib.import_module("delegation_lab.prophet")
     monkeypatch.setattr(prophet_module, "probing_graph", _refuse)
-    for cap, tight in (("scenarios", 26), ("orderings", 6 * 27 - 1)):
-        with pytest.raises(CapacityError) as err:
-            evaluate_vs_almighty(constrained, family, replace(caps, **{cap: tight}))
-        assert (err.value.cap, err.value.limit) == (cap, tight)
+    with pytest.raises(CapacityError) as err:
+        evaluate_vs_almighty(constrained, family, replace(caps, scenarios=26))
+    assert (err.value.cap, err.value.limit) == ("scenarios", 26)
+
+
+def test_a_constrained_outer_is_restricted_once_per_instance(monkeypatch):
+    # one partition-outer instance scored against 10 families
+    prophet_module = importlib.import_module("delegation_lab.prophet")
+    original = prophet_module.restrict_instance
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(prophet_module, "restrict_instance", counted)
+    ids = ["p1", "p2", "p3"]
+    atoms = [UtilityAtom(Fraction(k), Fraction(k + 1), Fraction(1, 2)) for k in (1, 4)]
+    ground = frozenset(ids)
+    outer = PartitionSystem(ground, (frozenset(ids[:2]), frozenset(ids[2:])), (1, 1))
+    inst = make_instance(
+        ids, {e: atoms for e in ids}, outer, UniformSystem(ground, 1)
+    )
+    rng = random.Random(5)
+    reports = [
+        evaluate_vs_almighty(inst, random_greedy_family(rng, inst)) for _ in range(10)
+    ]
+    assert len(calls) == 1
+    free = replace(inst, outer=FreeSystem(ground))
+    rng = random.Random(5)
+    assert reports == [
+        evaluate_vs_almighty(free, random_greedy_family(rng, free)) for _ in range(10)
+    ]
+
+
+def test_best_family_scores_exactly_the_downward_closed_families(monkeypatch):
+    # the lattice search against a literal one, which keeps a subset of the
+    # candidates only when it holds every proper subset of every member
+    prophet_module = importlib.import_module("delegation_lab.prophet")
+    original = prophet_module.score_family
+    scored = []
+
+    def counted(family, table):
+        scored.append(family)
+        return original(family, table)
+
+    monkeypatch.setattr(prophet_module, "score_family", counted)
+    rng = random.Random(31)
+    for _ in range(20):
+        ids = [f"e{i}" for i in range(rng.randint(2, 3))]
+        ground = frozenset(ids)
+        dists = {
+            e: [
+                UtilityAtom(Fraction(rng.randint(0, 3)), Fraction(1), Fraction(1, m))
+                for _ in range(m)
+            ]
+            for e, m in ((e, rng.randint(1, 2)) for e in ids)
+        }
+        inner = rng.choice([FreeSystem(ground), UniformSystem(ground, 2)])
+        inst = make_instance(ids, dists, FreeSystem(ground), inner)
+        candidates = candidate_pair_sets(inst)
+        if len(candidates) > 10:
+            continue
+        literal = None
+        closed = 0
+        for mask in range(2 ** len(candidates)):
+            members = {c for i, c in enumerate(candidates) if mask >> i & 1}
+            if any(
+                frozenset(sub) not in members
+                for c in members
+                for r in range(1, len(c))
+                for sub in itertools.combinations(c, r)
+            ):
+                continue
+            closed += 1
+            family = greedy_family(members, inst.inner)
+            report = literal_vs_almighty(inst, family)
+            if literal is None or report.ratio > literal[1].ratio:
+                literal = (family, report)
+        scored.clear()
+        assert best_greedy_family(inst) == literal
+        assert len(scored) == closed
 
 
 def test_family_cap_refuses_before_building_candidate_sets(monkeypatch):

@@ -1,0 +1,71 @@
+"""The library's source contract: stdlib only, and nothing floated.
+
+Every number the library computes is an exact rational; the one float is
+the six-place `approx` rendering of a reported rational.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "delegation_lab"
+MODULES = sorted(SOURCE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_the_library_has_modules_to_check():
+    assert {p.stem for p in MODULES} >= {"cli", "instances", "probing", "prophet"}
+
+
+def test_every_import_is_relative_or_stdlib():
+    outside = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    outside.append((path.name, node.lineno, name))
+    assert outside == []
+
+
+def _float_calls(tree):
+    """(enclosing function, whether six-place formatted) per float(...) call."""
+    calls = []
+
+    def visit(node, function, formatted):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            calls.append((function, formatted))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.FormattedValue):
+            spec = node.format_spec
+            six_places = (
+                isinstance(spec, ast.JoinedStr)
+                and [getattr(v, "value", None) for v in spec.values] == [".6f"]
+            )
+            visit(node.value, function, six_places)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, formatted)
+
+    visit(tree, None, False)
+    return calls
+
+
+def test_the_only_float_is_the_six_place_rendering():
+    found = {
+        path.stem: calls for path in MODULES if (calls := _float_calls(_tree(path)))
+    }
+    assert found == {"cli": [("_rational", True)]}
