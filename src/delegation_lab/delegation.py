@@ -156,29 +156,42 @@ def agent_best_response(
     return best
 
 
-def offer_stop_values(
-    graph: ProbingGraph, offers: Sequence[Offer], mode: TieBreak
-) -> list[tuple[int, int]]:
-    """The agent's best offer's (agent, principal) values at every state.
-
-    An atom pays when its mask lies within the observed mask.  Offers
-    compete after the empty proposal, worth (0, 0), and win only when
-    `prefer` says so, so remaining ties go to the earliest.
-    """
-    stops = []
-    for observed in graph.masks:
-        best = (0, 0)
-        for atoms in offers:
+def scan_offers(graph: ProbingGraph, offers: Sequence[Offer]) -> list[list[tuple[int, int]]]:
+    """Each offer's (agent, principal) values at every state, one row per
+    offer.  An atom pays when its mask lies within the observed mask."""
+    rows = []
+    for atoms in offers:
+        row = []
+        for observed in graph.masks:
             agent = principal = 0
             for mask, y, x in atoms:
                 if mask & observed == mask:
                     agent += y
                     principal += x
-            pair = (agent, principal)
-            if prefer(pair, best, mode):
-                best = pair
-        stops.append(best)
+            row.append((agent, principal))
+        rows.append(row)
+    return rows
+
+
+def fold_offers(
+    graph: ProbingGraph, rows: Sequence[Sequence[tuple[int, int]]], mode: TieBreak
+) -> list[tuple[int, int]]:
+    """The best of `scan_offers` rows at every state.  Offers compete after
+    the empty proposal, worth (0, 0), and win only when `prefer` says so, so
+    remaining ties go to the earliest row."""
+    stops = [(0, 0)] * len(graph)
+    for row in rows:
+        stops = [pair if prefer(pair, best, mode) else best for pair, best in zip(row, stops)]
     return stops
+
+
+def offer_stop_values(
+    graph: ProbingGraph, offers: Sequence[Offer], mode: TieBreak
+) -> list[tuple[int, int]]:
+    """The agent's best offer's (agent, principal) values at every state:
+    the fold of the scan, the one stop-value path of policies, menus and the
+    two-lottery search."""
+    return fold_offers(graph, scan_offers(graph, offers), mode)
 
 
 def policy_offers(graph: ProbingGraph, policy: Policy) -> tuple[list[Offer], int]:

@@ -24,8 +24,8 @@ from .instances import (
     outcome_set_to_json,
     outcome_totals,
 )
-from .delegation import Offer, PolicyEvaluation, TieBreak, agent_probe_values
-from .probing import ProbingGraph, ValuePair, prefer, probing_graph
+from .delegation import Offer, PolicyEvaluation, agent_probe_values, fold_offers, scan_offers
+from .probing import ProbingGraph, TieBreak, ValuePair, prefer, probing_graph, probing_pass
 from .prophet import _is_one_uniform
 
 LotteryAtom = tuple[frozenset[Outcome], Fraction]
@@ -133,7 +133,6 @@ def menu_offers(graph: ProbingGraph, menu: LotteryMenu) -> tuple[list[Offer], in
     inner-infeasible element set raises `check_outcome_set`'s ValueError.
     """
     instance = graph.instance
-    outcome_unit = graph.outcome_unit
     p_unit = math.lcm(*(p.denominator for l in menu.lotteries for _, p in l.atoms))
     offers = []
     for l in menu.lotteries:
@@ -148,15 +147,12 @@ def menu_offers(graph: ProbingGraph, menu: LotteryMenu) -> tuple[list[Offer], in
                 or not instance.inner.is_feasible(elements)
             ):
                 check_outcome_set(instance, outcome_set, "lottery support")
-            mask = y = x = 0
-            for o, bit in zip(outcome_set, bits):
-                mask |= 1 << bit
-                y += o.y.numerator * (outcome_unit // o.y.denominator)
-                x += o.x.numerator * (outcome_unit // o.x.denominator)
+            mask = sum(1 << bit for bit in bits)
+            y, x = graph.mask_values(mask)
             weight = p.numerator * (p_unit // p.denominator)
             atoms.append((mask, weight * y, weight * x))
         offers.append(atoms)
-    return offers, outcome_unit * p_unit
+    return offers, graph.outcome_unit * p_unit
 
 
 def evaluate_lottery_menu(
@@ -197,7 +193,10 @@ def search_two_lottery_menus(
     high outcome with the deterministic outcome; mixture weights run over
     the grid.  Grid points whose two lotteries would share a support are
     skipped unless they coincide, in which case the menu collapses to one
-    lottery.
+    lottery.  One compile per search: each grid lottery is one integer offer
+    over `outcome_unit` * n (n = 1 / grid) scanned at every state once; a
+    menu is the fold of its rows and one `probing_pass`, compared by its
+    root principal integer.  Only the first best menu is built and evaluated.
     """
     if len(instance.elements) != 2:
         raise UnsupportedError("two-lottery search needs exactly two elements")
@@ -220,26 +219,37 @@ def search_two_lottery_menus(
     anchor = Outcome(certain, certain_atom.x, certain_atom.y)
 
     points = _grid_points(grid)
-    best: tuple[LotteryMenu, PolicyEvaluation] | None = None
-    high_lotteries = []
-    for b in points:
-        lot_b = lottery([({anchor}, b), ({high}, 1 - b)])
-        high_lotteries.append((lot_b, lot_b.key()))
-    for a in points:
-        lot_a = lottery([({anchor}, a), ({low}, 1 - a)])
-        key_a = lot_a.key()
-        for lot_b, key_b in high_lotteries:
-            if key_a == key_b:
-                menu = LotteryMenu((lot_a,))
-            elif lot_a.support() == lot_b.support():
+    n = len(points) - 1
+    graph = probing_graph(instance, caps.dp_states)
+    bits, table = graph.outcome_bits, graph.outcome_values
+    # A_i at i, B_j at n + 1 + j: i / n on the anchor, the rest on low or high,
+    # as (bit, weight) atoms less zero weights; equal sets mean equal keys
+    atom_sets = [
+        frozenset((bits[o], w) for o, w in ((anchor, i), (other, n - i)) if w)
+        for other in (low, high)
+        for i in range(n + 1)
+    ]
+    supports = [{bit for bit, _ in atoms} for atoms in atom_sets]
+    offers = [[(1 << b, w * table[b][0], w * table[b][1]) for b, w in a] for a in atom_sets]
+    rows = scan_offers(graph, offers)
+    best: tuple[int, int, int] | None = None
+    for i in range(n + 1):
+        for j in range(n + 1, 2 * n + 2):
+            if atom_sets[i] == atom_sets[j]:
+                menu_rows = [rows[i]]
+            elif supports[i] == supports[j]:
                 continue
             else:
-                menu = LotteryMenu((lot_a, lot_b))
-            evaluation = evaluate_lottery_menu(instance, menu, mode, caps)
-            if best is None or evaluation.principal_value > best[1].principal_value:
-                best = (menu, evaluation)
+                menu_rows = [rows[i], rows[j]]
+            values, _ = probing_pass(graph, fold_offers(graph, menu_rows, mode), mode)
+            if best is None or values[0][1] > best[0]:
+                best = (values[0][1], i, j - n - 1)
     assert best is not None
-    return best
+    _, i, j = best
+    lot_a = lottery([({anchor}, points[i]), ({low}, 1 - points[i])])
+    lot_b = lottery([({anchor}, points[j]), ({high}, 1 - points[j])])
+    menu = LotteryMenu((lot_a,) if lot_a.key() == lot_b.key() else (lot_a, lot_b))
+    return menu, evaluate_lottery_menu(instance, menu, mode, caps)
 
 
 # --- Menu JSON format ---------------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, Caps
-from .instances import Instance, Outcome, known_elements, outcome_set_key, outcome_totals
+from .instances import Instance, Outcome, known_elements, outcome_set_key
 from .set_systems import FreeSystem, max_weight_feasible
 
 # An (agent value, principal value) pair.
@@ -108,12 +108,11 @@ class ProbingGraph:
         and x over `outcome_unit`, in `outcome_set_key` order (ties in graph
         order): every proposal the agent can make (`policy_offers`)."""
         outcome, elements = self.instance.outcome, self.instance.elements
-        unit, rows = self.outcome_unit, []
+        rows = []
         for s, observed in enumerate(self.observed):
             if self.probed[s] and self.inner_feasible[s]:
                 outcomes = frozenset(outcome(elements[j], i) for j, i in observed)
-                y, x = outcome_totals(outcomes)
-                rows.append((outcomes, self.masks[s], int(y * unit), int(x * unit)))
+                rows.append((outcomes, self.masks[s], *self.mask_values(self.masks[s])))
         return tuple(sorted(rows, key=lambda row: outcome_set_key(row[0])))
 
     @functools.cached_property
@@ -122,6 +121,22 @@ class ProbingGraph:
         return math.lcm(
             *(v.denominator for o in self.outcome_bits for v in (o.y, o.x))
         )
+
+    @functools.cached_property
+    def outcome_values(self) -> tuple[tuple[int, int], ...]:
+        """Each outcome bit's (y, x) over `outcome_unit`, by bit: the one
+        conversion of utilities to integers."""
+        unit = self.outcome_unit
+        return tuple((int(o.y * unit), int(o.x * unit)) for o in self.outcome_bits)
+
+    def mask_values(self, mask: int) -> tuple[int, int]:
+        """The total (y, x) of the outcome bits in `mask`, over `outcome_unit`."""
+        values, y, x = self.outcome_values, 0, 0
+        while mask:
+            low = mask & -mask
+            bit_y, bit_x = values[low.bit_length() - 1]
+            y, x, mask = y + bit_y, x + bit_x, mask ^ low
+        return y, x
 
     @functools.cached_property
     def inner_feasible(self) -> tuple[bool, ...]:
@@ -137,15 +152,13 @@ class ProbingGraph:
         max(x(s) if s's probed set is inner-feasible, u of each parent).  The
         outer constraint is downward closed, so every subset of what s
         observed is a state with a path of moves to s."""
-        unit = self.outcome_unit
-        atom_x = [[int(a.x * unit) for a in support] for support in self.instance.atoms]
-        x = [0] * len(self)
         u = [0] * len(self)
         for s in range(len(self)):
-            best = u[s] = max(u[s], x[s]) if self.inner_feasible[s] else u[s]
-            for j, atoms in self.moves[s]:
-                for (_, t), atom in zip(atoms, atom_x[j]):
-                    x[t] = x[s] + atom
+            if self.inner_feasible[s]:
+                u[s] = max(u[s], self.mask_values(self.masks[s])[1])
+            best = u[s]
+            for _, atoms in self.moves[s]:
+                for _, t in atoms:
                     if best > u[t]:
                         u[t] = best
         return tuple(u)
@@ -184,11 +197,6 @@ class ProbingGraph:
             pair = (outcome.element, outcome.x)
             masks[pair] = masks.get(pair, 0) | 1 << bit
         return masks
-
-    @functools.cached_property
-    def outcome_x(self) -> tuple[int, ...]:
-        """Each outcome bit's x over `outcome_unit`, by bit."""
-        return tuple(int(o.x * self.outcome_unit) for o in self.outcome_bits)
 
     def element_set(self, probed: int) -> frozenset[str]:
         elements = self.instance.elements
@@ -285,15 +293,12 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     )
 
 
-def solve_probing(
-    graph: ProbingGraph,
-    stop_values: Sequence[tuple[int, int]],
-    mode: TieBreak,
-    unit: int = 1,
-) -> tuple[ValuePair, list[int | None]]:
-    """Root (agent, principal) value and each state's action.
+def probing_pass(
+    graph: ProbingGraph, stop_values: Sequence[tuple[int, int]], mode: TieBreak
+) -> tuple[list[tuple[int, int]], list[int | None]]:
+    """Each state's (agent, principal) value and action, in integers.
 
-    `stop_values[s]` is state s's stop value pair as integers over `unit`.
+    `stop_values[s]` is state s's stop value pair as integers over a unit.
     V(s) = the `prefer`-best of the stop value and the expected successor
     value of each move; open ties go to stopping, then to the earliest
     element.  The action is the position of the chosen move in
@@ -319,6 +324,18 @@ def solve_probing(
                 best, action = pair, k
         values[s] = best
         actions[s] = action
+    return values, actions
+
+
+def solve_probing(
+    graph: ProbingGraph,
+    stop_values: Sequence[tuple[int, int]],
+    mode: TieBreak,
+    unit: int = 1,
+) -> tuple[ValuePair, list[int | None]]:
+    """Root (agent, principal) value and each state's action: `probing_pass`
+    on stop values over `unit`, whose root pair alone becomes a Fraction."""
+    values, actions = probing_pass(graph, stop_values, mode)
     denominator = unit * graph.scales[0]
     root_agent, root_principal = values[0]
     return (

@@ -158,23 +158,13 @@ def scenario_table(instance: Instance, caps: Caps = Caps()) -> ProbingGraph:
     return probing_graph(instance, caps.dp_states)
 
 
-def _mask_x(mask: int, outcome_x: tuple[int, ...]) -> int:
-    """The total x of the outcome bits in `mask`."""
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += outcome_x[low.bit_length() - 1]
-        mask ^= low
-    return total
-
-
 def score_family(family: GreedyFamily, graph: ProbingGraph) -> ProphetReport:
     """Expected forced-greedy value of `family` under worst-case orderings.
 
     `graph` is the `scenario_table`.  Each scenario scores its lightest
     maximal B_A, in integers over the outcome unit times the root scale.
     """
-    pair_masks, outcome_x = graph.pair_masks, graph.outcome_x
+    pair_masks = graph.pair_masks
     # distinct pairs own disjoint outcome bits, so their sum is their OR; an
     # empty B_A is never maximal beside a nonempty one, and scores 0 alone
     family_masks = {
@@ -191,7 +181,7 @@ def score_family(family: GreedyFamily, graph: ProbingGraph) -> ProphetReport:
             if any(stop != other and stop & other == stop for other in reached):
                 continue  # not maximal
             if stop not in totals:
-                totals[stop] = _mask_x(stop, outcome_x)
+                totals[stop] = graph.mask_values(stop)[1]
             if lightest is None or totals[stop] < lightest:
                 lightest = totals[stop]
         if lightest is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,10 +7,11 @@ import pytest
 import delegation_lab.delegation as delegation_module
 import delegation_lab.lottery as lottery_module
 from delegation_lab.delegation import TieBreak, evaluate_policy, materialize_policy
-from delegation_lab.errors import UnsupportedError
+from delegation_lab.errors import CapacityError, Caps, UnsupportedError
 from delegation_lab.instances import Outcome, outcome_set_key, table1, table2
 from delegation_lab.lottery import (
     Lottery,
+    LotteryMenu,
     agent_lottery_choice,
     evaluate_lottery_menu,
     lottery,
@@ -23,6 +25,7 @@ from delegation_lab.random_instances import random_greedy_family, random_tiny_in
 from delegation_lab.delegation import policy_from_greedy
 
 from conftest import one_uniform_instance
+from literal_lottery import literal_search
 
 EPS = Fraction(1, 4)
 
@@ -233,6 +236,108 @@ def test_search_on_degenerate_instance_matches_benchmark():
     inst = one_uniform_instance({"r": [(3, 2, 1)], "d": [(1, 1, 1)]})
     menu, evaluation = search_two_lottery_menus(inst, Fraction(1, 10))
     assert evaluation.principal_value == evaluation.benchmark_value == 3
+
+
+def _risky_second(instance):
+    """`instance` with its two elements listed in the other order."""
+    return dataclasses.replace(
+        instance, elements=instance.elements[::-1], atoms=instance.atoms[::-1]
+    )
+
+
+SEARCH_EPSILONS = [Fraction(1, k) for k in range(2, 10)] + [Fraction(2, 5), Fraction(3, 7)]
+SMALL_GRIDS = [Fraction(1), Fraction(1, 2), Fraction(1, 9), Fraction(1, 10)]
+
+
+def _assert_literal_search(instance, grid, mode):
+    found = search_two_lottery_menus(instance, grid, mode)
+    assert found == literal_search(instance, grid, mode)
+
+
+@pytest.mark.parametrize("mode", list(TieBreak))
+def test_search_equals_the_literal_search_on_the_tables(mode):
+    for k, eps in enumerate(SEARCH_EPSILONS):
+        for table in (table1, table2):
+            instance = table(eps) if k % 2 else _risky_second(table(eps))
+            for grid in SMALL_GRIDS:
+                _assert_literal_search(instance, grid, mode)
+
+
+@pytest.mark.parametrize(
+    "instance, mode",
+    [
+        (table2(Fraction(1, 3)), TieBreak.PRINCIPAL_FAVORING),
+        (_risky_second(table1(Fraction(1, 7))), TieBreak.LEXICOGRAPHIC),
+    ],
+)
+def test_search_equals_the_literal_search_on_the_fine_grid(instance, mode):
+    _assert_literal_search(instance, Fraction(1, 100), mode)
+
+
+def test_search_equals_the_literal_search_on_degenerate_and_seeded_instances():
+    # low == high: A_i and B_i share their key, every other pair a support
+    degenerate = one_uniform_instance({"r": [(3, 2, 1)], "d": [(1, 1, 1)]})
+    for instance in (degenerate, _risky_second(degenerate)):
+        for mode in TieBreak:
+            for grid in SMALL_GRIDS:
+                _assert_literal_search(instance, grid, mode)
+    # few distinct values: x and y repeat across outcomes, so many menus tie
+    # and the first strict best decides
+    rng = random.Random(13)
+    values = [0, Fraction(1, 2), 1, 2]
+    for _ in range(80):
+        risky = [
+            (rng.choice(values), rng.choice(values), p)
+            for p in rng.choice([[1], [Fraction(1, 2)] * 2, [Fraction(1, 4), Fraction(3, 4)]])
+        ]
+        dists = {"r": risky, "d": [(rng.choice(values), rng.choice(values), 1)]}
+        if rng.random() < 0.5:
+            dists = {"d": dists["d"], "r": risky}
+        grid = Fraction(1, rng.randint(1, 5))
+        for mode in TieBreak:
+            _assert_literal_search(one_uniform_instance(dists), grid, mode)
+
+
+def test_search_compiles_once_and_builds_only_the_winner(monkeypatch):
+    calls = {"evaluate": [], "compile": 0, "distribution": 0, "lottery": 0, "menu": 0}
+    evaluate = lottery_module.evaluate_lottery_menu
+    compile_menu = lottery_module.menu_offers
+    distribution = delegation_module.probe_distribution
+    post_lottery = Lottery.__post_init__
+    post_menu = LotteryMenu.__post_init__
+
+    def counted_evaluate(instance, menu, *args):
+        calls["evaluate"].append(menu)
+        return evaluate(instance, menu, *args)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(lottery_module, "evaluate_lottery_menu", counted_evaluate)
+    monkeypatch.setattr(lottery_module, "menu_offers", counted("compile", compile_menu))
+    monkeypatch.setattr(
+        delegation_module, "probe_distribution", counted("distribution", distribution)
+    )
+    monkeypatch.setattr(Lottery, "__post_init__", counted("lottery", post_lottery))
+    monkeypatch.setattr(LotteryMenu, "__post_init__", counted("menu", post_menu))
+    graph_cache = lottery_module.probing_graph
+    # the state cap refuses before any lottery is built
+    with pytest.raises(CapacityError):
+        search_two_lottery_menus(table2(EPS), Fraction(1, 100), caps=Caps(dp_states=5))
+    assert calls["lottery"] == calls["menu"] == 0
+    graph_cache.cache_clear()
+    menu, evaluation = search_two_lottery_menus(
+        table2(EPS), Fraction(1, 100), TieBreak.PRINCIPAL_FAVORING
+    )
+    assert graph_cache.cache_info().misses == 1
+    assert calls["evaluate"] == [menu]
+    assert calls["compile"] == calls["distribution"] == calls["menu"] == 1
+    assert calls["lottery"] == 2
+    assert evaluation.principal_value == 1
 
 
 def test_search_shape_mismatch():

@@ -120,9 +120,10 @@ def inner_systems(draw, ids):
 
 @st.composite
 def instances(draw):
-    """1-4 elements of 1-3 atoms.  Built directly rather than by
+    """1-4 elements of 1-3 atoms, listed in a drawn order, so graph order
+    need not be `outcome_set_key` order.  Built directly rather than by
     `make_instance`, an element may keep two atoms with one (x, y) outcome."""
-    ids = [f"e{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]
+    ids = draw(st.permutations([f"e{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]))
     dists = {}
     for e in ids:
         weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
