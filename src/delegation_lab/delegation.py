@@ -188,9 +188,8 @@ def fold_offers(
 def offer_stop_values(
     graph: ProbingGraph, offers: Sequence[Offer], mode: TieBreak
 ) -> list[tuple[int, int]]:
-    """The agent's best offer's (agent, principal) values at every state:
-    the fold of the scan, the one stop-value path of policies, menus and the
-    two-lottery search."""
+    """The agent's best offer's (agent, principal) values at every state: the
+    fold of the scan, shared by policies, menus and the two-lottery search."""
     return fold_offers(graph, scan_offers(graph, offers), mode)
 
 

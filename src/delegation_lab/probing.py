@@ -127,7 +127,8 @@ class ProbingGraph:
         """Each outcome bit's (y, x) over `outcome_unit`, by bit: the one
         conversion of utilities to integers."""
         unit = self.outcome_unit
-        return tuple((int(o.y * unit), int(o.x * unit)) for o in self.outcome_bits)
+        ints = [v.numerator * (unit // v.denominator) for o in self.outcome_bits for v in (o.y, o.x)]
+        return tuple(zip(ints[::2], ints[1::2]))
 
     def mask_values(self, mask: int) -> tuple[int, int]:
         """The total (y, x) of the outcome bits in `mask`, over `outcome_unit`."""
