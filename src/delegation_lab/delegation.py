@@ -10,6 +10,7 @@ choices and is the conservative default.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,10 +42,11 @@ from .probing import (
 from .prophet import (
     GreedyFamily,
     ProphetReport,
+    gambler_report,
     samuel_cahn_threshold,
     scenario_table,
-    score_family,
     threshold_family,
+    threshold_totals,
 )
 
 
@@ -188,9 +190,28 @@ def fold_offers(
 def offer_stop_values(
     graph: ProbingGraph, offers: Sequence[Offer], mode: TieBreak
 ) -> list[tuple[int, int]]:
-    """The agent's best offer's (agent, principal) values at every state: the
-    fold of the scan, shared by policies, menus and the two-lottery search."""
-    return fold_offers(graph, scan_offers(graph, offers), mode)
+    """The agent's best offer's (agent, principal) values at every state.
+
+    Point-mass offers (every policy's) that `prefer` ranks above the empty
+    proposal's (0, 0) are stable-sorted once in `prefer` order, and each
+    state takes the first one it contains: the fold's choice.  Any other
+    menu is the fold of the scan.
+    """
+    if any(len(atoms) != 1 for atoms in offers):
+        return fold_offers(graph, scan_offers(graph, offers), mode)
+    ranked = sorted(
+        ((y, x, mask) for (mask, y, x), in offers if prefer((y, x), (0, 0), mode)),
+        key=functools.cmp_to_key(lambda a, b: prefer(b, a, mode) - prefer(a, b, mode)),
+    )
+    stops = []
+    for observed in graph.masks:
+        for y, x, mask in ranked:
+            if mask & observed == mask:
+                stops.append((y, x))
+                break
+        else:
+            stops.append((0, 0))
+    return stops
 
 
 def policy_offers(graph: ProbingGraph, policy: Policy) -> tuple[list[Offer], int]:
@@ -273,30 +294,21 @@ def build_threshold_policy(
     Candidate cuts are the median of the maximum followed by every other
     realizable value; each induces the family accepting single outcomes at
     or above the cut.  The cut whose forced-greedy gambler value is largest
-    wins (ties keep the earlier candidate, so the median is preferred).
-    The scenarios and the prophet value are computed once for all cuts.
+    wins (`max` keeps the earliest of tied candidates, so the median is
+    preferred).  Every cut is scored in one integer sweep of one scenario
+    table (`threshold_totals`), and only the winner's family is built.
     With finite supports a single fixed cut can land on a large atom and
     lose more than half of the benchmark, which is why the cut is tuned by
     exact evaluation instead of pinned at the median.
     """
     median = samuel_cahn_threshold(instance)
-    cuts = [median] + [
-        x
-        for x in sorted(
-            {atom.x for support in instance.atoms for atom in support}
-        )
-        if x != median
-    ]
     table = scenario_table(instance, caps)
-    best: tuple[Fraction, GreedyFamily, ProphetReport] | None = None
-    for cut in cuts:
-        family = threshold_family(instance, cut)
-        report = score_family(family, table)
-        if best is None or report.gambler_value > best[2].gambler_value:
-            best = (cut, family, report)
-    assert best is not None
-    cut, family, report = best
-    return policy_from_greedy(family), cut, report
+    unit = table.outcome_unit
+    totals = threshold_totals(table)
+    best = max([int(median * unit), *totals], key=totals.__getitem__)
+    cut = Fraction(best, unit)
+    policy = policy_from_greedy(threshold_family(instance, cut))
+    return policy, cut, gambler_report(table, totals[best])
 
 
 def materialize_policy(

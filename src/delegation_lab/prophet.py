@@ -100,31 +100,31 @@ def samuel_cahn_threshold(instance: Instance) -> Fraction:
     Returns the smallest support value m of max_e X_e with
     P[max >= m] >= 1/2 and P[max <= m] >= 1/2.  The induced strategy
     accepts a single outcome exactly when its value reaches the threshold.
+
+    That m is the first atom value with P[max <= m] >= 1/2 (every smaller
+    v has P[max <= v] < 1/2, so P[max >= m] > 1/2), found in one ascending
+    sweep of the (x, element, weight) atoms.  Element e's atoms weigh
+    p * Q_e, Q_e the lcm of its probability denominators, so P[max <= v] is
+    the product of each element's weight at or below v over that of the Q_e.
     """
     if not _is_one_uniform(instance.inner):
         raise UnsupportedError("median threshold needs a 1-uniform inner constraint")
     if not instance.elements:
         raise UnsupportedError("median threshold needs at least one element")
-    marginals = []
-    for e in instance.elements:
-        mass: dict[Fraction, Fraction] = {}
-        for atom in instance.dist(e):
-            mass[atom.x] = mass.get(atom.x, Fraction(0)) + atom.prob
-        marginals.append(mass)
-    values = sorted({x for mass in marginals for x in mass})
-    below = Fraction(0)  # P[max < v], maintained across the sweep
-    for v in values:
-        at_most = Fraction(1)
-        for mass in marginals:
-            at_most *= sum(
-                (p for x, p in mass.items() if x <= v), Fraction(0)
-            )
-        if at_most == below:
-            below = at_most
-            continue  # v is not in the support of the maximum
-        if 1 - below >= Fraction(1, 2) and at_most >= Fraction(1, 2):
+    denominators = [
+        math.lcm(*(a.prob.denominator for a in support)) for support in instance.atoms
+    ]
+    atoms = sorted(
+        (a.x, j, a.prob.numerator * (q // a.prob.denominator))
+        for j, (q, support) in enumerate(zip(denominators, instance.atoms))
+        for a in support
+    )
+    total = math.prod(denominators)
+    at_most = [0] * len(denominators)  # by element, times its Q_e
+    for v, j, weight in atoms:
+        at_most[j] += weight
+        if 2 * math.prod(at_most) >= total:
             return v
-        below = at_most
     raise AssertionError("a median of the maximum always exists")
 
 
@@ -171,9 +171,8 @@ def score_family(family: GreedyFamily, graph: ProbingGraph) -> ProphetReport:
         sum(pair_masks.get(pair, 0) for pair in member) for member in family.maximal
     }
     totals: dict[int, int] = {}  # x of each B_A met so far
-    gambler = prophet = 0
-    for weight, observed, u in graph.full_probes:
-        prophet += weight * u
+    gambler = 0
+    for weight, observed, _ in graph.full_probes:
         reached = {observed & mask for mask in family_masks}
         reached.discard(0)
         lightest = None
@@ -186,11 +185,40 @@ def score_family(family: GreedyFamily, graph: ProbingGraph) -> ProphetReport:
                 lightest = totals[stop]
         if lightest is not None:
             gambler += weight * lightest
+    return gambler_report(graph, gambler)
+
+
+def gambler_report(graph: ProbingGraph, gambler: int) -> ProphetReport:
+    """The report of a gambler total over `graph.outcome_unit` times the
+    root scale, beside the prophet's total over the same `scenario_table`."""
+    prophet = sum(weight * u for weight, _, u in graph.full_probes)
     denominator = graph.outcome_unit * graph.scales[0]
     gambler_value = Fraction(gambler, denominator)
     prophet_value = Fraction(prophet, denominator)
     ratio = gambler_value / prophet_value if prophet > 0 else Fraction(1)
     return ProphetReport(gambler_value, prophet_value, ratio)
+
+
+def threshold_totals(graph: ProbingGraph) -> dict[int, int]:
+    """`score_family`'s gambler total of `threshold_family` at every cut
+    (each distinct outcome x over `outcome_unit`, ascending), in one pass.
+
+    A threshold family's maximal sets are single outcomes, so a scenario's
+    lightest maximal B_A is its smallest x at or above the cut, or 0: a
+    step function of the cut, added into one difference array over the cuts.
+    """
+    values = graph.outcome_values
+    cuts = sorted({x for _, x in values})
+    after = {x: i + 1 for i, x in enumerate(cuts)}  # index of the next cut
+    steps = [0] * (len(cuts) + 1)
+    for weight, observed, _ in graph.full_probes:
+        start = previous = 0
+        for x in sorted(x for bit, (_, x) in enumerate(values) if observed >> bit & 1):
+            # cuts from `start` up to x score x
+            steps[start] += weight * (x - previous)
+            start, previous = after[x], x
+        steps[start] -= weight * previous
+    return dict(zip(cuts, itertools.accumulate(steps)))
 
 
 def evaluate_vs_almighty(

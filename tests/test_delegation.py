@@ -56,6 +56,7 @@ from delegation_lab.set_systems import (
 )
 
 from conftest import one_uniform_instance
+from literal_prophet import literal_threshold_policy
 
 
 EPS = Fraction(1, 4)
@@ -446,20 +447,6 @@ def test_build_threshold_policy_moves_off_blocked_median():
 
 
 def test_threshold_cuts_share_one_scenario_table(monkeypatch):
-    # the cut loop as it was: one full almighty evaluation per cut
-    def literal_threshold_policy(inst):
-        median = samuel_cahn_threshold(inst)
-        cuts = [median] + sorted(
-            {a.x for support in inst.atoms for a in support} - {median}
-        )
-        best = None
-        for cut in cuts:
-            family = threshold_family(inst, cut)
-            report = evaluate_vs_almighty(inst, family)
-            if best is None or report.gambler_value > best[2].gambler_value:
-                best = (cut, family, report)
-        return policy_from_greedy(best[1]), best[0], best[2]
-
     # count table requests, graph compiles and scenario-row builds, on a
     # cold graph cache
     delegation_module = importlib.import_module("delegation_lab.delegation")

@@ -8,6 +8,8 @@ must agree exactly.
 """
 
 import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,9 +22,11 @@ from delegation_lab.delegation import (
     TieBreak,
     agent_best_response,
     evaluate_policy,
+    fold_offers,
     offer_stop_values,
     policy_from_greedy,
     policy_offers,
+    scan_offers,
 )
 from delegation_lab.errors import CapacityError, Caps
 from delegation_lab.instances import (
@@ -363,3 +367,69 @@ def test_graph_is_shared_by_every_stop_rule_on_one_instance():
     for s, moves in enumerate(graph.moves):
         assert all(t > s for _, atoms in moves for _, t in atoms)
     assert graph.observed[0] == ()
+
+
+def _ranking_instance(rng):
+    """1 to 3 elements of 1 to 3 atoms with y and x in {0, 1, 2}: zero-y
+    outcomes and ties in y are common.  Free or 1-uniform outer, 1-uniform,
+    2-uniform or free inner."""
+    elements = [f"e{i}" for i in range(1, rng.randint(1, 3) + 1)]
+    ground = frozenset(elements)
+    dists = {}
+    for e in elements:
+        weights = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        dists[e] = [
+            UtilityAtom(
+                Fraction(rng.randint(0, 2)), Fraction(rng.randint(0, 2)), Fraction(w, sum(weights))
+            )
+            for w in weights
+        ]
+    outer = rng.choice([FreeSystem(ground), UniformSystem(ground, 1)])
+    inner = rng.choice([UniformSystem(ground, 1), UniformSystem(ground, 2), FreeSystem(ground)])
+    return make_instance(elements, dists, outer, inner)
+
+
+def test_ranked_point_masses_match_the_fold_at_every_state():
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(120):
+        graph = probing_graph(_ranking_instance(rng), Caps.dp_states)
+        if rng.random() < 0.5:
+            candidates = realizable_inner_sets(graph.instance)
+            members = rng.sample(candidates, rng.randint(0, len(candidates)))
+            offers, _ = policy_offers(graph, ExplicitPolicy(frozenset(members)))
+        else:
+            # any masks, contained in some states or in none, any values
+            offers = [
+                [(rng.choice(graph.masks) | rng.choice((0, 1)), rng.randint(0, 2), rng.randint(0, 2))]
+                for _ in range(rng.randint(0, 8))
+            ]
+        ys = [atoms[0][1] for atoms in offers]
+        seen["zero y"] += 0 in ys
+        seen["tie in y"] += any(y and ys.count(y) > 1 for y in ys)
+        for mode in MODES:
+            folded = fold_offers(graph, scan_offers(graph, offers), mode)
+            assert offer_stop_values(graph, offers, mode) == folded
+    assert min(seen.values()) >= 30, seen
+
+
+def test_point_mass_and_two_atom_menus_match_the_fold():
+    rng = random.Random(59)
+    seen = Counter()
+    for _ in range(80):
+        graph = probing_graph(_ranking_instance(rng), Caps.dp_states)
+        pool = [frozenset()] + realizable_inner_sets(graph.instance)
+        sets = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+        point_masses = [lottery([(s, 1)]) for s in sets]
+        menus = [LotteryMenu(tuple(point_masses))]
+        if len(pool) > 1:
+            pair = rng.sample(pool, 2)
+            mixed = lottery([(pair[0], Fraction(1, 3)), (pair[1], Fraction(2, 3))])
+            menus.append(LotteryMenu((mixed, *(l for l in point_masses if l.support() != mixed.support()))))
+        for menu in menus:
+            offers, _ = menu_offers(graph, menu)
+            seen[max(map(len, offers))] += 1
+            for mode in MODES:
+                folded = fold_offers(graph, scan_offers(graph, offers), mode)
+                assert offer_stop_values(graph, offers, mode) == folded
+    assert seen[1] >= 60 and seen[2] >= 60, seen

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from delegation_lab.delegation import build_threshold_policy
 from delegation_lab.errors import CapacityError, Caps, UnsupportedError
 from delegation_lab.instances import (
     UtilityAtom,
@@ -21,13 +22,18 @@ from delegation_lab.prophet import (
     best_greedy_family,
     candidate_pair_sets,
     evaluate_vs_almighty,
+    gambler_report,
     greedy_family,
     samuel_cahn_threshold,
+    scenario_table,
+    score_family,
     threshold_family,
+    threshold_totals,
 )
 from delegation_lab.random_instances import (
     random_free_outer_instance,
     random_greedy_family,
+    random_matroid_outer_instance,
 )
 from delegation_lab.set_systems import (
     FreeSystem,
@@ -38,7 +44,11 @@ from delegation_lab.set_systems import (
 )
 
 from conftest import one_uniform_instance
-from literal_prophet import literal_vs_almighty
+from literal_prophet import (
+    literal_samuel_cahn_threshold,
+    literal_threshold_policy,
+    literal_vs_almighty,
+)
 
 
 def test_median_threshold_two_fair_coins():
@@ -64,6 +74,95 @@ def test_median_threshold_needs_pick_one_constraint():
     )
     with pytest.raises(UnsupportedError, match="1-uniform"):
         samuel_cahn_threshold(relaxed)
+
+
+def test_median_threshold_matches_the_literal_fraction_median():
+    rng = random.Random(13)
+    for _ in range(150):
+        inst = random_free_outer_instance(rng, max_value=3)
+        assert samuel_cahn_threshold(inst) == literal_samuel_cahn_threshold(inst)
+    for _ in range(150):
+        inst, _ = _threshold_instance(rng)
+        assert samuel_cahn_threshold(inst) == literal_samuel_cahn_threshold(inst)
+
+
+def _threshold_instance(rng):
+    """1 to 4 elements of 1 to 3 atoms, x drawn from a few values so that
+    elements share x, often one element with two atoms of equal x and
+    different y, a 1-uniform inner and a free, uniform or partition outer."""
+    elements = [f"e{i}" for i in range(1, rng.randint(1, 4) + 1)]
+    ground = frozenset(elements)
+    xs = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
+    dists = {}
+    for e in elements:
+        weights = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        dists[e] = [
+            UtilityAtom(rng.choice(xs), Fraction(i), Fraction(w, sum(weights)))
+            for i, w in enumerate(weights)
+        ]
+    twin = rng.choice(elements)
+    if len(dists[twin]) > 1 and rng.random() < 0.5:
+        first, last = dists[twin][0], dists[twin][-1]
+        dists[twin][-1] = UtilityAtom(first.x, first.y + 1, last.prob)
+    kind = rng.choice(["free", "uniform", "partition"])
+    if kind == "free":
+        outer = FreeSystem(ground)
+    elif kind == "uniform":
+        outer = UniformSystem(ground, rng.randint(1, len(elements)))
+    else:
+        cut = rng.randint(1, len(elements))
+        blocks = tuple(b for b in (frozenset(elements[:cut]), frozenset(elements[cut:])) if b)
+        outer = PartitionSystem(ground, blocks, tuple(1 for _ in blocks))
+    inner = UniformSystem(ground, 1)
+    return make_instance(elements, dists, outer, inner), kind
+
+
+def test_threshold_sweep_scores_every_cut_as_its_family():
+    rng = random.Random(37)
+    seen = Counter()
+    for _ in range(150):
+        inst, kind = _threshold_instance(rng)
+        seen[kind] += 1
+        xs = [a.x for support in inst.atoms for a in support]
+        seen["shared x"] += len(set(xs)) < len(xs)
+        seen["twin atoms"] += any(
+            len({a.x for a in support}) < len(support) for support in inst.atoms
+        )
+        table = scenario_table(inst)
+        unit = table.outcome_unit
+        totals = threshold_totals(table)
+        assert list(totals) == [int(x * unit) for x in sorted(set(xs))]
+        for cut, gambler in totals.items():
+            family = threshold_family(inst, Fraction(cut, unit))
+            assert gambler_report(table, gambler) == score_family(family, table)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_tuned_threshold_matches_the_literal_cut_loop():
+    rng = random.Random(41)
+    for _ in range(60):
+        inst, _ = _threshold_instance(rng)
+        assert build_threshold_policy(inst) == literal_threshold_policy(inst)
+    for _ in range(20):
+        inst = random_matroid_outer_instance(rng, max_elements=3)
+        assert build_threshold_policy(inst) == literal_threshold_policy(inst)
+
+
+def test_tuned_threshold_builds_only_the_winning_family(monkeypatch):
+    delegation_module = importlib.import_module("delegation_lab.delegation")
+    built = []
+
+    def counted(instance, tau):
+        built.append(tau)
+        return threshold_family(instance, tau)
+
+    monkeypatch.setattr(delegation_module, "threshold_family", counted)
+    rng = random.Random(43)
+    for _ in range(20):
+        inst, _ = _threshold_instance(rng)
+        built.clear()
+        _, cut, _ = build_threshold_policy(inst)
+        assert built == [cut]
 
 
 def test_threshold_family_membership():
