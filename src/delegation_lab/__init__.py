@@ -24,7 +24,6 @@ from .instances import (
     is_inner_feasible_outcome_set,
     load_instance,
     make_instance,
-    realizable_inner_sets,
     table1,
     table2,
 )
@@ -72,6 +71,6 @@ from .lottery import (
     menu_to_json,
     search_two_lottery_menus,
 )
-from .oracle import GapReport, enumerate_policies, exact_delegation_gap
+from .oracle import GapReport, exact_delegation_gap
 
 __all__ = [name for name in dir() if not name.startswith("_")]

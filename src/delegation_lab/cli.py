@@ -170,7 +170,7 @@ def _cmd_gap(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
         "principal_value": _rational(value),
         "non_delegated_value": _rational(benchmark),
         "policies_enumerated": report.policies_enumerated,
-        "best_policy": policy_to_json(report.best_policy, instance),
+        "best_policy": policy_to_json(report.best_policy, instance, caps),
     }
     return body, [
         _csv_row("gap", label, args.epsilon, mode, value, report.alpha_star)
@@ -192,7 +192,7 @@ def _policy_report(
         "command": args.command,
         "instance": label,
         "tie_break": mode.value,
-        "policy": policy_to_json(policy, instance),
+        "policy": policy_to_json(policy, instance, caps),
         "evaluation": _evaluation_json(evaluation),
         **extras,
     }
@@ -232,11 +232,7 @@ def _cmd_build_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[
             "family_ratio": _rational(prophet.ratio),
         }
     else:  # composed
-        policy, probe_set = compose_outer(
-            instance,
-            lambda restricted: build_threshold_policy(restricted, caps)[0],
-            caps,
-        )
+        policy, probe_set = compose_outer(instance, caps)
         extras = {"probe_set": sorted(probe_set)}
     return _policy_report(
         args, caps, instance, label, policy, method=args.method, **extras

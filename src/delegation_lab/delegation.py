@@ -14,7 +14,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import Caps
 from .instances import (
@@ -27,7 +27,6 @@ from .instances import (
     outcome_set_from_json,
     outcome_set_to_json,
     outcome_totals,
-    realizable_inner_sets,
     restrict_instance,
 )
 from .probing import (
@@ -271,11 +270,9 @@ def evaluate_policy(
 
 
 def compose_outer(
-    instance: Instance,
-    inner_builder: Callable[[Instance], Policy],
-    caps: Caps = Caps(),
+    instance: Instance, caps: Caps = Caps()
 ) -> tuple[Policy, frozenset[str]]:
-    """Fix the best nonadaptive probe set F, then delegate inside it.
+    """Fix the best nonadaptive probe set F, then tune a threshold inside it.
 
     The returned policy only accepts outcomes of elements in F, so the
     agent has no incentive to probe anything else; F itself is feasible in
@@ -283,7 +280,7 @@ def compose_outer(
     """
     report = best_nonadaptive_set(instance, caps)
     restricted = restrict_instance(instance, report.best_set)
-    return inner_builder(restricted), report.best_set
+    return build_threshold_policy(restricted, caps)[0], report.best_set
 
 
 def build_threshold_policy(
@@ -312,12 +309,12 @@ def build_threshold_policy(
 
 
 def materialize_policy(
-    instance: Instance, policy: Policy
+    instance: Instance, policy: Policy, caps: Caps = Caps()
 ) -> frozenset[frozenset[Outcome]]:
-    """The acceptable realizable outcome sets (empty set left implicit)."""
-    return frozenset(
-        t for t in realizable_inner_sets(instance) if policy.accepts(t)
-    )
+    """The acceptable proposable outcome sets (empty set left implicit): the
+    `ProbingGraph.proposals` rows that `policy` accepts."""
+    graph = probing_graph(instance, caps.dp_states)
+    return frozenset(t for t, *_ in graph.proposals if policy.accepts(t))
 
 
 def validate_policy(instance: Instance, policy: Policy) -> None:
@@ -330,13 +327,15 @@ def validate_policy(instance: Instance, policy: Policy) -> None:
 # --- Policy JSON format ------------------------------------------------------
 
 
-def policy_to_json(policy: Policy, instance: Instance | None = None) -> dict:
+def policy_to_json(
+    policy: Policy, instance: Instance | None = None, caps: Caps = Caps()
+) -> dict:
     if isinstance(policy, ThresholdPolicy):
         return {"kind": "x-threshold", "tau": fraction_to_json(policy.tau)}
     if isinstance(policy, ExplicitPolicy):
         acceptable = policy.acceptable
     elif instance is not None:
-        acceptable = materialize_policy(instance, policy)
+        acceptable = materialize_policy(instance, policy, caps)
     else:
         raise ValueError("predicate policies need an instance to serialize")
     members = sorted(

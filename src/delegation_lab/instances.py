@@ -86,6 +86,17 @@ class Instance:
         every atom's Fractions again cost each lookup more than its work."""
         return hash((self.elements, self.atoms, self.outer, self.inner))
 
+    @functools.cached_property
+    def integer_probs(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Each element's Q_e, the lcm of its probability denominators, and its
+        atoms' weights p * Q_e: the one conversion of probabilities to integers."""
+        qs = tuple(math.lcm(*(a.prob.denominator for a in s)) for s in self.atoms)
+        weights = tuple(
+            tuple(a.prob.numerator * (q // a.prob.denominator) for a in s)
+            for q, s in zip(qs, self.atoms)
+        )
+        return qs, weights
+
     def dist(self, element: str) -> tuple[UtilityAtom, ...]:
         return self.atoms[self.elements.index(element)]
 
@@ -203,13 +214,9 @@ def check_outcome_set(
         )
 
 
-def realizable_inner_sets(
-    instance: Instance, cap: int | None = None
-) -> list[frozenset[Outcome]]:
-    """All nonempty inner-feasible sets of realizable outcomes, canonical order.
-
-    A `cap` on their number is checked while the list is built.
-    """
+def realizable_inner_sets(instance: Instance) -> list[frozenset[Outcome]]:
+    """All nonempty inner-feasible sets of realizable outcomes, canonical order:
+    the literal walk that `ProbingGraph.proposals` is tested against."""
     per_element = {
         e: [Outcome(e, a.x, a.y) for a in support]
         for e, support in zip(instance.elements, instance.atoms)
@@ -221,14 +228,6 @@ def realizable_inner_sets(
         ordered = sorted(elems)
         for combo in itertools.product(*(per_element[e] for e in ordered)):
             sets.append(frozenset(combo))
-            if cap is not None and len(sets) > cap:
-                raise CapacityError(
-                    f"inner-feasible outcome sets exceed cap {cap} "
-                    f"(count reached {len(sets)})",
-                    "policy_sets",
-                    cap,
-                    len(sets),
-                )
     return sorted(sets, key=outcome_set_key)
 
 
@@ -285,6 +284,8 @@ def outcome_set_from_json(items) -> frozenset[Outcome]:
     for item in items:
         if not isinstance(item, dict) or "element" not in item:
             raise ValueError("outcomes need 'element', 'x' and 'y'")
+        if not isinstance(item["element"], str):
+            raise ValueError("element ids must be strings")
         outcomes.add(
             Outcome(
                 item["element"],

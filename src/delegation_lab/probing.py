@@ -85,8 +85,7 @@ class ProbingGraph:
       sum(w * value * scale[successor]) is the expectation times scale[s];
     - `probed[s]`: probed elements as a bitmask over element indices;
     - `masks[s]`: observed outcomes as a bitmask over `outcome_bits`;
-    - `weights[s]`: the probability of the observed atoms times `scales[0]`;
-    - `observed[s]`: the (element index, atom index) pairs, by element.
+    - `weights[s]`: the probability of the observed atoms times `scales[0]`.
     """
 
     instance: Instance
@@ -95,7 +94,6 @@ class ProbingGraph:
     probed: tuple[int, ...]
     masks: tuple[int, ...]
     weights: tuple[int, ...]
-    observed: tuple[tuple[tuple[int, int], ...], ...]
     # one bit per distinct outcome (element, x, y)
     outcome_bits: Mapping[Outcome, int]
 
@@ -106,13 +104,14 @@ class ProbingGraph:
     def proposals(self) -> tuple[tuple[frozenset[Outcome], int, int, int], ...]:
         """(outcome set, mask, y, x) of each nonempty inner-feasible state, y
         and x over `outcome_unit`, in `outcome_set_key` order (ties in graph
-        order): every proposal the agent can make (`policy_offers`)."""
-        outcome, elements = self.instance.outcome, self.instance.elements
+        order): the library's one list of the sets the agent can propose."""
+        by_bit = tuple(self.outcome_bits)
         rows = []
-        for s, observed in enumerate(self.observed):
+        for s, mask in enumerate(self.masks):
             if self.probed[s] and self.inner_feasible[s]:
-                outcomes = frozenset(outcome(elements[j], i) for j, i in observed)
-                rows.append((outcomes, self.masks[s], *self.mask_values(self.masks[s])))
+                bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+                outcomes = frozenset(by_bit[b] for b in bits)
+                rows.append((outcomes, mask, *self.mask_values(mask)))
         return tuple(sorted(rows, key=lambda row: outcome_set_key(row[0])))
 
     @functools.cached_property
@@ -221,13 +220,7 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     refused before any state is built.
     """
     elements = instance.elements
-    denominators = [
-        math.lcm(*(a.prob.denominator for a in support)) for support in instance.atoms
-    ]
-    atom_weights = [
-        [a.prob.numerator * (q // a.prob.denominator) for a in support]
-        for q, support in zip(denominators, instance.atoms)
-    ]
+    denominators, atom_weights = instance.integer_probs
     outcome_bits: dict[Outcome, int] = {}
     atom_bits = [
         [
@@ -259,7 +252,6 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     root_scale = math.prod(denominators)
     found = {0: 0}
     codes, scales, probed, masks, weights = [0], [root_scale], [0], [0], [root_scale]
-    observed: list[tuple[tuple[int, int], ...]] = [()]
     moves: list[tuple[Move, ...]] = []
     for s, code in enumerate(codes):
         state_moves = []
@@ -278,7 +270,6 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
                     probed.append(probed[s] | 1 << j)
                     masks.append(masks[s] | atom_bits[j][i])
                     weights.append(weights[s] // scales[s] * w * scale)
-                    observed.append(tuple(sorted(observed[s] + ((j, i),))))
                 atoms.append((w, t))
             state_moves.append((j, tuple(atoms)))
         moves.append(tuple(state_moves))
@@ -289,7 +280,6 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
         tuple(probed),
         tuple(masks),
         tuple(weights),
-        tuple(observed),
         outcome_bits,
     )
 

@@ -31,13 +31,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import CapacityError, Caps, UnsupportedError
-from .instances import (
-    Instance,
-    check_scenario_cap,
-    realizable_inner_sets,
-    restrict_instance,
-    x_values,
-)
+from .instances import Instance, check_scenario_cap, restrict_instance, x_values
 from .probing import ProbingGraph, probing_graph
 from .set_systems import (
     Antichain,
@@ -104,20 +98,18 @@ def samuel_cahn_threshold(instance: Instance) -> Fraction:
     That m is the first atom value with P[max <= m] >= 1/2 (every smaller
     v has P[max <= v] < 1/2, so P[max >= m] > 1/2), found in one ascending
     sweep of the (x, element, weight) atoms.  Element e's atoms weigh
-    p * Q_e, Q_e the lcm of its probability denominators, so P[max <= v] is
-    the product of each element's weight at or below v over that of the Q_e.
+    p * Q_e (`Instance.integer_probs`), so P[max <= v] is the product of
+    each element's weight at or below v over that of the Q_e.
     """
     if not _is_one_uniform(instance.inner):
         raise UnsupportedError("median threshold needs a 1-uniform inner constraint")
     if not instance.elements:
         raise UnsupportedError("median threshold needs at least one element")
-    denominators = [
-        math.lcm(*(a.prob.denominator for a in support)) for support in instance.atoms
-    ]
+    denominators, weights = instance.integer_probs
     atoms = sorted(
-        (a.x, j, a.prob.numerator * (q // a.prob.denominator))
-        for j, (q, support) in enumerate(zip(denominators, instance.atoms))
-        for a in support
+        (a.x, j, w)
+        for j, (support, ws) in enumerate(zip(instance.atoms, weights))
+        for a, w in zip(support, ws)
     )
     total = math.prod(denominators)
     at_most = [0] * len(denominators)  # by element, times its Q_e
@@ -232,14 +224,15 @@ def evaluate_vs_almighty(
     return score_family(family, scenario_table(instance, caps))
 
 
-def candidate_pair_sets(instance: Instance) -> list[frozenset[OutcomePair]]:
-    """Nonempty inner-feasible sets of realizable (element, x) outcomes.
-
-    The (element, x) projection of `realizable_inner_sets`.
-    """
+def candidate_pair_sets(
+    instance: Instance, caps: Caps = Caps()
+) -> list[frozenset[OutcomePair]]:
+    """Nonempty inner-feasible sets of realizable (element, x) outcomes: the
+    (element, x) projection of the `scenario_table`'s proposals, the gambler
+    having no outer constraint."""
     projected = {
-        frozenset((o.element, o.x) for o in outcome_set)
-        for outcome_set in realizable_inner_sets(instance)
+        frozenset((o.element, o.x) for o in outcomes)
+        for outcomes, *_ in scenario_table(instance, caps).proposals
     }
     return sorted(projected, key=lambda s: (len(s), sorted(s)))
 
@@ -268,7 +261,7 @@ def best_greedy_family(
             caps.family_sets,
             caps.family_sets + 1,
         )
-    candidates = candidate_pair_sets(instance)
+    candidates = candidate_pair_sets(instance, caps)
     index = {c: i for i, c in enumerate(candidates)}
     # a family is downward closed iff it holds each member less any one pair
     below = [

@@ -77,3 +77,17 @@ def literal_distribution(instance, actions):
 def outcomes_at(instance, state):
     return frozenset(instance.outcome(e, i) for e, i in zip(*state))
 
+
+
+def state_observations(graph):
+    """Each compiled state's (element index, atom index) pairs, by element,
+    rebuilt from `graph.moves`: the root observed nothing, and the i-th atom
+    of a move probing element j leads to a state that also observed (j, i)."""
+    observed = [()] + [None] * (len(graph) - 1)
+    for s, moves in enumerate(graph.moves):
+        for j, atoms in moves:
+            for i, (_, t) in enumerate(atoms):
+                pairs = tuple(sorted(observed[s] + ((j, i),)))
+                assert observed[t] in (None, pairs)
+                observed[t] = pairs
+    return observed

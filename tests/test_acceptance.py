@@ -193,9 +193,7 @@ def test_criterion_5_composition():
     for _ in range(100):
         inst = random_partition_outer_instance(rng, max_elements=5)
         nonadaptive = best_nonadaptive_set(inst)
-        policy, probe_set = compose_outer(
-            inst, lambda restricted: build_threshold_policy(restricted)[0]
-        )
+        policy, probe_set = compose_outer(inst)
         assert probe_set == nonadaptive.best_set
         evaluation = evaluate_policy(inst, policy, TieBreak.ADVERSARIAL)
         assert evaluation.alpha >= nonadaptive.ratio_to_adaptive * HALF, (
@@ -223,9 +221,7 @@ def test_criterion_6_oracle_consistency():
             build_threshold_policy(inst)[0],
             ThresholdPolicy(tau),
             policy_from_greedy(threshold_family(inst, tau)),
-            compose_outer(
-                inst, lambda restricted: build_threshold_policy(restricted)[0]
-            )[0],
+            compose_outer(inst)[0],
         ]
         for policy in constructive:
             assert evaluate_policy(inst, policy).alpha <= alpha_star, (

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from delegation_lab import probing
+from delegation_lab import instances, probing
 from delegation_lab.cli import Caps, argument_parser, run
 from delegation_lab.instances import instance_to_json, table2
 
@@ -113,6 +113,23 @@ def test_eval_policy_file(tmp_path, capsys):
     report = json.loads(out)
     assert report["evaluation"]["principal_value"]["num"] == 1
     assert report["evaluation"]["alpha"] == {"num": 4, "den": 7, "approx": "0.571429"}
+
+
+@pytest.mark.parametrize("element", [["1"], {"id": "1"}, 1])
+def test_eval_policy_refuses_a_non_string_outcome_id(element, tmp_path, capsys):
+    policy_path = tmp_path / "policy.json"
+    member = [{"element": element, "x": [1, 1], "y": [1, 1]}]
+    policy_path.write_text(json.dumps({"kind": "explicit", "acceptable": [member]}))
+    code, out, err = run_cli(
+        capsys,
+        "eval-policy",
+        "--builtin",
+        "coins2",
+        "--policy",
+        str(policy_path),
+    )
+    assert (code, out) == (2, "")
+    assert "element ids must be strings" in err
 
 
 @pytest.mark.parametrize("method", ["threshold", "from-greedy", "composed"])
@@ -536,3 +553,24 @@ def test_constrained_outer_build_policy_compiles_each_graph_once(capsys):
     )
     assert code == 0
     assert probing.probing_graph.cache_info().misses == 2
+
+
+def test_composed_policy_reads_proposals_off_the_compiled_graph(
+    tmp_path, capsys, monkeypatch
+):
+    # 20 elements under outer k=1: a 41-state graph, but 2^20 inner-feasible
+    # element sets, which the policy report must not walk
+    supports = [[(i % 4, 1), (i + 3, 2)] for i in range(20)]
+    path = _write_instance(tmp_path / "instance.json", supports, {"kind": "uniform", "k": 1})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked the inner constraint's feasible sets")
+
+    monkeypatch.setattr(instances, "iter_feasible_sets", refuse)
+    code, out, _ = run_cli(
+        capsys, "build-policy", "--instance", path, "--method", "composed"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["probe_set"] == ["e19"]
+    assert len(report["policy"]["acceptable"]) == 2

@@ -346,9 +346,7 @@ def test_restrict_instance_keeps_inner_structure():
 
 def test_compose_outer_free_outer_keeps_everything():
     inst = table1(EPS)
-    policy, probe_set = compose_outer(
-        inst, lambda restricted: build_threshold_policy(restricted)[0]
-    )
+    policy, probe_set = compose_outer(inst)
     assert probe_set == frozenset({"1", "2"})
 
 
@@ -362,9 +360,7 @@ def test_compose_outer_risky_example(risky_pair):
         UniformSystem(ground, 1),
         UniformSystem(ground, 1),
     )
-    policy, probe_set = compose_outer(
-        constrained, lambda restricted: build_threshold_policy(restricted)[0]
-    )
+    policy, probe_set = compose_outer(constrained)
     assert probe_set == frozenset({"r"})
     evaluation = evaluate_policy(constrained, policy)
     assert evaluation.principal_value >= Fraction(1, 2) * Fraction(3, 2)
@@ -379,9 +375,7 @@ def test_composition_chain_bound():
     for _ in range(10):
         inst = random_partition_outer_instance(rng, max_elements=3)
         nonadaptive = best_nonadaptive_set(inst)
-        policy, probe_set = compose_outer(
-            inst, lambda restricted: build_threshold_policy(restricted)[0]
-        )
+        policy, probe_set = compose_outer(inst)
         assert probe_set == nonadaptive.best_set
         evaluation = evaluate_policy(inst, policy)
         assert evaluation.alpha >= nonadaptive.ratio_to_adaptive * Fraction(1, 2)

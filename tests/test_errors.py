@@ -14,6 +14,7 @@ from delegation_lab.delegation import (
     build_threshold_policy,
     compose_outer,
     evaluate_policy,
+    materialize_policy,
 )
 from delegation_lab.errors import CapacityError, Caps
 from delegation_lab.instances import Outcome, coins2, enumerate_scenarios, table1
@@ -23,9 +24,9 @@ from delegation_lab.lottery import (
     lottery_menu,
     search_two_lottery_menus,
 )
-from delegation_lab.oracle import enumerate_policies, exact_delegation_gap
+from delegation_lab.oracle import exact_delegation_gap
 from delegation_lab.probing import best_nonadaptive_set, optimal_adaptive_value
-from delegation_lab.prophet import best_greedy_family
+from delegation_lab.prophet import best_greedy_family, candidate_pair_sets
 
 HALF = Fraction(1, 2)
 
@@ -35,7 +36,7 @@ HALF = Fraction(1, 2)
     [
         (lambda: enumerate_scenarios(coins2(), Caps(scenarios=3)), "scenarios", 3, 4,
          "scenario count 4 exceeds cap 3"),
-        (lambda: list(enumerate_policies(table1(HALF), Caps(policy_sets=2))), "policy_sets", 2, 3,
+        (lambda: exact_delegation_gap(table1(HALF), caps=Caps(policy_sets=2)), "policy_sets", 2, 3,
          "inner-feasible outcome sets exceed cap 2 (count reached 3)"),
         (lambda: optimal_adaptive_value(table1(HALF), Caps(dp_states=2)), "dp_states", 2, 3,
          "probing DP exceeded 2 states"),
@@ -63,8 +64,7 @@ def _anchor_menu():
 
 
 def _composed(caps):
-    builder = lambda restricted: build_threshold_policy(restricted, caps)[0]
-    return compose_outer(coins2(), builder, caps)
+    return compose_outer(coins2(), caps)
 
 
 # Each entry point that takes `caps`, with every cap it checks or forwards
@@ -86,7 +86,6 @@ FORWARDING = {
         "dp_states",
         9,
     ),
-    15: (lambda caps: list(enumerate_policies(table1(HALF), caps)), "policy_sets", 3),
     16: (lambda caps: exact_delegation_gap(table1(HALF), MODE, caps), "policy_sets", 3),
     17: (lambda caps: exact_delegation_gap(table1(HALF), MODE, caps), "dp_states", 6),
     18: (
@@ -99,6 +98,13 @@ FORWARDING = {
         "dp_states",
         6,
     ),
+    20: (
+        lambda caps: materialize_policy(coins2(), ThresholdPolicy(Fraction(1)), caps),
+        "dp_states",
+        9,
+    ),
+    21: (lambda caps: candidate_pair_sets(coins2(), caps), "scenarios", 4),
+    22: (lambda caps: candidate_pair_sets(coins2(), caps), "dp_states", 9),
 }
 
 
@@ -157,7 +163,6 @@ def test_caps_are_defined_once():
                         found.add((qualname, parameter))
     assert found == {
         ("probing_graph", "state_cap"),
-        ("realizable_inner_sets", "cap"),
         ("CapacityError.__init__", "cap"),
     }
 

@@ -362,3 +362,14 @@ def test_menu_json_round_trip():
     decoded = menu_from_json(encoded)
     assert decoded == menu
     assert menu_to_json(decoded) == encoded
+
+
+@pytest.mark.parametrize("element", [{"id": "1"}, ["1"], 1, None])
+def test_menu_outcome_ids_must_be_strings(element):
+    encoded = {
+        "lotteries": [
+            {"atoms": [{"set": [{"element": element, "x": [0, 1], "y": [0, 1]}], "p": [1, 1]}]}
+        ]
+    }
+    with pytest.raises(ValueError, match="element ids must be strings"):
+        menu_from_json(encoded)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,25 +12,37 @@ from delegation_lab.delegation import (
     policy_from_greedy,
 )
 from delegation_lab.errors import CapacityError, Caps
-from delegation_lab.instances import UtilityAtom, make_instance, table1, table2
-from delegation_lab.oracle import enumerate_policies, exact_delegation_gap
+from delegation_lab.instances import (
+    UtilityAtom,
+    make_instance,
+    realizable_inner_sets,
+    table1,
+    table2,
+)
+from delegation_lab.oracle import exact_delegation_gap
 from delegation_lab.prophet import samuel_cahn_threshold, threshold_family
 from delegation_lab.random_instances import random_tiny_instance
-from delegation_lab.set_systems import ExplicitSystem, FreeSystem, UniformSystem
+from delegation_lab.set_systems import (
+    ExplicitSystem,
+    FreeSystem,
+    PartitionSystem,
+    UniformSystem,
+)
 
 from conftest import one_uniform_instance
+from literal_oracle import literal_gap
 
 
 def test_policy_count_table1():
     inst = table1(Fraction(1, 2))
-    assert sum(1 for _ in enumerate_policies(inst)) == 8
+    assert exact_delegation_gap(inst).policies_enumerated == 8
 
 
 def test_policy_count_two_elements_mixed_supports():
     inst = one_uniform_instance(
         {"a": [(0, 1, Fraction(1, 2)), (2, 1, Fraction(1, 2))], "b": [(1, 1, 1)]}
     )
-    assert sum(1 for _ in enumerate_policies(inst)) == 8
+    assert exact_delegation_gap(inst).policies_enumerated == 8
 
 
 def test_policy_count_with_nothing_acceptable():
@@ -40,18 +53,18 @@ def test_policy_count_with_nothing_acceptable():
         FreeSystem(ground),
         ExplicitSystem(ground, frozenset()),  # only the empty set is feasible
     )
-    policies = list(enumerate_policies(inst))
-    assert len(policies) == 1
-    assert policies[0].acceptable == frozenset()
+    report = exact_delegation_gap(inst)
+    assert report.policies_enumerated == 1
+    assert report.best_policy.acceptable == frozenset()
 
 
 def test_candidate_cap():
     inst = table1(Fraction(1, 2))
     with pytest.raises(CapacityError, match="cap"):
-        list(enumerate_policies(inst, Caps(policy_sets=2)))
+        exact_delegation_gap(inst, caps=Caps(policy_sets=2))
 
 
-def test_candidate_cap_stops_counting_at_the_cap():
+def test_candidate_cap_reports_the_full_count():
     # free inner, three elements with three atoms each: 63 candidate sets
     atoms = [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 3)), (2, 3, Fraction(1, 3))]
     ground = frozenset({"a", "b", "c"})
@@ -61,8 +74,9 @@ def test_candidate_cap_stops_counting_at_the_cap():
         FreeSystem(ground),
         FreeSystem(ground),
     )
-    with pytest.raises(CapacityError, match=r"cap 1 \(count reached 2\)"):
-        list(enumerate_policies(inst, Caps(policy_sets=1)))
+    with pytest.raises(CapacityError, match=r"cap 1 \(count reached 63\)") as err:
+        exact_delegation_gap(inst, caps=Caps(policy_sets=1))
+    assert (err.value.limit, err.value.reached) == (1, 63)
 
 
 def test_gap_table2_principal_favoring():
@@ -125,3 +139,85 @@ def test_relabeled_instance_has_same_gap():
             exact_delegation_gap(inst).alpha_star
             == exact_delegation_gap(renamed).alpha_star
         )
+
+
+def _small_instance(rng, outer, inners):
+    """2-3 elements of 1-2 atoms with x and y in {0, 1, 2}, so ties are
+    common, under `outer` and one of `inners` (each built on the ground set).
+    The literal oracle scores 2^n policies for n candidate sets, so a draw
+    with more than 9 is drawn again."""
+    while True:
+        elements = [f"e{i}" for i in range(rng.randint(2, 3))]
+        ground = frozenset(elements)
+        dists = {}
+        for e in elements:
+            weights = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+            dists[e] = [
+                UtilityAtom(
+                    Fraction(rng.randint(0, 2)),
+                    Fraction(rng.randint(0, 2)),
+                    Fraction(w, sum(weights)),
+                )
+                for w in weights
+            ]
+        inner = rng.choice(inners)(ground)
+        instance = make_instance(elements, dists, outer(elements), inner)
+        if len(realizable_inner_sets(instance)) <= 9:
+            return instance
+
+
+INNERS = [
+    lambda ground: UniformSystem(ground, 1),
+    lambda ground: UniformSystem(ground, 2),
+    FreeSystem,
+]
+
+
+def test_oracle_matches_the_literal_oracle_on_free_outer_instances():
+    rng = random.Random(29)
+    for _ in range(30):
+        inst = _small_instance(rng, lambda elements: FreeSystem(frozenset(elements)), INNERS)
+        for mode in TieBreak:
+            report = exact_delegation_gap(inst, mode)
+            best_policy, alpha_star, count = literal_gap(inst, mode)
+            assert (report.alpha_star, report.best_policy) == (alpha_star, best_policy)
+            assert report.policies_enumerated == count
+            assert count == 2 ** len(realizable_inner_sets(inst))
+
+
+def test_oracle_matches_the_literal_oracle_under_outer_constraints():
+    # outer-infeasible candidate sets can never be proposed: the oracle
+    # scores fewer policies and must still pick the literal winner
+    rng = random.Random(31)
+    outers = {
+        "uniform k=1, inner k=2": (
+            lambda elements: UniformSystem(frozenset(elements), 1),
+            [lambda ground: UniformSystem(ground, 2)],
+        ),
+        "uniform k=1": (lambda elements: UniformSystem(frozenset(elements), 1), INNERS),
+        "uniform k=2": (lambda elements: UniformSystem(frozenset(elements), 2), INNERS),
+        "partition": (
+            lambda elements: PartitionSystem(
+                frozenset(elements),
+                (frozenset(elements[:1]), frozenset(elements[1:])),
+                (1, 1),
+            ),
+            INNERS,
+        ),
+    }
+    fewer = Counter()
+    for name, (outer, inners) in outers.items():
+        for _ in range(10):
+            inst = _small_instance(rng, outer, inners)
+            for mode in TieBreak:
+                report = exact_delegation_gap(inst, mode)
+                best_policy, alpha_star, count = literal_gap(inst, mode)
+                assert (report.alpha_star, report.best_policy) == (
+                    alpha_star,
+                    best_policy,
+                ), (name, mode)
+                assert report.policies_enumerated <= count
+                fewer[name] += report.policies_enumerated < count
+    # every inner-feasible pair is outer-infeasible under outer k=1
+    assert fewer["uniform k=1, inner k=2"] == 30, fewer
+    assert fewer["uniform k=1"] and fewer["partition"], fewer

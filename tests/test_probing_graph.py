@@ -63,20 +63,25 @@ from delegation_lab.set_systems import (
     iter_feasible_sets,
 )
 
-from literal_probing import literal_distribution, literal_solve, outcomes_at
+from literal_probing import (
+    literal_distribution,
+    literal_solve,
+    outcomes_at,
+    state_observations,
+)
 
 MODES = list(TieBreak)
 
 
 def state_outcomes(graph):
-    """Each state's observed outcome set, read from `graph.observed`."""
+    """Each state's observed outcome set, from `state_observations`."""
     elements = graph.instance.elements
     return [
         outcomes_at(
             graph.instance,
             ([elements[j] for j, _ in observed], [i for _, i in observed]),
         )
-        for observed in graph.observed
+        for observed in state_observations(graph)
     ]
 VALUES = st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 2, 3]))
 
@@ -192,7 +197,7 @@ def _graph_actions(graph, actions):
     elements = graph.instance.elements
     return {
         _state_key(graph, observed): None if k is None else elements[moves[k][0]]
-        for observed, moves, k in zip(graph.observed, graph.moves, actions)
+        for observed, moves, k in zip(state_observations(graph), graph.moves, actions)
     }
 
 
@@ -236,9 +241,12 @@ def test_graph_u_matches_the_max_weight_search(data, base):
     inner = data.draw(inner_systems(list(base.elements)))
     instance = dataclasses.replace(base, inner=inner)
     graph = probing_graph(instance, Caps.dp_states)
-    for observed, u in zip(graph.observed, graph.observed_values):
+    for observed, mask, u in zip(
+        state_observations(graph), graph.masks, graph.observed_values
+    ):
         pairs = [(instance.elements[j], i) for j, i in observed]
         assert Fraction(u, graph.outcome_unit) == _observed_value(instance, pairs)
+        assert mask == sum(1 << graph.outcome_bits[instance.outcome(e, i)] for e, i in pairs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -366,7 +374,7 @@ def test_graph_is_shared_by_every_stop_rule_on_one_instance():
     # the root comes first; every move leads to a later state
     for s, moves in enumerate(graph.moves):
         assert all(t > s for _, atoms in moves for _, t in atoms)
-    assert graph.observed[0] == ()
+    assert graph.probed[0] == graph.masks[0] == 0
 
 
 def _ranking_instance(rng):

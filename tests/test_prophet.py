@@ -15,6 +15,7 @@ from delegation_lab.instances import (
     coins2,
     enumerate_scenarios,
     make_instance,
+    realizable_inner_sets,
     table1,
 )
 from delegation_lab.probing import optimal_adaptive_value
@@ -584,7 +585,8 @@ def test_family_cap_refuses_before_building_candidate_sets(monkeypatch):
     # free inner: sum over nonempty F of 3^|F| = 4^8 - 1 candidate sets
     inst = _three_atom_instance(8, FreeSystem)
     prophet_module = importlib.import_module("delegation_lab.prophet")
-    monkeypatch.setattr(prophet_module, "realizable_inner_sets", _refuse)
+    monkeypatch.setattr(prophet_module, "candidate_pair_sets", _refuse)
+    monkeypatch.setattr(prophet_module, "scenario_table", _refuse)
     with pytest.raises(CapacityError) as err:
         best_greedy_family(inst)
     assert str(err.value) == f"candidate family lattice 2^65535 exceeds cap {10**6}"
@@ -628,16 +630,25 @@ def test_family_cap_counts_the_candidate_sets():
             ]
             for e, m in sizes.items()
         }
-        for kind, inner in inners.items():
+        for kind, make_inner in inners.items():
             ground = frozenset(ids)
-            inst = make_instance(ids, dists, FreeSystem(ground), inner(ground))
-            # the lattice is refused from the count, before any set is built
-            with pytest.raises(CapacityError) as err:
-                best_greedy_family(inst, Caps(family_sets=0))
-            count = len(candidate_pair_sets(inst))
-            assert str(err.value) == (
-                f"candidate family lattice 2^{count} exceeds cap 0"
-            ), kind
+            inner = make_inner(ground)
+            # the gambler has no outer constraint, so an outer one changes
+            # neither the count nor the candidate sets
+            for outer in (FreeSystem(ground), UniformSystem(ground, 1)):
+                inst = make_instance(ids, dists, outer, inner)
+                # the lattice is refused from the count, before any set is built
+                with pytest.raises(CapacityError) as err:
+                    best_greedy_family(inst, Caps(family_sets=0))
+                count = len(candidate_pair_sets(inst))
+                assert str(err.value) == (
+                    f"candidate family lattice 2^{count} exceeds cap 0"
+                ), kind
+                projected = {
+                    frozenset((o.element, o.x) for o in outcomes)
+                    for outcomes in realizable_inner_sets(inst)
+                }
+                assert set(candidate_pair_sets(inst)) == projected, kind
 
 
 def test_family_requires_feasible_members():

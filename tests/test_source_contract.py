@@ -69,3 +69,30 @@ def test_the_only_float_is_the_six_place_rendering():
         path.stem: calls for path in MODULES if (calls := _float_calls(_tree(path)))
     }
     assert found == {"cli": [("_rational", True)]}
+
+
+def _names(tree):
+    """Every identifier a module defines or uses: definitions, names,
+    attributes, imports and whole-string constants (a `getattr` name)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_only_instances_names_the_literal_outcome_set_walk():
+    # every proposable outcome set is read off the compiled probing graph
+    # (`ProbingGraph.proposals`); the literal walk is a test reference
+    naming = [
+        path.stem
+        for path in MODULES
+        if "realizable_inner_sets" in set(_names(_tree(path)))
+    ]
+    assert naming == ["instances"]
