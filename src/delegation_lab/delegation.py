@@ -10,7 +10,6 @@ choices and is the conservative default.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +35,7 @@ from .probing import (
     prefer,
     probe_distribution,
     probing_graph,
+    rank_offers,
     solve_probing,
 )
 from .prophet import (
@@ -177,12 +177,13 @@ def scan_offers(graph: ProbingGraph, offers: Sequence[Offer]) -> list[list[tuple
 def fold_offers(
     graph: ProbingGraph, rows: Sequence[Sequence[tuple[int, int]]], mode: TieBreak
 ) -> list[tuple[int, int]]:
-    """The best of `scan_offers` rows at every state.  Offers compete after
-    the empty proposal, worth (0, 0), and win only when `prefer` says so, so
-    remaining ties go to the earliest row."""
-    stops = [(0, 0)] * len(graph)
-    for row in rows:
-        stops = [pair if prefer(pair, best, mode) else best for pair, best in zip(row, stops)]
+    """The best of `scan_offers` rows at every state: the first of
+    `rank_offers`, or the empty proposal's (0, 0) when no row beats it."""
+    stops = []
+    for s in range(len(graph)):
+        pairs = [row[s] for row in rows]
+        ranked = rank_offers(pairs, mode)
+        stops.append(pairs[ranked[0]] if ranked else (0, 0))
     return stops
 
 
@@ -191,20 +192,16 @@ def offer_stop_values(
 ) -> list[tuple[int, int]]:
     """The agent's best offer's (agent, principal) values at every state.
 
-    Point-mass offers (every policy's) that `prefer` ranks above the empty
-    proposal's (0, 0) are stable-sorted once in `prefer` order, and each
-    state takes the first one it contains: the fold's choice.  Any other
-    menu is the fold of the scan.
+    Point-mass offers (every policy's) are ranked once (`rank_offers`), and
+    each state takes the first one it contains: the fold's choice.  Any
+    other menu is the fold of the scan.
     """
     if any(len(atoms) != 1 for atoms in offers):
         return fold_offers(graph, scan_offers(graph, offers), mode)
-    ranked = sorted(
-        ((y, x, mask) for (mask, y, x), in offers if prefer((y, x), (0, 0), mode)),
-        key=functools.cmp_to_key(lambda a, b: prefer(b, a, mode) - prefer(a, b, mode)),
-    )
+    ranked = [offers[i][0] for i in rank_offers([atoms[0][1:] for atoms in offers], mode)]
     stops = []
     for observed in graph.masks:
-        for y, x, mask in ranked:
+        for mask, y, x in ranked:
             if mask & observed == mask:
                 stops.append((y, x))
                 break

@@ -24,8 +24,16 @@ from .instances import (
     outcome_set_to_json,
     outcome_totals,
 )
-from .delegation import Offer, PolicyEvaluation, agent_probe_values, fold_offers, scan_offers
-from .probing import ProbingGraph, TieBreak, ValuePair, prefer, probing_graph, probing_pass
+from .delegation import Offer, PolicyEvaluation, agent_probe_values, scan_offers
+from .probing import (
+    Lanes,
+    ProbingGraph,
+    TieBreak,
+    ValuePair,
+    probing_graph,
+    probing_pass,
+    rank_offers,
+)
 from .prophet import _is_one_uniform
 
 LotteryAtom = tuple[frozenset[Outcome], Fraction]
@@ -114,13 +122,11 @@ def agent_lottery_choice(
     None competes as a zero-value candidate; ties follow the mode on the
     principal's expectation, then menu order with None first.
     """
-    best: Lottery | None = None
-    best_pair = (Fraction(0), Fraction(0))
-    for l in menu.lotteries:
-        pair = l.expected_values(probed)
-        if prefer(pair, best_pair, mode):
-            best, best_pair = l, pair
-    return best, best_pair
+    pairs = [l.expected_values(probed) for l in menu.lotteries]
+    ranked = rank_offers(pairs, mode)
+    if not ranked:
+        return None, (Fraction(0), Fraction(0))
+    return menu.lotteries[ranked[0]], pairs[ranked[0]]
 
 
 def menu_offers(graph: ProbingGraph, menu: LotteryMenu) -> tuple[list[Offer], int]:
@@ -194,9 +200,10 @@ def search_two_lottery_menus(
     the grid.  Grid points whose two lotteries would share a support are
     skipped unless they coincide, in which case the menu collapses to one
     lottery.  One compile per search: each grid lottery is one integer offer
-    over `outcome_unit` * n (n = 1 / grid) scanned at every state once; a
-    menu is the fold of its rows and one `probing_pass`, compared by its
-    root principal integer.  Only the first best menu is built and evaluated.
+    over `outcome_unit` * n (n = 1 / grid) scanned at every state once, and
+    lane i * (n + 1) + j of one `probing_pass` solves the menu (A_i, B_j).
+    Menus compare by root principal integer; only the first best menu is
+    built and evaluated.
     """
     if len(instance.elements) != 2:
         raise UnsupportedError("two-lottery search needs exactly two elements")
@@ -224,26 +231,36 @@ def search_two_lottery_menus(
     bits, table = graph.outcome_bits, graph.outcome_values
     # A_i at i, B_j at n + 1 + j: i / n on the anchor, the rest on low or high,
     # as (bit, weight) atoms less zero weights; equal sets mean equal keys
+    anchor_bit = bits[anchor]
     atom_sets = [
-        frozenset((bits[o], w) for o, w in ((anchor, i), (other, n - i)) if w)
-        for other in (low, high)
+        frozenset((b, w) for b, w in ((anchor_bit, i), (other, n - i)) if w)
+        for other in (bits[low], bits[high])
         for i in range(n + 1)
     ]
     supports = [{bit for bit, _ in atoms} for atoms in atom_sets]
     offers = [[(1 << b, w * table[b][0], w * table[b][1]) for b, w in a] for a in atom_sets]
     rows = scan_offers(graph, offers)
+    scale, m = graph.scales[0], n + 1
+    bound = max(p for row in rows for _, p in row)
+    agent_top = max(a for row in rows for a, _ in row) * scale
+    lanes = Lanes(mode, bound, scale, agent_top, m * m)
+    empty = lanes.pack([(0, 0)])[0] * lanes.one
+    stops = []
+    for s in range(len(graph)):
+        keys = [k.to_bytes(lanes.size, "little") for k in lanes.pack(row[s] for row in rows)]
+        # A_i fills lanes i * m to i * m + n; the B column repeats m times
+        a = int.from_bytes(b"".join(key * m for key in keys[:m]), "little")
+        b = int.from_bytes(b"".join(keys[m:]) * m, "little")
+        stops.append(lanes.merge(b, lanes.merge(a, empty)))
+    roots, _ = probing_pass(graph, stops, lanes)
     best: tuple[int, int, int] | None = None
-    for i in range(n + 1):
-        for j in range(n + 1, 2 * n + 2):
-            if atom_sets[i] == atom_sets[j]:
-                menu_rows = [rows[i]]
-            elif supports[i] == supports[j]:
-                continue
-            else:
-                menu_rows = [rows[i], rows[j]]
-            values, _ = probing_pass(graph, fold_offers(graph, menu_rows, mode), mode)
-            if best is None or values[0][1] > best[0]:
-                best = (values[0][1], i, j - n - 1)
+    for lane, root in enumerate(roots):
+        i, j = divmod(lane, m)
+        if supports[i] == supports[m + j] and atom_sets[i] != atom_sets[m + j]:
+            continue
+        principal = lanes.pair(root, scale)[1]
+        if best is None or principal > best[0]:
+            best = (principal, i, j)
     assert best is not None
     _, i, j = best
     lot_a = lottery([({anchor}, points[i]), ({low}, 1 - points[i])])

@@ -2,7 +2,8 @@
 
 A policy acts only through the sets the agent can propose, the rows of the
 compiled probing graph (`ProbingGraph.proposals`), so every subset of the
-rows is scored as point-mass offers by the one policy evaluator.
+rows is a stop rule of point-mass offers, and chunks of subsets are solved
+side by side in one lane-packed `probing_pass`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from fractions import Fraction
 from .delegation import ExplicitPolicy, Policy, TieBreak, agent_probe_values
 from .errors import CapacityError, Caps
 from .instances import Instance
-from .probing import probing_graph
+from .probing import Lanes, probing_graph, probing_pass, rank_offers
+
+LANE_BUDGET = 1 << 22  # bytes of stop keys: states x lanes in a chunk x lane size
 
 
 @dataclass(frozen=True)
@@ -30,9 +33,14 @@ def exact_delegation_gap(
 ) -> GapReport:
     """Max over all deterministic policies of the achieved fraction alpha.
 
-    Policies are walked as bitmasks over the proposal rows, whose count
-    `caps.policy_sets` bounds before any policy is scored; the first
-    strictly best wins, and only it is built as an `ExplicitPolicy`.
+    Policies are bitmasks over the proposal rows, whose count
+    `caps.policy_sets` bounds before any policy is scored.  They are solved
+    in ascending chunks of 2 ** b masks, b as large as keeps states x lanes
+    x lane bytes under `LANE_BUDGET`: lane i of the chunk from `base` is
+    policy base + i, which stops at each state with the best-ranked
+    (`rank_offers`) row it contains and sets.  The first strictly best root
+    principal integer wins (alpha shares its denominator), and only it is
+    rebuilt and evaluated.
     """
     graph = probing_graph(instance, caps.dp_states)
     rows = graph.proposals
@@ -40,15 +48,36 @@ def exact_delegation_gap(
     if count > cap:
         text = f"inner-feasible outcome sets exceed cap {cap} (count reached {count})"
         raise CapacityError(text, "policy_sets", cap, count)
-    unit = graph.outcome_unit
-    offers = [[(mask, y, x)] for _, mask, y, x in rows]
-    best_subset, best = 0, agent_probe_values(graph, [], unit, mode)
-    for subset in range(1, 2 ** count):
-        chosen = [offer for i, offer in enumerate(offers) if subset >> i & 1]
-        evaluation = agent_probe_values(graph, chosen, unit, mode)
-        if evaluation.alpha > best.alpha:
-            best_subset, best = subset, evaluation
-    policy = ExplicitPolicy(
-        frozenset(row[0] for i, row in enumerate(rows) if best_subset >> i & 1)
-    )
-    return GapReport(policy, best.alpha, 2 ** count)
+    scale, pairs = graph.scales[0], [(y, x) for _, _, y, x in rows]
+    bound = max((x for _, x in pairs), default=0)
+    agent_top = max((y for y, _ in pairs), default=0) * scale
+    size = Lanes(mode, bound, scale, agent_top).size
+    chunk_bits = min(count, max(0, (LANE_BUDGET // (len(graph) * size)).bit_length() - 1))
+    lanes = Lanes(mode, bound, scale, agent_top, 1 << chunk_bits)
+    every = (1 << lanes.count * lanes.width) - 1
+    # lane i of every chunk sets row r < chunk_bits iff i does
+    blocks = [bytes(size << r) + b"\xff" * (size << r) for r in range(chunk_bits)]
+    patterns = [int.from_bytes(b * (lanes.count >> r + 1), "little") for r, b in enumerate(blocks)]
+    empty, *packed = (k * lanes.one for k in lanes.pack([(0, 0), *pairs]))
+    # worst first: the best row a lane sets is written last
+    ranked = rank_offers(pairs, mode)[::-1]
+    contained = [[r for r in ranked if rows[r][1] & seen == rows[r][1]] for seen in graph.masks]
+    best = (-1, 0)
+    for base in range(0, 2 ** count, lanes.count):
+        chosen = patterns + [every * (base >> r & 1) for r in range(chunk_bits, count)]
+        stops = []
+        for state_rows in contained:
+            stop = empty
+            for r in state_rows:
+                stop ^= (stop ^ packed[r]) & chosen[r]
+            stops.append(stop)
+        roots, _ = probing_pass(graph, stops, lanes)
+        for i, root in enumerate(roots):
+            principal = lanes.pair(root, scale)[1]
+            if principal > best[0]:
+                best = (principal, base + i)
+    kept = [row for i, row in enumerate(rows) if best[1] >> i & 1]
+    offers = [[(mask, y, x)] for _, mask, y, x in kept]
+    evaluation = agent_probe_values(graph, offers, graph.outcome_unit, mode)
+    policy = ExplicitPolicy(frozenset(row[0] for row in kept))
+    return GapReport(policy, evaluation.alpha, 2 ** count)

@@ -5,7 +5,8 @@ their observed support atoms) once: every state lists its outer-feasible
 moves with integer atom weights and successor indices, root first, every
 move to a later state.  `solve_probing` values each state by a stop rule,
 given as one integer (agent, principal) pair per state, in one backward pass
-of integer arithmetic.  The non-delegated benchmark `optimal_adaptive_value`
+(`probing_pass`) of integer keys; `Lanes` packs many rules into one pass.
+The non-delegated benchmark `optimal_adaptive_value`
 stops with (u, u), u the best inner-feasible observed total; the delegated
 agent stops with its proposal (`delegation`, `lottery`).
 `best_nonadaptive_set` scores every probed set of the same graph, which are
@@ -21,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, Caps
@@ -284,38 +286,105 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     )
 
 
-def probing_pass(
-    graph: ProbingGraph, stop_values: Sequence[tuple[int, int]], mode: TieBreak
-) -> tuple[list[tuple[int, int]], list[int | None]]:
-    """Each state's (agent, principal) value and action, in integers.
+# The sign of the principal value in a pair's rank (agent, sign * principal).
+RANK_SIGN = {TieBreak.ADVERSARIAL: -1, TieBreak.PRINCIPAL_FAVORING: 1, TieBreak.LEXICOGRAPHIC: 0}
 
-    `stop_values[s]` is state s's stop value pair as integers over a unit.
-    V(s) = the `prefer`-best of the stop value and the expected successor
-    value of each move; open ties go to stopping, then to the earliest
-    element.  The action is the position of the chosen move in
-    `graph.moves[s]`, or None to stop.  Every value at state s is kept as an
-    integer over unit * scales[s], so one pass from the last state back to
-    the root compares exactly what a Fraction DP would.
+
+def rank_offers(pairs: Sequence[ValuePair | tuple[int, int]], mode: TieBreak) -> list[int]:
+    """The indices of the (agent, principal) pairs that `prefer` would take
+    over the empty proposal's (0, 0), best first in `prefer`'s order (by
+    rank), ties in index order."""
+    sign = RANK_SIGN[mode]
+    ranks = [(agent, sign * principal) for agent, principal in pairs]
+    better = [i for i, rank in enumerate(ranks) if rank > (0, 0)]
+    return sorted(better, key=ranks.__getitem__, reverse=True)
+
+
+class Lanes:
+    """Stop keys: a tie rule as one integer per integer (agent, principal)
+    pair, and `count` of them side by side in one int.
+
+    key = (agent << shift) + low, low = principal, or bound - principal
+    under adversarial ties (bound >= every principal stop value).  At state
+    s the DP holds keys times scales[s], with 0 <= low <= bound * scales[s]
+    < 2 ** shift: `>` on keys is `prefer` (on key >> `cut` under
+    lexicographic ties), and as sum(w * scales[t]) = scales[s] over a move's
+    atoms, a move's expected key is the key of its expected pair.  Keys are
+    nonnegative, as `UtilityAtom` has x, y >= 0.
+
+    Lane i is bytes [i * size, (i + 1) * size), little-endian, width = 8 *
+    size bits.  Every key the DP holds is below 2 ** (width - 1), as
+    `agent_top` bounds the agent stop values times scales[0], so sums of
+    keys carry into no other lane.  `merge(x, y)` keeps y where x_i <= y_i:
+    with H the top (guard) bit and ONE a 1 in every lane, lane i of
+    (x | H) - y - ONE is 2 ** (width - 1) + x_i - y_i - 1, in
+    [0, 2 ** width), so no lane borrows and the guard is set iff x_i > y_i
+    (the low `cut` bits of both cleared first).  The guards moved to bit 0,
+    times 2 ** width - 1, fill the lanes where x wins.
     """
-    values: list[tuple[int, int]] = [(0, 0)] * len(graph)
-    actions: list[int | None] = [None] * len(graph)
-    for s in reversed(range(len(graph))):
-        scale = graph.scales[s]
-        agent, principal = stop_values[s]
-        best = (agent * scale, principal * scale)
-        action = None
-        for k, (_, atoms) in enumerate(graph.moves[s]):
-            agent_total = principal_total = 0
+
+    def __init__(
+        self, mode: TieBreak, bound: int, scale: int, agent_top: int = 0, count: int = 1
+    ) -> None:
+        self.mode, self.bound, self.count = mode, bound, count
+        self.shift = (bound * scale).bit_length()
+        self.cut = self.shift if mode is TieBreak.LEXICOGRAPHIC else 0
+        self.size = (agent_top.bit_length() + self.shift + 8) // 8
+        self.width = 8 * self.size
+        self.one = int.from_bytes((b"\1" + bytes(self.size - 1)) * count, "little")
+        self.guard = self.one << self.width - 1
+        self.keep = self.one * ((1 << self.width - 1) - (1 << self.cut))
+
+    def pack(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
+        shift, bound = self.shift, self.bound
+        if self.mode is TieBreak.ADVERSARIAL:
+            return [(agent << shift) + bound - principal for agent, principal in pairs]
+        return [(agent << shift) + principal for agent, principal in pairs]
+
+    def pair(self, key: int, scale: int) -> tuple[int, int]:
+        """The (agent, principal) pair of a key held at a state of `scale`."""
+        low = key & (1 << self.shift) - 1
+        if self.mode is TieBreak.ADVERSARIAL:
+            low = self.bound * scale - low
+        return key >> self.shift, low
+
+    def merge(self, x: int, y: int) -> int:
+        wins = ((x & self.keep | self.guard) - (y & self.keep) - self.one) & self.guard
+        return y ^ (y ^ x) & (wins >> self.width - 1) * ((1 << self.width) - 1)
+
+    def unpack(self, packed: int) -> list[int]:
+        raw, size = packed.to_bytes(self.count * self.size, "little"), self.size
+        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+
+
+def probing_pass(
+    graph: ProbingGraph, stops: Sequence[int], lanes: Lanes
+) -> tuple[list[int], list[int | None]]:
+    """The root key of each lane and, for one lane, each state's action.
+
+    `stops[s]` is state s's stop key over a unit, or `lanes.count` of them.
+    V(s) = the best of the stop key times scales[s] and each move's expected
+    successor key; ties go to stopping, then to the earliest element.  One
+    lane compares with `>` and records the chosen move's position in
+    `graph.moves[s]` (None to stop); more lanes `merge`.  Every key at state
+    s is over unit * scales[s], so one pass from the last state back to the
+    root compares exactly what a Fraction DP would.
+    """
+    scales, moves, one_lane, cut = graph.scales, graph.moves, lanes.count == 1, lanes.cut
+    values = [0] * len(moves)
+    actions: list[int | None] = [None] * len(moves)
+    for s in reversed(range(len(moves))):
+        best, action = stops[s] * scales[s], None
+        for k, (_, atoms) in enumerate(moves[s]):
+            total = 0
             for w, t in atoms:
-                sub_agent, sub_principal = values[t]
-                agent_total += w * sub_agent
-                principal_total += w * sub_principal
-            pair = (agent_total, principal_total)
-            if prefer(pair, best, mode):
-                best, action = pair, k
-        values[s] = best
-        actions[s] = action
-    return values, actions
+                total += w * values[t]
+            if not one_lane:
+                best = lanes.merge(total, best)
+            elif total >> cut > best >> cut:
+                best, action = total, k
+        values[s], actions[s] = best, action
+    return (values[:1] if one_lane else lanes.unpack(values[0])), actions
 
 
 def solve_probing(
@@ -325,14 +394,12 @@ def solve_probing(
     unit: int = 1,
 ) -> tuple[ValuePair, list[int | None]]:
     """Root (agent, principal) value and each state's action: `probing_pass`
-    on stop values over `unit`, whose root pair alone becomes a Fraction."""
-    values, actions = probing_pass(graph, stop_values, mode)
-    denominator = unit * graph.scales[0]
-    root_agent, root_principal = values[0]
-    return (
-        Fraction(root_agent, denominator),
-        Fraction(root_principal, denominator),
-    ), actions
+    on the keys of stop value pairs over `unit`."""
+    scale = graph.scales[0]
+    lanes = Lanes(mode, max(stop_values, key=itemgetter(1), default=(0, 0))[1], scale)
+    roots, actions = probing_pass(graph, lanes.pack(stop_values), lanes)
+    agent, principal = lanes.pair(roots[0], scale)
+    return (Fraction(agent, unit * scale), Fraction(principal, unit * scale)), actions
 
 
 def probe_distribution(

@@ -232,6 +232,20 @@ def test_search_reaches_stated_value_on_table1():
     assert evaluation.principal_value >= 2 - 3 * EPS + 2 * EPS**2
 
 
+def test_fine_grid_still_misses_the_table1_optimum():
+    # a known defect of the two-lottery grid, kept visible until an exact
+    # menu optimum replaces it: the best 1/100 menus stay below 13/9 at
+    # eps = 1/3 and below 85/49 at eps = 1/7
+    for eps, found, optimum in [
+        (Fraction(1, 3), Fraction(36, 25), Fraction(13, 9)),
+        (Fraction(1, 7), Fraction(121, 70), Fraction(85, 49)),
+    ]:
+        _, evaluation = search_two_lottery_menus(
+            table1(eps), Fraction(1, 100), TieBreak.PRINCIPAL_FAVORING
+        )
+        assert evaluation.principal_value == found < optimum == 2 - 2 * eps + eps**2
+
+
 def test_search_on_degenerate_instance_matches_benchmark():
     inst = one_uniform_instance({"r": [(3, 2, 1)], "d": [(1, 1, 1)]})
     menu, evaluation = search_two_lottery_menus(inst, Fraction(1, 10))

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from delegation_lab import oracle as oracle_module
 from delegation_lab.delegation import (
+    ExplicitPolicy,
     ThresholdPolicy,
     TieBreak,
+    agent_probe_values,
     build_threshold_policy,
     evaluate_policy,
     policy_from_greedy,
@@ -20,8 +23,9 @@ from delegation_lab.instances import (
     table2,
 )
 from delegation_lab.oracle import exact_delegation_gap
+from delegation_lab.probing import probing_graph, probing_pass
 from delegation_lab.prophet import samuel_cahn_threshold, threshold_family
-from delegation_lab.random_instances import random_tiny_instance
+from delegation_lab.random_instances import random_free_outer_instance, random_tiny_instance
 from delegation_lab.set_systems import (
     ExplicitSystem,
     FreeSystem,
@@ -221,3 +225,50 @@ def test_oracle_matches_the_literal_oracle_under_outer_constraints():
     # every inner-feasible pair is outer-infeasible under outer k=1
     assert fewer["uniform k=1, inner k=2"] == 30, fewer
     assert fewer["uniform k=1"] and fewer["partition"], fewer
+
+
+def _thirteen_row_draw():
+    """The first draw of `random_free_outer_instance(random.Random(2),
+    max_support=4)` with 13 proposal rows (4 elements, 300 states)."""
+    rng = random.Random(2)
+    while True:
+        inst = random_free_outer_instance(rng, max_support=4)
+        if len(probing_graph(inst, Caps.dp_states).proposals) == 13:
+            return inst
+
+
+def test_thirteen_row_draw_matches_the_scalar_evaluator_at_chunk_edges(monkeypatch):
+    inst = _thirteen_row_draw()
+    graph = probing_graph(inst, Caps.dp_states)
+    rows, unit, scale = graph.proposals, graph.outcome_unit, graph.scales[0]
+    chunks = []
+
+    def recorded(graph, stops, lanes):
+        roots, actions = probing_pass(graph, stops, lanes)
+        chunks.append([lanes.pair(root, scale) for root in roots])
+        return roots, actions
+
+    monkeypatch.setattr(oracle_module, "probing_pass", recorded)
+    for mode in TieBreak:
+        chunks.clear()
+        report = exact_delegation_gap(inst, mode)
+        assert report.alpha_star == Fraction(72731, 75185)
+        assert report.policies_enumerated == 2**13
+        lanes = [pair for chunk in chunks for pair in chunk]
+        assert len(chunks) > 1 and len(lanes) == 2**13
+        # the winner is the first strictly best root principal, mask 7984
+        principals = [principal for _, principal in lanes]
+        winner = principals.index(max(principals))
+        assert winner == 0b1111100110000
+        assert report.best_policy == ExplicitPolicy(
+            frozenset(row[0] for i, row in enumerate(rows) if winner >> i & 1)
+        )
+        size = len(chunks[0])
+        for mask in (winner, 0, size - 1, size, 2**13 - size - 1, 2**13 - size, 2**13 - 1):
+            offers = [[(m, y, x)] for i, (_, m, y, x) in enumerate(rows) if mask >> i & 1]
+            evaluation = agent_probe_values(graph, offers, unit, mode)
+            agent, principal = lanes[mask]
+            assert Fraction(agent, unit * scale) == evaluation.agent_value, (mode, mask)
+            assert Fraction(principal, unit * scale) == evaluation.principal_value, (mode, mask)
+            if mask == winner:
+                assert evaluation.alpha == report.alpha_star

@@ -96,3 +96,34 @@ def test_only_instances_names_the_literal_outcome_set_walk():
         if "realizable_inner_sets" in set(_names(_tree(path)))
     ]
     assert naming == ["instances"]
+
+
+def _prefer_callers(tree):
+    """The enclosing function of every call to a name or attribute `prefer`."""
+    callers = []
+
+    def visit(node, function):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "prefer":
+                callers.append(function)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return callers
+
+
+def test_the_tie_rule_is_one_key_outside_the_literal_best_response():
+    # the probing pass, the offer ranking and the lanes compare keys; only
+    # the literal best-response walk asks `prefer`, and nothing sorts by a
+    # comparison function
+    callers = {
+        path.stem: found for path in MODULES if (found := _prefer_callers(_tree(path)))
+    }
+    assert callers == {"delegation": ["agent_best_response"]}
+    using = [path.stem for path in MODULES if "cmp_to_key" in set(_names(_tree(path)))]
+    assert using == []
