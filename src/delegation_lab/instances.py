@@ -4,7 +4,8 @@ An instance couples an ordered list of elements, one finite-support
 distribution over (principal utility x, agent utility y) per element, an
 outer constraint on the probed set and an inner constraint on the selected
 set.  All probabilities and utilities are exact rationals; expectations are
-computed by full scenario enumeration.
+computed by full scenario enumeration.  Atoms and outcomes hash, and
+supports are canonicalized and checked, in integers.
 """
 
 from __future__ import annotations
@@ -39,10 +40,13 @@ class UtilityAtom:
     prob: Fraction
 
     def __post_init__(self) -> None:
-        if self.x < 0 or self.y < 0:
+        if self.x.numerator < 0 or self.y.numerator < 0:
             raise ValueError("utilities must be nonnegative")
-        if not 0 < self.prob <= 1:
+        if not 0 < self.prob.numerator <= self.prob.denominator:
             raise ValueError("atom probability must lie in (0, 1]")
+
+    def __hash__(self) -> int:
+        return hash(tuple(v.as_integer_ratio() for v in (self.x, self.y, self.prob)))
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,9 @@ class Outcome:
 
     def key(self) -> tuple[str, Fraction, Fraction]:
         return (self.element, self.x, self.y)
+
+    def __hash__(self) -> int:
+        return hash((self.element, self.x.as_integer_ratio(), self.y.as_integer_ratio()))
 
 
 @dataclass(frozen=True)
@@ -72,10 +79,9 @@ class Instance:
         ground = frozenset(self.elements)
         if self.outer.ground != ground or self.inner.ground != ground:
             raise ValueError("constraints must live on the instance elements")
-        for e, support in zip(self.elements, self.atoms):
-            total = sum((a.prob for a in support), Fraction(0))
-            if total != 1:
-                raise ValueError(f"probabilities of element {e!r} sum to {total}")
+        for e, q, weights in zip(self.elements, *self.integer_probs):
+            if sum(weights) != q:
+                raise ValueError(f"probabilities of element {e!r} sum to {Fraction(sum(weights), q)}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -83,7 +89,7 @@ class Instance:
     @functools.cached_property
     def _hash(self) -> int:
         """Hashed once: compiled graphs are cached by instance, and hashing
-        every atom's Fractions again cost each lookup more than its work."""
+        every atom again would cost each lookup more than its work."""
         return hash((self.elements, self.atoms, self.outer, self.inner))
 
     @functools.cached_property
@@ -111,21 +117,22 @@ def make_instance(
     outer: SetSystem,
     inner: SetSystem,
 ) -> Instance:
-    """Canonicalize supports (merge duplicate (x, y) atoms, sort) and build."""
+    """Canonicalize supports and build: each element's atoms sorted by their
+    integer (x, y) over the lcm of its utility denominators, equal keys merged
+    by summing probabilities; an atom that merges with nothing is kept."""
     supports = []
     for e in elements:
         if e not in dists:
             raise ValueError(f"missing distribution for element {e!r}")
-        merged: dict[tuple[Fraction, Fraction], Fraction] = {}
-        for atom in dists[e]:
-            key = (atom.x, atom.y)
-            merged[key] = merged.get(key, Fraction(0)) + atom.prob
-        supports.append(
-            tuple(
-                UtilityAtom(x, y, p)
-                for (x, y), p in sorted(merged.items())
-            )
-        )
+        atoms = dists[e]
+        unit = math.lcm(*(v.denominator for a in atoms for v in (a.x, a.y)))
+        key = lambda a: (a.x.numerator * unit // a.x.denominator, a.y.numerator * unit // a.y.denominator)
+        support = []
+        for _, (atom, *rest) in itertools.groupby(sorted(atoms, key=key), key):
+            if rest:
+                atom = UtilityAtom(atom.x, atom.y, sum((a.prob for a in rest), atom.prob))
+            support.append(atom)
+        supports.append(tuple(support))
     return Instance(tuple(elements), tuple(supports), outer, inner)
 
 

@@ -144,7 +144,6 @@ def menu_offers(graph: ProbingGraph, menu: LotteryMenu) -> tuple[list[Offer], in
     for l in menu.lotteries:
         atoms = []
         for outcome_set, p in l.atoms:
-            # one lookup per outcome: hashing an Outcome hashes two Fractions
             bits = [graph.outcome_bits.get(o) for o in outcome_set]
             elements = {o.element for o in outcome_set}
             if (

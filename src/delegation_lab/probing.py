@@ -142,10 +142,10 @@ class ProbingGraph:
 
     @functools.cached_property
     def inner_feasible(self) -> tuple[bool, ...]:
-        """Whether each state's probed set is inner-feasible, asked once per
-        distinct probed set."""
-        inner = self.instance.inner
-        feasible = {p: inner.is_feasible(self.element_set(p)) for p in set(self.probed)}
+        """Whether each state's probed set is inner-feasible, asked of the
+        inner constraint's mask test once per distinct probed set."""
+        test = self.instance.inner.mask_test(self.instance.elements)
+        feasible = {p: test(p) for p in set(self.probed)}
         return tuple(feasible[p] for p in self.probed)
 
     @functools.cached_property
@@ -236,21 +236,19 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     for support in instance.atoms:
         radix.append(radix[-1] * (len(support) + 1))
 
-    @functools.cache
-    def feasible_next(probed: int) -> list[int]:
-        ids = {e for j, e in enumerate(elements) if probed >> j & 1}
-        return [
-            j
-            for j, e in enumerate(elements)
-            if not probed >> j & 1 and instance.outer.is_feasible(ids | {e})
-        ]
-
     # Breadth first: every state is found before its successors.
     if state_cap < 1 or (
         isinstance(instance.outer, FreeSystem)
         and math.prod(len(support) + 1 for support in instance.atoms) > state_cap
     ):
         raise _too_many_states(state_cap)
+    outer_feasible = instance.outer.mask_test(elements)
+
+    @functools.cache
+    def feasible_next(probed: int) -> list[int]:
+        unprobed = (j for j in range(len(elements)) if not probed >> j & 1)
+        return [j for j in unprobed if outer_feasible(probed | 1 << j)]
+
     root_scale = math.prod(denominators)
     found = {0: 0}
     codes, scales, probed, masks, weights = [0], [root_scale], [0], [0], [root_scale]
@@ -467,11 +465,10 @@ def best_nonadaptive_set(
     scores: dict[int, int] = {}
     for probed, weight, u in zip(graph.probed, graph.weights, graph.observed_values):
         scores[probed] = scores.get(probed, 0) + weight * u
-    negated_score, _, ids = min(
-        (-score, -probed.bit_count(), tuple(sorted(graph.element_set(probed))))
-        for probed, score in scores.items()
-    )
-    best_value = Fraction(-negated_score, graph.outcome_unit * graph.scales[0])
+    top = max((score, probed.bit_count()) for probed, score in scores.items())
+    tied = [probed for probed, score in scores.items() if (score, probed.bit_count()) == top]
+    ids = min(tuple(sorted(graph.element_set(probed))) for probed in tied)
+    best_value = Fraction(top[0], graph.outcome_unit * graph.scales[0])
     benchmark = graph.adaptive.expected_value
     ratio = best_value / benchmark if benchmark > 0 else Fraction(1)
     return NonAdaptiveReport(frozenset(ids), best_value, ratio)

@@ -33,25 +33,20 @@ from typing import Iterable
 from .errors import CapacityError, Caps, UnsupportedError
 from .instances import Instance, check_scenario_cap, restrict_instance, x_values
 from .probing import ProbingGraph, probing_graph
-from .set_systems import (
-    Antichain,
-    FreeSystem,
-    SetSystem,
-    _antichain,
-    iter_feasible_sets,
-)
+from .set_systems import FreeSystem, SetSystem, _antichain
 
 OutcomePair = tuple[str, Fraction]
 
 
 @dataclass(frozen=True)
-class GreedyFamily(Antichain):
+class GreedyFamily:
     """Downward-closed acceptance family stored as its maximal antichain."""
 
     maximal: frozenset[frozenset[OutcomePair]]
     constraint: SetSystem
 
-    accepts = Antichain.contains
+    def accepts(self, s: frozenset) -> bool:
+        return not s or any(s <= m for m in self.maximal)
 
 
 def greedy_family(
@@ -247,12 +242,17 @@ def best_greedy_family(
     checked against `caps.family_sets` before any candidate set is built.
     """
     # len(candidate_pair_sets(instance)): each nonempty inner-feasible
-    # element set contributes the product of its elements' distinct x values
-    count = sum(
-        math.prod(len(x_values(instance, e)) for e in elements)
-        for elements in iter_feasible_sets(instance.inner)
-        if elements
-    )
+    # element set contributes the product of its elements' distinct x values;
+    # walked depth first by higher indices (all reached: downward closed)
+    sizes = [len(x_values(instance, e)) for e in instance.elements]
+    feasible = instance.inner.mask_test(instance.elements)
+    count, stack = 0, [(0, 0, 1)]  # (element mask, next index, product)
+    while stack:
+        mask, start, product = stack.pop()
+        for j in range(start, len(sizes)):
+            if feasible(mask | 1 << j):
+                count += product * sizes[j]
+                stack.append((mask | 1 << j, j + 1, product * sizes[j]))
     # 2^count > limit, without building 2^count
     if count >= max(caps.family_sets, 0).bit_length():
         raise CapacityError(

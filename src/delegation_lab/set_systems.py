@@ -4,14 +4,22 @@ Five kinds are supported: uniform matroids, partition matroids, explicit
 families (stored as the antichain of maximal feasible sets), intersections
 of systems, and the free system in which every subset is feasible.  All
 values are immutable after construction and every operation is pure.
+Each kind states its feasibility rule once, as a test on element bitmasks
+(`mask_test`): free always true, uniform popcount <= k, partition a popcount
+per block mask, explicit m & M == m for a maximal M, intersection all parts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+
+def _mask(ids: frozenset[str], order: Sequence[str]) -> int:
+    return sum(1 << j for j, e in enumerate(order) if e in ids)
 
 
 class SetSystem:
@@ -21,13 +29,25 @@ class SetSystem:
 
     def is_feasible(self, subset: Iterable[str]) -> bool:
         s = frozenset(subset)
-        unknown = s - self.ground
-        if unknown:
+        if unknown := s - self.ground:
             raise ValueError(f"unknown element ids: {sorted(unknown)}")
         return self._feasible(s)
 
+    def mask_test(self, order: Sequence[str]) -> Callable[[int], bool]:
+        """Feasibility of {order[j] : bit j of m set} as a test on m, `order` listing
+        the ground; a subclass states its rule here or on sets of ids (`_feasible`)."""
+        if type(self)._feasible is SetSystem._feasible:
+            raise NotImplementedError("a set system states mask_test or _feasible")
+        return lambda m: self._feasible(frozenset(e for j, e in enumerate(order) if m >> j & 1))
+
     def _feasible(self, s: frozenset[str]) -> bool:
-        raise NotImplementedError
+        order, test = self._sorted_test
+        return test(_mask(s, order))
+
+    @functools.cached_property
+    def _sorted_test(self) -> tuple[list[str], Callable[[int], bool]]:
+        order = sorted(self.ground)
+        return order, self.mask_test(order)
 
     def restrict(self, subset: Iterable[str]) -> "SetSystem":
         """The same family intersected with the power set of `subset`."""
@@ -35,8 +55,7 @@ class SetSystem:
 
     def _check_restriction(self, subset: Iterable[str]) -> frozenset[str]:
         s = frozenset(subset)
-        extra = s - self.ground
-        if extra:
+        if extra := s - self.ground:
             raise ValueError(f"restriction set not within ground: {sorted(extra)}")
         return s
 
@@ -47,8 +66,8 @@ class FreeSystem(SetSystem):
 
     ground: frozenset[str]
 
-    def _feasible(self, s: frozenset[str]) -> bool:
-        return True
+    def mask_test(self, order: Sequence[str]) -> Callable[[int], bool]:
+        return lambda m: True
 
     def restrict(self, subset: Iterable[str]) -> "FreeSystem":
         return FreeSystem(self._check_restriction(subset))
@@ -65,8 +84,8 @@ class UniformSystem(SetSystem):
         if self.k < 0:
             raise ValueError("uniform rank k must be nonnegative")
 
-    def _feasible(self, s: frozenset[str]) -> bool:
-        return len(s) <= self.k
+    def mask_test(self, order: Sequence[str]) -> Callable[[int], bool]:
+        return lambda m: m.bit_count() <= self.k
 
     def restrict(self, subset: Iterable[str]) -> "UniformSystem":
         return UniformSystem(self._check_restriction(subset), self.k)
@@ -95,8 +114,9 @@ class PartitionSystem(SetSystem):
         if seen != self.ground:
             raise ValueError("partition blocks must cover the ground set")
 
-    def _feasible(self, s: frozenset[str]) -> bool:
-        return all(len(s & b) <= c for b, c in zip(self.blocks, self.caps))
+    def mask_test(self, order: Sequence[str]) -> Callable[[int], bool]:
+        caps = [(_mask(b, order), c) for b, c in zip(self.blocks, self.caps)]
+        return lambda m: all((m & b).bit_count() <= c for b, c in caps)
 
     def restrict(self, subset: Iterable[str]) -> "PartitionSystem":
         s = self._check_restriction(subset)
@@ -117,21 +137,10 @@ def _antichain(sets: Iterable[frozenset]) -> frozenset[frozenset]:
     )
 
 
-class Antichain:
-    """Downward closure of the antichain `maximal`: its members' subsets.
-
-    An empty antichain leaves only the empty set.
-    """
-
-    maximal: frozenset[frozenset]
-
-    def contains(self, s: frozenset) -> bool:
-        return not s or any(s <= m for m in self.maximal)
-
-
 @dataclass(frozen=True)
-class ExplicitSystem(Antichain, SetSystem):
-    """Downward closure of an explicit antichain of maximal feasible sets."""
+class ExplicitSystem(SetSystem):
+    """Downward closure of an explicit antichain of maximal feasible sets;
+    an empty antichain leaves only the empty set."""
 
     ground: frozenset[str]
     maximal: frozenset[frozenset[str]]
@@ -144,7 +153,9 @@ class ExplicitSystem(Antichain, SetSystem):
         if self.maximal != _antichain(self.maximal):
             raise ValueError("maximal sets must form an antichain")
 
-    _feasible = Antichain.contains
+    def mask_test(self, order: Sequence[str]) -> Callable[[int], bool]:
+        maximal = [_mask(m, order) for m in self.maximal]
+        return lambda m: not m or any(m & top == m for top in maximal)
 
     def restrict(self, subset: Iterable[str]) -> "ExplicitSystem":
         s = self._check_restriction(subset)
@@ -165,8 +176,9 @@ class IntersectionSystem(SetSystem):
             if part.ground != self.ground:
                 raise ValueError("intersection parts must share the ground set")
 
-    def _feasible(self, s: frozenset[str]) -> bool:
-        return all(part._feasible(s) for part in self.parts)
+    def mask_test(self, order: Sequence[str]) -> Callable[[int], bool]:
+        tests = [part.mask_test(order) for part in self.parts]
+        return lambda m: all(test(m) for test in tests)
 
     def restrict(self, subset: Iterable[str]) -> "IntersectionSystem":
         s = self._check_restriction(subset)

@@ -4,6 +4,7 @@ import io
 import json
 import re
 import shlex
+import time
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -341,6 +342,21 @@ def test_no_cap_refuses_what_is_not_built(
     key, num, den = value
     report = json.loads(out)
     assert (report[key]["num"], report[key]["den"]) == (num, den)
+
+
+def test_from_greedy_refuses_a_large_lattice_quickly(tmp_path, capsys):
+    # 20 two-atom elements under a 1-uniform inner constraint: the lattice
+    # count walks its 21 inner-feasible element sets, not all 2^20 subsets
+    supports = [[(i % 4, 1), (i + 3, 2)] for i in range(20)]
+    path = _write_instance(tmp_path / "instance.json", supports, {"kind": "uniform", "k": 1})
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "build-policy", "--instance", path, "--method", "from-greedy"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "candidate family lattice 2^40 exceeds cap 1000000" in err
 
 
 def test_readme_lists_exactly_the_caps():

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from delegation_lab.instances import (
     instance_to_json,
     is_inner_feasible_outcome_set,
     load_instance,
+    make_instance,
     realizable_inner_sets,
     table1,
     table2,
@@ -19,6 +21,7 @@ from delegation_lab.instances import (
 from delegation_lab.set_systems import FreeSystem, UniformSystem
 
 from conftest import one_uniform_instance
+from literal_instances import literal_make_instance
 
 
 def test_atom_validation():
@@ -174,3 +177,74 @@ def test_builtin_tables_match_published_rows():
 def test_builtin_epsilon_validation():
     with pytest.raises(ValueError, match="epsilon"):
         table1(Fraction(2))
+
+
+def test_equal_outcomes_and_atoms_hash_alike():
+    # ints, unreduced Fraction inputs and normalized Fractions are equal
+    # values, so they must be one dict key
+    forms = [(1, Fraction(1, 2)), (Fraction(2, 2), Fraction(2, 4)), (Fraction(1), Fraction(1, 2))]
+    probs = [1, Fraction(3, 3), Fraction(1)]
+    outcomes = [Outcome("e", x, y) for x, y in forms]
+    atoms = [UtilityAtom(x, y, p) for (x, y), p in zip(forms, probs)]
+    for group in (outcomes, atoms):
+        assert all(value == group[0] for value in group)
+        assert len({hash(value) for value in group}) == 1
+        assert len(set(group)) == 1
+    assert hash(UtilityAtom(0, 0, 1)) == hash(UtilityAtom(Fraction(0), Fraction(0, 5), Fraction(4, 4)))
+    distinct = {Outcome("e", 1, 2), Outcome("e", 2, 1), Outcome("f", 1, 2), Outcome("e", 1, Fraction(2, 3))}
+    assert len(distinct) == 4
+
+
+def _any_form(rng, value):
+    """`value` as itself, as an unreduced Fraction input or, when whole, an int."""
+    forms = [value, Fraction(3 * value.numerator, 3 * value.denominator)]
+    if value.denominator == 1:
+        forms.append(value.numerator)
+    return rng.choice(forms)
+
+
+def _draw_dists(rng, elements):
+    """Unsorted supports over a small value pool, so (x, y) atoms repeat;
+    one draw in four breaks a support: an atom dropped (its sum falls short)
+    or a heavy atom repeated (its merged probability exceeds 1)."""
+    pool = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2, 3), Fraction(2)]
+    dists = {}
+    for e in elements:
+        weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 6))]
+        atoms = [
+            UtilityAtom(_any_form(rng, rng.choice(pool)), _any_form(rng, rng.choice(pool)), Fraction(w, sum(weights)))
+            for w in weights
+        ]
+        broken = rng.random()
+        if broken < 0.1 and len(atoms) > 1:
+            atoms.pop(rng.randrange(len(atoms)))
+        elif broken < 0.25:
+            atoms.append(UtilityAtom(atoms[0].x, atoms[0].y, Fraction(3, 4)))
+            atoms.append(UtilityAtom(atoms[0].x, atoms[0].y, Fraction(3, 4)))
+        rng.shuffle(atoms)
+        dists[e] = atoms
+    return dists
+
+
+def test_make_instance_matches_the_fraction_merge():
+    rng = random.Random(17)
+    merged = failed = 0
+    for _ in range(400):
+        elements = [f"e{i}" for i in rng.sample(range(6), rng.randint(1, 4))]
+        ground = frozenset(elements)
+        dists = _draw_dists(rng, elements)
+        args = (elements, dists, FreeSystem(ground), UniformSystem(ground, 1))
+        try:
+            expected = literal_make_instance(*args)
+        except ValueError as err:
+            failed += 1
+            with pytest.raises(ValueError) as raised:
+                make_instance(*args)
+            assert str(raised.value) == str(err)
+            continue
+        inst = make_instance(*args)
+        assert inst == expected and hash(inst) == hash(expected)
+        assert instance_to_json(inst) == instance_to_json(expected)
+        merged += sum(len(dists[e]) - len(inst.dist(e)) for e in elements)
+    # the draws exercise both the merge and the refusals
+    assert merged > 50 and failed > 50

@@ -458,7 +458,7 @@ def test_orderings_cap_refuses_before_enumerating_scenarios(monkeypatch):
     # free-outer graph are not, and are refused before any move is asked for
     inst = _three_atom_instance(12, lambda ground: UniformSystem(ground, 1))
     family = threshold_family(inst, Fraction(1))
-    monkeypatch.setattr(FreeSystem, "_feasible", _refuse)
+    monkeypatch.setattr(FreeSystem, "mask_test", _refuse)
     with pytest.raises(CapacityError) as err:
         evaluate_vs_almighty(inst, family)
     assert str(err.value) == f"probing DP exceeded {10**6} states"
@@ -483,7 +483,7 @@ def test_free_graph_states_are_capped_before_the_compile(monkeypatch):
         evaluate_vs_almighty(inst, family)
     )
     # refused from the state count: not even the root's moves are asked for
-    monkeypatch.setattr(FreeSystem, "_feasible", _refuse)
+    monkeypatch.setattr(FreeSystem, "mask_test", _refuse)
     constrained = replace(inst, outer=UniformSystem(inst.outer.ground, 1))
     for instance in (inst, constrained):  # the latter's free-outer graph
         with pytest.raises(CapacityError) as err:
@@ -608,6 +608,14 @@ def test_family_cap_refusal_is_quick_and_printable():
     assert str(err.value.reached) == "1000001"
 
 
+def _random_partition(rng, ground):
+    """At most two blocks of a shuffled ground set, caps from 0 to full."""
+    ids = rng.sample(sorted(ground), len(ground))
+    cut = rng.randint(1, len(ids))
+    blocks = tuple(frozenset(b) for b in (ids[:cut], ids[cut:]) if b)
+    return PartitionSystem(ground, blocks, tuple(rng.randint(0, len(b)) for b in blocks))
+
+
 def test_family_cap_counts_the_candidate_sets():
     rng = random.Random(43)
     inners = {
@@ -617,6 +625,10 @@ def test_family_cap_counts_the_candidate_sets():
         "explicit": lambda ground: explicit_system(
             ground,
             [rng.sample(sorted(ground), rng.randint(0, len(ground))) for _ in range(3)],
+        ),
+        "partition": lambda ground: _random_partition(rng, ground),
+        "intersection": lambda ground: IntersectionSystem(
+            ground, (_random_partition(rng, ground), UniformSystem(ground, rng.randint(0, 2)))
         ),
     }
     for _ in range(100):

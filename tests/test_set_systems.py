@@ -273,3 +273,88 @@ def test_json_round_trip(system):
 def test_json_rejects_bad_kind():
     with pytest.raises(ValueError, match="unknown set system kind"):
         set_system_from_json({"kind": "graphic"}, ["a"])
+
+
+def _literal_feasible(system, s):
+    """Each kind's rule stated on sets of ids, as the library stated it
+    before its rules became mask tests."""
+    if isinstance(system, FreeSystem):
+        return True
+    if isinstance(system, UniformSystem):
+        return len(s) <= system.k
+    if isinstance(system, PartitionSystem):
+        return all(len(s & b) <= c for b, c in zip(system.blocks, system.caps))
+    if isinstance(system, ExplicitSystem):
+        return not s or any(s <= m for m in system.maximal)
+    return all(_literal_feasible(part, s) for part in system.parts)
+
+
+def _random_system(rng, ground, depth=0):
+    elems = sorted(ground)
+    kind = rng.choice(["free", "uniform", "partition", "explicit"] + ["intersection"] * (depth < 2))
+    if kind == "free":
+        return FreeSystem(ground)
+    if kind == "uniform":
+        return UniformSystem(ground, rng.randint(0, len(elems)))
+    if kind == "partition":
+        rng.shuffle(elems)
+        cuts = sorted(rng.sample(range(1, len(elems)), rng.randint(0, len(elems) - 1)))
+        blocks = [frozenset(elems[a:b]) for a, b in zip([0] + cuts, cuts + [len(elems)])]
+        return PartitionSystem(ground, tuple(blocks), tuple(rng.randint(0, len(b)) for b in blocks))
+    if kind == "explicit":
+        members = [rng.sample(elems, rng.randint(0, len(elems))) for _ in range(rng.randint(0, 4))]
+        return explicit_system(ground, members) if members else ExplicitSystem(ground, frozenset())
+    parts = tuple(_random_system(rng, ground, depth + 1) for _ in range(rng.randint(1, 3)))
+    return IntersectionSystem(ground, parts)
+
+
+def test_mask_tests_match_is_feasible_in_any_element_order():
+    rng = random.Random(5)
+    ground = frozenset("abcde")
+    corners = [
+        UniformSystem(ground, 0),
+        PartitionSystem(ground, (frozenset("ab"), frozenset("cde")), (0, 2)),
+        ExplicitSystem(ground, frozenset()),
+        IntersectionSystem(
+            ground,
+            (
+                IntersectionSystem(ground, (UniformSystem(ground, 3), explicit_system(ground, ["abc", "cde"]))),
+                PartitionSystem(ground, (frozenset("ace"), frozenset("bd")), (1, 1)),
+            ),
+        ),
+    ]
+    systems = corners + [_random_system(rng, frozenset("abcdef"[: rng.randint(1, 6)])) for _ in range(60)]
+    kinds = {type(system).__name__ for system in systems}
+    assert kinds == {"FreeSystem", "UniformSystem", "PartitionSystem", "ExplicitSystem", "IntersectionSystem"}
+    for system in systems:
+        for _ in range(4):
+            order = sorted(system.ground)
+            rng.shuffle(order)
+            test = system.mask_test(order)
+            for m in range(1 << len(order)):
+                s = frozenset(e for j, e in enumerate(order) if m >> j & 1)
+                assert test(m) == system.is_feasible(s) == _literal_feasible(system, s), (system, order, m)
+
+
+class _SetRuleSystem(set_systems.SetSystem):
+    """A rule stated only on sets of ids: the base class gives its mask test."""
+
+    def __init__(self, ground):
+        self.ground = ground
+
+    def _feasible(self, s):
+        return len(s) != 2
+
+
+def test_a_set_rule_is_asked_through_the_base_mask_test():
+    system = _SetRuleSystem(frozenset("abc"))
+    order = ["c", "a", "b"]
+    test = system.mask_test(order)
+    assert [test(m) for m in range(8)] == [m.bit_count() != 2 for m in range(8)]
+    assert system.is_feasible({"a"}) and not system.is_feasible({"a", "c"})
+
+    class NoRule(set_systems.SetSystem):
+        ground = frozenset("ab")
+
+    with pytest.raises(NotImplementedError, match="mask_test or _feasible"):
+        NoRule().is_feasible({"a"})

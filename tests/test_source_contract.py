@@ -127,3 +127,18 @@ def test_the_tie_rule_is_one_key_outside_the_literal_best_response():
     assert callers == {"delegation": ["agent_best_response"]}
     using = [path.stem for path in MODULES if "cmp_to_key" in set(_names(_tree(path)))]
     assert using == []
+
+
+def _called_attributes(tree):
+    """The name of every attribute that is called, as in `x.name(...)`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield node.func.attr
+
+
+def test_the_probing_compile_asks_feasibility_on_masks():
+    # outer moves and inner feasibility are bitmask tests (`mask_test`) on
+    # the graph's element masks; no set of ids is built to ask `is_feasible`
+    called = list(_called_attributes(_tree(SOURCE / "probing.py")))
+    assert "mask_test" in called
+    assert "is_feasible" not in called
