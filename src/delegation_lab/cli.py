@@ -156,7 +156,7 @@ def _evaluation_json(evaluation) -> dict:
     }
 
 
-def _cmd_gap(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+def _cmd_gap(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[list]]:
     instance, label = _load_instance(args)
     mode = _tie_break(args)
     benchmark = optimal_adaptive_value(instance, caps).expected_value
@@ -184,7 +184,7 @@ def _policy_report(
     label: str,
     policy: Policy,
     **extras,
-) -> tuple[dict, list[dict]]:
+) -> tuple[dict, list[list]]:
     """Evaluate `policy` and report it (eval-policy and build-policy)."""
     mode = _tie_break(args)
     evaluation = evaluate_policy(instance, policy, mode, caps)
@@ -200,14 +200,14 @@ def _policy_report(
     return body, [_csv_row(args.command, label, args.epsilon, mode, value, alpha)]
 
 
-def _cmd_eval_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+def _cmd_eval_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[list]]:
     instance, label = _load_instance(args)
     policy = policy_from_json(_read_json(args.policy, "policy"))
     validate_policy(instance, policy)
     return _policy_report(args, caps, instance, label, policy)
 
 
-def _cmd_build_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+def _cmd_build_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[list]]:
     instance, label = _load_instance(args)
     if args.method == "threshold":
         policy, cut, prophet = build_threshold_policy(instance, caps)
@@ -239,7 +239,7 @@ def _cmd_build_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[
     )
 
 
-def _cmd_prophet_check(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+def _cmd_prophet_check(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[list]]:
     instance, label = _load_instance(args)
     tau = samuel_cahn_threshold(instance)
     family = threshold_family(instance, tau)
@@ -256,7 +256,7 @@ def _cmd_prophet_check(args: argparse.Namespace, caps: Caps) -> tuple[dict, list
     return body, [_csv_row("prophet-check", label, args.epsilon, None, value, ratio)]
 
 
-def _cmd_adaptivity(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+def _cmd_adaptivity(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[list]]:
     instance, label = _load_instance(args)
     adaptive = optimal_adaptive_value(instance, caps)
     nonadaptive = best_nonadaptive_set(instance, caps)
@@ -286,7 +286,7 @@ def _stated_menu(eps: Fraction):
     )
 
 
-def _cmd_lottery(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+def _cmd_lottery(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[list]]:
     """prop-lottery-positive on table1, prop-lottery-negative on table2."""
     positive = args.target == "prop-lottery-positive"
     eps = args.epsilon
@@ -333,7 +333,7 @@ def _cmd_lottery(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]
     return body, rows
 
 
-def _cmd_cor_half(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[dict]]:
+def _cmd_cor_half(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[list]]:
     mode = TieBreak.ADVERSARIAL
     rng = random.Random(args.seed)
     half = Fraction(1, 2)
@@ -371,19 +371,20 @@ def _csv_row(
     mode: TieBreak | None,
     value: Fraction,
     alpha: Fraction,
-) -> dict:
-    """One CSV row; `epsilon` and `mode` are what was evaluated, or None
-    (an empty column) where the command evaluated no such parameter."""
-    return {
-        "command": command,
-        "instance": label,
-        "epsilon": epsilon,
-        "tie_break": mode.value if mode else None,
-        "value_num": value.numerator,
-        "value_den": value.denominator,
-        "alpha_num": alpha.numerator,
-        "alpha_den": alpha.denominator,
-    }
+) -> list:
+    """One CSV row in `CSV_COLUMNS` order, less `runtime_ms`; `epsilon` and
+    `mode` are what was evaluated, or None (an empty column) where the
+    command evaluated no such parameter."""
+    return [
+        command,
+        label,
+        epsilon,
+        mode.value if mode else None,
+        value.numerator,
+        value.denominator,
+        alpha.numerator,
+        alpha.denominator,
+    ]
 
 
 CSV_COLUMNS = (
@@ -399,25 +400,12 @@ CSV_COLUMNS = (
 )
 
 
-_HANDLERS = {
-    "gap": _cmd_gap,
-    "eval-policy": _cmd_eval_policy,
-    "build-policy": _cmd_build_policy,
-    "prophet-check": _cmd_prophet_check,
-    "adaptivity": _cmd_adaptivity,
-    "prop-lottery-positive": _cmd_lottery,
-    "prop-lottery-negative": _cmd_lottery,
-    "cor-half": _cmd_cor_half,
-}
-
-
 @functools.cache
 def argument_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process.
 
     Each command and each `reproduce` target is a sub-parser holding only
-    the flags its handler (`_HANDLERS`, set as the `handler` default)
-    computes with.
+    the flags its handler (set as the `handler` default) computes with.
     """
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--output", choices=["json", "csv"], default="json")
@@ -452,9 +440,9 @@ def argument_parser() -> argparse.ArgumentParser:
         help="rational parameter of the table instance",
     )
 
-    def add(group, name, help, *parents):
+    def add(group, name, handler, help, *parents):
         p = group.add_parser(name, parents=[*parents, report], help=help)
-        p.set_defaults(handler=_HANDLERS[name])
+        p.set_defaults(handler=handler)
         return p
 
     parser = argparse.ArgumentParser(
@@ -462,40 +450,43 @@ def argument_parser() -> argparse.ArgumentParser:
         description="Exact experiments with delegated stochastic probing mechanisms.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    add(commands, "gap", "exhaustive best deterministic policy", source, ties)
-    p = add(commands, "eval-policy", "evaluate a policy JSON file", source, ties)
+    add(commands, "gap", _cmd_gap, "exhaustive best deterministic policy", source, ties)
+    p = add(
+        commands, "eval-policy", _cmd_eval_policy, "evaluate a policy JSON file", source, ties
+    )
     p.add_argument("--policy", required=True, help="path to a policy JSON file")
-    p = add(commands, "build-policy", "construct and evaluate a policy", source, ties)
+    p = add(
+        commands, "build-policy", _cmd_build_policy, "construct and evaluate a policy", source, ties
+    )
     p.add_argument(
         "--method", required=True, choices=["threshold", "from-greedy", "composed"]
     )
-    add(commands, "prophet-check", "median-threshold gambler check", source)
-    add(commands, "adaptivity", "adaptive vs best fixed probe set", source)
+    add(commands, "prophet-check", _cmd_prophet_check, "median-threshold gambler check", source)
+    add(commands, "adaptivity", _cmd_adaptivity, "adaptive vs best fixed probe set", source)
     targets = commands.add_parser(
         "reproduce", help="re-run the reference experiments"
     ).add_subparsers(dest="target", required=True)
-    add(targets, "prop-lottery-positive", "table1: the stated menu", table, ties)
-    p = add(targets, "prop-lottery-negative", "table2: menu grid search", table)
+    add(targets, "prop-lottery-positive", _cmd_lottery, "table1: the stated menu", table, ties)
+    p = add(targets, "prop-lottery-negative", _cmd_lottery, "table2: menu grid search", table)
     p.add_argument(
         "--grid",
         type=_parse_fraction,
         default=Fraction(1, 100),
         help="grid step for menu search",
     )
-    p = add(targets, "cor-half", "threshold policies on seeded random instances")
+    p = add(targets, "cor-half", _cmd_cor_half, "threshold policies on seeded random instances")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--count", type=_positive_int, default=200)
     return parser
 
 
-def _emit(output: str, body: dict, rows: list[dict], runtime_ms: int) -> str:
+def _emit(output: str, body: dict, rows: list[list], runtime_ms: int) -> str:
     if output == "json":
         return json.dumps(body, indent=2, sort_keys=True) + "\n"
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({**row, "runtime_ms": runtime_ms})
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([*row, runtime_ms] for row in rows)
     return buffer.getvalue()
 
 

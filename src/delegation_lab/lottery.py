@@ -134,25 +134,16 @@ def menu_offers(graph: ProbingGraph, menu: LotteryMenu) -> tuple[list[Offer], in
 
     Each lottery becomes one offer of (outcome mask, p * y, p * x) triples
     over `graph.outcome_bits`; unit = lcd(outcome utilities) * lcd(menu
-    probabilities).  The compile is the menu's validation: an atom set with
-    an outcome missing from `outcome_bits`, a repeated element or an
-    inner-infeasible element set raises `check_outcome_set`'s ValueError.
+    probabilities).  The compile is the menu's validation: every atom set
+    passes `check_outcome_set` before its bits are read.
     """
-    instance = graph.instance
     p_unit = math.lcm(*(p.denominator for l in menu.lotteries for _, p in l.atoms))
     offers = []
     for l in menu.lotteries:
         atoms = []
         for outcome_set, p in l.atoms:
-            bits = [graph.outcome_bits.get(o) for o in outcome_set]
-            elements = {o.element for o in outcome_set}
-            if (
-                None in bits
-                or len(elements) != len(bits)
-                or not instance.inner.is_feasible(elements)
-            ):
-                check_outcome_set(instance, outcome_set, "lottery support")
-            mask = sum(1 << bit for bit in bits)
+            check_outcome_set(graph.instance, outcome_set, "lottery support")
+            mask = sum(1 << graph.outcome_bits[o] for o in outcome_set)
             y, x = graph.mask_values(mask)
             weight = p.numerator * (p_unit // p.denominator)
             atoms.append((mask, weight * y, weight * x))
@@ -196,13 +187,12 @@ def search_two_lottery_menus(
     risky one) and one deterministic element.  Lottery A mixes the risky
     element's low outcome with the deterministic outcome, lottery B its
     high outcome with the deterministic outcome; mixture weights run over
-    the grid.  Grid points whose two lotteries would share a support are
-    skipped unless they coincide, in which case the menu collapses to one
+    the grid, and a menu whose two lotteries coincide collapses to one
     lottery.  One compile per search: each grid lottery is one integer offer
     over `outcome_unit` * n (n = 1 / grid) scanned at every state once, and
     lane i * (n + 1) + j of one `probing_pass` solves the menu (A_i, B_j).
     Menus compare by root principal integer; only the first best menu is
-    built and evaluated.
+    built, and it is evaluated from its compiled offers.
     """
     if len(instance.elements) != 2:
         raise UnsupportedError("two-lottery search needs exactly two elements")
@@ -236,7 +226,6 @@ def search_two_lottery_menus(
         for other in (bits[low], bits[high])
         for i in range(n + 1)
     ]
-    supports = [{bit for bit, _ in atoms} for atoms in atom_sets]
     offers = [[(1 << b, w * table[b][0], w * table[b][1]) for b, w in a] for a in atom_sets]
     rows = scan_offers(graph, offers)
     scale, m = graph.scales[0], n + 1
@@ -252,20 +241,14 @@ def search_two_lottery_menus(
         b = int.from_bytes(b"".join(keys[m:]) * m, "little")
         stops.append(lanes.merge(b, lanes.merge(a, empty)))
     roots, _ = probing_pass(graph, stops, lanes)
-    best: tuple[int, int, int] | None = None
-    for lane, root in enumerate(roots):
-        i, j = divmod(lane, m)
-        if supports[i] == supports[m + j] and atom_sets[i] != atom_sets[m + j]:
-            continue
-        principal = lanes.pair(root, scale)[1]
-        if best is None or principal > best[0]:
-            best = (principal, i, j)
-    assert best is not None
-    _, i, j = best
+    i, j = divmod(max(range(m * m), key=lambda lane: lanes.pair(roots[lane], scale)[1]), m)
     lot_a = lottery([({anchor}, points[i]), ({low}, 1 - points[i])])
     lot_b = lottery([({anchor}, points[j]), ({high}, 1 - points[j])])
-    menu = LotteryMenu((lot_a,) if lot_a.key() == lot_b.key() else (lot_a, lot_b))
-    return menu, evaluate_lottery_menu(instance, menu, mode, caps)
+    if atom_sets[i] == atom_sets[m + j]:
+        menu, chosen = LotteryMenu((lot_a,)), [offers[i]]
+    else:
+        menu, chosen = LotteryMenu((lot_a, lot_b)), [offers[i], offers[m + j]]
+    return menu, agent_probe_values(graph, chosen, graph.outcome_unit * n, mode)
 
 
 # --- Menu JSON format ---------------------------------------------------------

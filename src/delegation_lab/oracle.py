@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .delegation import ExplicitPolicy, Policy, TieBreak, agent_probe_values
+from .delegation import ExplicitPolicy, Policy, TieBreak, agent_probe_values, policy_offers
 from .errors import CapacityError, Caps
 from .instances import Instance
 from .probing import Lanes, probing_graph, probing_pass, rank_offers
@@ -40,7 +40,7 @@ def exact_delegation_gap(
     policy base + i, which stops at each state with the best-ranked
     (`rank_offers`) row it contains and sets.  The first strictly best root
     principal integer wins (alpha shares its denominator), and only it is
-    rebuilt and evaluated.
+    built as an `ExplicitPolicy` and evaluated through `policy_offers`.
     """
     graph = probing_graph(instance, caps.dp_states)
     rows = graph.proposals
@@ -76,8 +76,6 @@ def exact_delegation_gap(
             principal = lanes.pair(root, scale)[1]
             if principal > best[0]:
                 best = (principal, base + i)
-    kept = [row for i, row in enumerate(rows) if best[1] >> i & 1]
-    offers = [[(mask, y, x)] for _, mask, y, x in kept]
-    evaluation = agent_probe_values(graph, offers, graph.outcome_unit, mode)
-    policy = ExplicitPolicy(frozenset(row[0] for row in kept))
+    policy = ExplicitPolicy(frozenset(t for i, (t, *_) in enumerate(rows) if best[1] >> i & 1))
+    evaluation = agent_probe_values(graph, *policy_offers(graph, policy), mode)
     return GapReport(policy, evaluation.alpha, 2 ** count)

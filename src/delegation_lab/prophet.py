@@ -43,7 +43,6 @@ class GreedyFamily:
     """Downward-closed acceptance family stored as its maximal antichain."""
 
     maximal: frozenset[frozenset[OutcomePair]]
-    constraint: SetSystem
 
     def accepts(self, s: frozenset) -> bool:
         return not s or any(s <= m for m in self.maximal)
@@ -64,7 +63,7 @@ def greedy_family(
         for _, x in member:
             if x < 0:
                 raise ValueError("outcome values must be nonnegative")
-    return GreedyFamily(_antichain(pool), constraint)
+    return GreedyFamily(_antichain(pool))
 
 
 @dataclass(frozen=True)

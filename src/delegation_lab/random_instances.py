@@ -92,24 +92,14 @@ def _random_matroid(rng: random.Random, elements: list[str]) -> SetSystem:
     return _random_partition(rng, elements)
 
 
-def random_partition_outer_instance(
-    rng: random.Random,
-    max_elements: int = 4,
-    max_support: int = 3,
-    max_value: int = 10,
-) -> Instance:
+def random_partition_outer_instance(rng: random.Random, max_elements: int = 4) -> Instance:
     """Partition-matroid outer constraint (at most 3 blocks), 1-uniform inner."""
-    return _draw(rng, 2, max_elements, max_support, max_value, _random_partition)
+    return _draw(rng, 2, max_elements, 3, 10, _random_partition)
 
 
-def random_matroid_outer_instance(
-    rng: random.Random,
-    max_elements: int = 4,
-    max_support: int = 3,
-    max_value: int = 10,
-) -> Instance:
+def random_matroid_outer_instance(rng: random.Random, max_elements: int = 4) -> Instance:
     """Uniform or partition matroid outer constraint, 1-uniform inner."""
-    return _draw(rng, 2, max_elements, max_support, max_value, _random_matroid)
+    return _draw(rng, 2, max_elements, 3, 10, _random_matroid)
 
 
 # consecutive draws on one instance share its candidate sets
@@ -125,7 +115,7 @@ def random_greedy_family(rng: random.Random, instance: Instance) -> GreedyFamily
     return greedy_family(rng.sample(candidates, count), instance.inner)
 
 
-def random_tiny_instance(rng: random.Random, max_value: int = 10) -> Instance:
+def random_tiny_instance(rng: random.Random) -> Instance:
     """At most 3 realizable outcomes and 1-uniform inner: at most 8 policies."""
     n = rng.randint(1, 2)
     if n == 1:
@@ -135,7 +125,7 @@ def random_tiny_instance(rng: random.Random, max_value: int = 10) -> Instance:
     elements = [f"e{i}" for i in range(1, n + 1)]
     ground = frozenset(elements)
     dists = {
-        e: _support(rng, size, max_value, positive_y=False)
+        e: _support(rng, size, 10, positive_y=False)
         for e, size in zip(elements, sizes)
     }
     return make_instance(

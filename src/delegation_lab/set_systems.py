@@ -31,18 +31,13 @@ class SetSystem:
         s = frozenset(subset)
         if unknown := s - self.ground:
             raise ValueError(f"unknown element ids: {sorted(unknown)}")
-        return self._feasible(s)
-
-    def mask_test(self, order: Sequence[str]) -> Callable[[int], bool]:
-        """Feasibility of {order[j] : bit j of m set} as a test on m, `order` listing
-        the ground; a subclass states its rule here or on sets of ids (`_feasible`)."""
-        if type(self)._feasible is SetSystem._feasible:
-            raise NotImplementedError("a set system states mask_test or _feasible")
-        return lambda m: self._feasible(frozenset(e for j, e in enumerate(order) if m >> j & 1))
-
-    def _feasible(self, s: frozenset[str]) -> bool:
         order, test = self._sorted_test
         return test(_mask(s, order))
+
+    def mask_test(self, order: Sequence[str]) -> Callable[[int], bool]:
+        """Feasibility of {order[j] : bit j of m set} as a test on m, `order`
+        listing the ground; each kind states its rule here and nowhere else."""
+        raise NotImplementedError
 
     @functools.cached_property
     def _sorted_test(self) -> tuple[list[str], Callable[[int], bool]]:
@@ -235,14 +230,14 @@ def max_weight_feasible(
     if isinstance(system, (UniformSystem, PartitionSystem, FreeSystem)):
         chosen: set[str] = set()
         for e in sorted(positive, key=lambda e: (-w[e], e)):
-            if system._feasible(frozenset(chosen | {e})):
+            if system.is_feasible(chosen | {e}):
                 chosen.add(e)
         value = sum((w[e] for e in chosen), Fraction(0))
         return frozenset(chosen), value
     if isinstance(system, ExplicitSystem):
         candidates = (m.intersection(positive) for m in system.maximal)
     else:
-        candidates = (s for s in _subsets(positive) if system._feasible(s))
+        candidates = (s for s in _subsets(positive) if system.is_feasible(s))
     best_set: frozenset[str] = frozenset()
     best_value = Fraction(0)
     for s in candidates:

@@ -1,8 +1,10 @@
-"""Byte-for-byte pins of the CLI's JSON reports.
+"""Byte-for-byte pins of the CLI's JSON reports and CSV rows.
 
 Each case runs one CLI invocation from inside `tests/golden/` (reports echo
 `--instance` paths, so the paths are fixed and relative) and compares its
-standard output with `tests/golden/<case>.json`.  The expected files were
+standard output with `tests/golden/<case>.json`, and its `--output csv`
+output with `tests/golden/<case>.csv` once each row's wall-clock
+`runtime_ms` (the last column) is emptied.  The expected JSON files were
 written by the library before its probing engine was unified; any change to
 a report's bytes fails here.
 
@@ -14,6 +16,7 @@ To rewrite the expected files after an intended report change:
 import contextlib
 import io
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -90,6 +93,11 @@ def _report(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def _csv_report(argv: list[str]) -> str:
+    header, *rows = _report([*argv, "--output", "csv"]).splitlines(keepends=True)
+    return header + "".join(re.sub(r"\d+\n$", "\n", row) for row in rows)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_matches_golden_bytes(case, monkeypatch):
     monkeypatch.chdir(GOLDEN)
@@ -97,7 +105,15 @@ def test_report_matches_golden_bytes(case, monkeypatch):
     assert _report(CASES[case]).encode("utf-8") == expected
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_csv_rows_match_golden_bytes(case, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    expected = (GOLDEN / f"{case}.csv").read_bytes()
+    assert _csv_report(CASES[case]).encode("utf-8") == expected
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     for name, argv in sorted(CASES.items()):
         Path(f"{name}.json").write_bytes(_report(argv).encode("utf-8"))
+        Path(f"{name}.csv").write_bytes(_csv_report(argv).encode("utf-8"))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -295,6 +296,14 @@ def test_search_equals_the_literal_search_on_degenerate_and_seeded_instances():
         for mode in TieBreak:
             for grid in SMALL_GRIDS:
                 _assert_literal_search(instance, grid, mode)
+    # both elements deterministic, so every A_i and B_j share a support; x and
+    # y in {0, 1, 2} give equal and zero agent utilities
+    for xr, yr, xd, yd in itertools.product(range(3), repeat=4):
+        instance = one_uniform_instance({"r": [(xr, yr, 1)], "d": [(xd, yd, 1)]})
+        for ordered in (instance, _risky_second(instance)):
+            for mode in TieBreak:
+                for grid in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
+                    _assert_literal_search(ordered, grid, mode)
     # few distinct values: x and y repeat across outcomes, so many menus tie
     # and the first strict best decides
     rng = random.Random(13)
@@ -348,8 +357,8 @@ def test_search_compiles_once_and_builds_only_the_winner(monkeypatch):
         table2(EPS), Fraction(1, 100), TieBreak.PRINCIPAL_FAVORING
     )
     assert graph_cache.cache_info().misses == 1
-    assert calls["evaluate"] == [menu]
-    assert calls["compile"] == calls["distribution"] == calls["menu"] == 1
+    assert calls["evaluate"] == [] and calls["compile"] == 0
+    assert calls["distribution"] == calls["menu"] == 1
     assert calls["lottery"] == 2
     assert evaluation.principal_value == 1
 

@@ -134,9 +134,14 @@ class _CountingSystem(SetSystem):
         self.system = system
         self.asked = []
 
-    def _feasible(self, s):
-        self.asked.append(s)
-        return self.system._feasible(s)
+    def mask_test(self, order):
+        test = self.system.mask_test(order)
+
+        def counted(m):
+            self.asked.append(frozenset(e for j, e in enumerate(order) if m >> j & 1))
+            return test(m)
+
+        return counted
 
 
 def test_u_is_one_integer_pass_per_graph(monkeypatch):

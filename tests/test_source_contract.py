@@ -142,3 +142,11 @@ def test_the_probing_compile_asks_feasibility_on_masks():
     called = list(_called_attributes(_tree(SOURCE / "probing.py")))
     assert "mask_test" in called
     assert "is_feasible" not in called
+
+
+def test_no_module_states_a_set_rule_beside_the_mask_tests():
+    # each set-system kind states its rule once, as a mask test; `is_feasible`
+    # asks the sorted mask test, and no `_feasible` rule on sets of ids is
+    # defined or called
+    naming = [path.stem for path in MODULES if "_feasible" in set(_names(_tree(path)))]
+    assert naming == []
