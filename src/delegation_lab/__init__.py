@@ -9,17 +9,13 @@ from .set_systems import (
     SetSystem,
     UniformSystem,
     explicit_system,
-    iter_feasible_sets,
-    max_weight_feasible,
 )
 from .instances import (
     Instance,
     Outcome,
-    Realization,
     UtilityAtom,
     builtin_instance,
     coins2,
-    enumerate_scenarios,
     instance_to_json,
     is_inner_feasible_outcome_set,
     load_instance,
@@ -31,7 +27,6 @@ from .probing import (
     AdaptiveValueReport,
     NonAdaptiveReport,
     best_nonadaptive_set,
-    nonadaptive_value,
     optimal_adaptive_value,
 )
 from .prophet import (
@@ -50,7 +45,6 @@ from .delegation import (
     PolicyEvaluation,
     ThresholdPolicy,
     TieBreak,
-    agent_best_response,
     build_threshold_policy,
     compose_outer,
     evaluate_policy,
@@ -64,7 +58,6 @@ from .delegation import (
 from .lottery import (
     Lottery,
     LotteryMenu,
-    agent_lottery_choice,
     evaluate_lottery_menu,
     lottery_menu,
     menu_from_json,

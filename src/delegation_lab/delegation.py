@@ -157,47 +157,34 @@ def agent_best_response(
     return best
 
 
-def scan_offers(graph: ProbingGraph, offers: Sequence[Offer]) -> list[list[tuple[int, int]]]:
-    """Each offer's (agent, principal) values at every state, one row per
-    offer.  An atom pays when its mask lies within the observed mask."""
-    rows = []
-    for atoms in offers:
-        row = []
-        for observed in graph.masks:
-            agent = principal = 0
-            for mask, y, x in atoms:
-                if mask & observed == mask:
-                    agent += y
-                    principal += x
-            row.append((agent, principal))
-        rows.append(row)
-    return rows
-
-
-def fold_offers(
-    graph: ProbingGraph, rows: Sequence[Sequence[tuple[int, int]]], mode: TieBreak
-) -> list[tuple[int, int]]:
-    """The best of `scan_offers` rows at every state: the first of
-    `rank_offers`, or the empty proposal's (0, 0) when no row beats it."""
-    stops = []
-    for s in range(len(graph)):
-        pairs = [row[s] for row in rows]
-        ranked = rank_offers(pairs, mode)
-        stops.append(pairs[ranked[0]] if ranked else (0, 0))
-    return stops
+def offer_value(atoms: Offer, observed: int) -> tuple[int, int]:
+    """An offer's (agent, principal) value at a state of `observed` outcome
+    mask: the sum of the atoms whose masks lie within it."""
+    agent = principal = 0
+    for mask, y, x in atoms:
+        if mask & observed == mask:
+            agent += y
+            principal += x
+    return agent, principal
 
 
 def offer_stop_values(
     graph: ProbingGraph, offers: Sequence[Offer], mode: TieBreak
 ) -> list[tuple[int, int]]:
-    """The agent's best offer's (agent, principal) values at every state.
+    """The agent's best offer's (agent, principal) values at every state: the
+    first of `rank_offers` on the offers' values there, or the empty
+    proposal's (0, 0) when none beats it.
 
-    Point-mass offers (every policy's) are ranked once (`rank_offers`), and
-    each state takes the first one it contains: the fold's choice.  Any
-    other menu is the fold of the scan.
+    Point-mass offers (every policy's) are ranked once instead, and each
+    state takes the first one it contains: the same choice.
     """
     if any(len(atoms) != 1 for atoms in offers):
-        return fold_offers(graph, scan_offers(graph, offers), mode)
+        stops = []
+        for observed in graph.masks:
+            pairs = [offer_value(atoms, observed) for atoms in offers]
+            ranked = rank_offers(pairs, mode)
+            stops.append(pairs[ranked[0]] if ranked else (0, 0))
+        return stops
     ranked = [offers[i][0] for i in rank_offers([atoms[0][1:] for atoms in offers], mode)]
     stops = []
     for observed in graph.masks:

@@ -24,7 +24,7 @@ from .instances import (
     outcome_set_to_json,
     outcome_totals,
 )
-from .delegation import Offer, PolicyEvaluation, agent_probe_values, scan_offers
+from .delegation import Offer, PolicyEvaluation, agent_probe_values, offer_value
 from .probing import (
     Lanes,
     ProbingGraph,
@@ -165,14 +165,14 @@ def evaluate_lottery_menu(
     return agent_probe_values(graph, *menu_offers(graph, menu), mode)
 
 
-def _grid_points(step: Fraction) -> list[Fraction]:
+def _grid_steps(step: Fraction) -> int:
+    """The n of a grid step 1/n; any other step is refused."""
     step = Fraction(step)
     if not 0 < step <= 1:
         raise ValueError("grid step must lie in (0, 1]")
-    if (1 / step).denominator != 1:
+    if step.numerator != 1:
         raise ValueError("grid step must divide 1 exactly")
-    n = int(1 / step)
-    return [Fraction(i) * step for i in range(n + 1)]
+    return step.denominator
 
 
 def search_two_lottery_menus(
@@ -189,10 +189,11 @@ def search_two_lottery_menus(
     high outcome with the deterministic outcome; mixture weights run over
     the grid, and a menu whose two lotteries coincide collapses to one
     lottery.  One compile per search: each grid lottery is one integer offer
-    over `outcome_unit` * n (n = 1 / grid) scanned at every state once, and
-    lane i * (n + 1) + j of one `probing_pass` solves the menu (A_i, B_j).
-    Menus compare by root principal integer; only the first best menu is
-    built, and it is evaluated from its compiled offers.
+    over `outcome_unit` * n (n = 1 / grid), valued at every state once by
+    `offer_value`, and lane i * (n + 1) + j of one `probing_pass` solves the
+    menu (A_i, B_j).  Menus compare by root principal integer, decoded once
+    per lane; only the first best menu is built, with weights i / n and
+    j / n on the anchor, and it is evaluated from its compiled offers.
     """
     if len(instance.elements) != 2:
         raise UnsupportedError("two-lottery search needs exactly two elements")
@@ -214,8 +215,7 @@ def search_two_lottery_menus(
     certain_atom = instance.dist(certain)[0]
     anchor = Outcome(certain, certain_atom.x, certain_atom.y)
 
-    points = _grid_points(grid)
-    n = len(points) - 1
+    n = _grid_steps(grid)
     graph = probing_graph(instance, caps.dp_states)
     bits, table = graph.outcome_bits, graph.outcome_values
     # A_i at i, B_j at n + 1 + j: i / n on the anchor, the rest on low or high,
@@ -227,23 +227,24 @@ def search_two_lottery_menus(
         for i in range(n + 1)
     ]
     offers = [[(1 << b, w * table[b][0], w * table[b][1]) for b, w in a] for a in atom_sets]
-    rows = scan_offers(graph, offers)
+    rows = [[offer_value(atoms, observed) for atoms in offers] for observed in graph.masks]
     scale, m = graph.scales[0], n + 1
     bound = max(p for row in rows for _, p in row)
     agent_top = max(a for row in rows for a, _ in row) * scale
     lanes = Lanes(mode, bound, scale, agent_top, m * m)
     empty = lanes.pack([(0, 0)])[0] * lanes.one
     stops = []
-    for s in range(len(graph)):
-        keys = [k.to_bytes(lanes.size, "little") for k in lanes.pack(row[s] for row in rows)]
+    for row in rows:
+        keys = [k.to_bytes(lanes.size, "little") for k in lanes.pack(row)]
         # A_i fills lanes i * m to i * m + n; the B column repeats m times
         a = int.from_bytes(b"".join(key * m for key in keys[:m]), "little")
         b = int.from_bytes(b"".join(keys[m:]) * m, "little")
         stops.append(lanes.merge(b, lanes.merge(a, empty)))
     roots, _ = probing_pass(graph, stops, lanes)
-    i, j = divmod(max(range(m * m), key=lambda lane: lanes.pair(roots[lane], scale)[1]), m)
-    lot_a = lottery([({anchor}, points[i]), ({low}, 1 - points[i])])
-    lot_b = lottery([({anchor}, points[j]), ({high}, 1 - points[j])])
+    principals = [lanes.pair(root, scale)[1] for root in roots]
+    i, j = divmod(max(range(m * m), key=principals.__getitem__), m)
+    lot_a = lottery([({anchor}, Fraction(i, n)), ({low}, Fraction(n - i, n))])
+    lot_b = lottery([({anchor}, Fraction(j, n)), ({high}, Fraction(n - j, n))])
     if atom_sets[i] == atom_sets[m + j]:
         menu, chosen = LotteryMenu((lot_a,)), [offers[i]]
     else:

@@ -7,12 +7,14 @@ evaluated from scratch by `evaluate_lottery_menu`, and the first strict
 best principal value wins.
 """
 
+from fractions import Fraction
+
 from delegation_lab.delegation import TieBreak
 from delegation_lab.errors import Caps
 from delegation_lab.instances import Outcome
 from delegation_lab.lottery import (
     LotteryMenu,
-    _grid_points,
+    _grid_steps,
     evaluate_lottery_menu,
     lottery,
 )
@@ -31,7 +33,8 @@ def literal_search(instance, grid, mode=TieBreak.ADVERSARIAL, caps=Caps()):
     certain_atom = instance.dist(certain)[0]
     anchor = Outcome(certain, certain_atom.x, certain_atom.y)
 
-    points = _grid_points(grid)
+    n = _grid_steps(grid)
+    points = [Fraction(i, n) for i in range(n + 1)]
     best = None
     high_lotteries = []
     for b in points:
