@@ -10,8 +10,9 @@ choices and is the conservative default.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -41,6 +42,7 @@ from .probing import (
 from .prophet import (
     GreedyFamily,
     ProphetReport,
+    family_masks,
     gambler_report,
     samuel_cahn_threshold,
     scenario_table,
@@ -83,7 +85,9 @@ class GreedyFamilyPolicy(Policy):
     """Accept a set iff its (element, x) projection is in the family.
 
     Agent utilities are deliberately ignored, so the construction works
-    even when the principal cannot observe them.
+    even when the principal cannot observe them.  Evaluations filter by the
+    family's outcome masks instead (`accepted_proposals`); `accepts` states
+    the same rule on outcome sets.
     """
 
     family: GreedyFamily
@@ -105,13 +109,30 @@ def policy_from_greedy(family: GreedyFamily) -> GreedyFamilyPolicy:
 Offer = list[tuple[int, int, int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyEvaluation:
+    """An evaluation's values, and the agent's `actions` on `graph`, from
+    which `probe_distribution` is built the first time it is read."""
+
     principal_value: Fraction
     agent_value: Fraction
-    probe_distribution: Mapping[frozenset[str], Fraction]
     benchmark_value: Fraction
     alpha: Fraction
+    graph: ProbingGraph = field(repr=False)
+    actions: Sequence[int | None] = field(repr=False)
+
+    @functools.cached_property
+    def probe_distribution(self) -> Mapping[frozenset[str], Fraction]:
+        return probe_distribution(self.graph, self.actions)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # every value, the probe distribution last: it may have to be built
+        names = (
+            "principal_value", "agent_value", "benchmark_value", "alpha", "probe_distribution"
+        )
+        return all(getattr(self, name) == getattr(other, name) for name in names)
 
 
 def agent_best_response(
@@ -197,20 +218,32 @@ def offer_stop_values(
     return stops
 
 
+def accepted_proposals(
+    graph: ProbingGraph, policy: Policy
+) -> list[tuple[frozenset[Outcome], int, int, int]]:
+    """The `graph.proposals` rows that `policy` accepts, in their order.
+
+    Every proposal (a nonempty inner-feasible subset of what was observed)
+    is a graph state, the outer constraint being downward closed.  A
+    `GreedyFamilyPolicy` takes a row iff its mask lies within one of the
+    family's outcome masks (`family_masks`): a proposal has one outcome per
+    element, so that is `accepts`.  Any other policy is asked `accepts` once
+    per row.
+    """
+    rows = graph.proposals
+    if type(policy) is GreedyFamilyPolicy:
+        masks = family_masks(policy.family, graph)
+        return [row for row in rows if any(row[1] & m == row[1] for m in masks)]
+    return [row for row in rows if policy.accepts(row[0])]
+
+
 def policy_offers(graph: ProbingGraph, policy: Policy) -> tuple[list[Offer], int]:
     """`policy` compiled into point-mass offers on `graph`, and their unit.
 
-    Every proposal (a nonempty inner-feasible subset of what was observed)
-    is a graph state, the outer constraint being downward closed, so
-    `accepts` is asked once per `graph.proposals` row.  Offers keep its
-    `outcome_set_key` order, `agent_best_response`'s candidate order, so
-    every tie resolves as there.
+    Offers are the `accepted_proposals`, in `outcome_set_key` order,
+    `agent_best_response`'s candidate order, so every tie resolves as there.
     """
-    offers = [
-        [(mask, y, x)]
-        for outcomes, mask, y, x in graph.proposals
-        if policy.accepts(outcomes)
-    ]
+    offers = [[(mask, y, x)] for _, mask, y, x in accepted_proposals(graph, policy)]
     return offers, graph.outcome_unit
 
 
@@ -232,9 +265,10 @@ def agent_probe_values(
     return PolicyEvaluation(
         principal_value=principal_value,
         agent_value=agent_value,
-        probe_distribution=probe_distribution(graph, actions),
         benchmark_value=benchmark,
         alpha=alpha,
+        graph=graph,
+        actions=actions,
     )
 
 
@@ -296,9 +330,9 @@ def materialize_policy(
     instance: Instance, policy: Policy, caps: Caps = Caps()
 ) -> frozenset[frozenset[Outcome]]:
     """The acceptable proposable outcome sets (empty set left implicit): the
-    `ProbingGraph.proposals` rows that `policy` accepts."""
+    outcome sets of the `accepted_proposals`."""
     graph = probing_graph(instance, caps.dp_states)
-    return frozenset(t for t, *_ in graph.proposals if policy.accepts(t))
+    return frozenset(t for t, *_ in accepted_proposals(graph, policy))
 
 
 def validate_policy(instance: Instance, policy: Policy) -> None:

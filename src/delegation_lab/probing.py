@@ -7,7 +7,7 @@ move to a later state.  `solve_probing` values each state by a stop rule,
 given as one integer (agent, principal) pair per state, in one backward pass
 (`probing_pass`) of integer keys; `Lanes` packs many rules into one pass.
 The non-delegated benchmark `optimal_adaptive_value`
-stops with (u, u), u the best inner-feasible observed total; the delegated
+stops with (u, 0), u the best inner-feasible observed total; the delegated
 agent stops with its proposal (`delegation`, `lottery`).
 `best_nonadaptive_set` scores every probed set of the same graph, which are
 exactly the outer-feasible probe sets; the ratio of the two is the measured
@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, Caps
-from .instances import Instance, Outcome, known_elements, outcome_set_key
+from .instances import Instance, Outcome, known_elements
 from .set_systems import FreeSystem, max_weight_feasible
 
 # An (agent value, principal value) pair.
@@ -106,15 +106,25 @@ class ProbingGraph:
     def proposals(self) -> tuple[tuple[frozenset[Outcome], int, int, int], ...]:
         """(outcome set, mask, y, x) of each nonempty inner-feasible state, y
         and x over `outcome_unit`, in `outcome_set_key` order (ties in graph
-        order): the library's one list of the sets the agent can propose."""
+        order): the library's one list of the sets the agent can propose.
+
+        Rows sort by (size, the sorted (element, x, y) of their bits), x and
+        y over `outcome_unit`: an order-preserving integer image of
+        `outcome_set_key`, so no `Fraction` is compared.
+        """
         by_bit = tuple(self.outcome_bits)
-        rows = []
+        bit_keys = [
+            (o.element, x, y) for o, (y, x) in zip(by_bit, self.outcome_values)
+        ]
+        keyed = []
         for s, mask in enumerate(self.masks):
             if self.probed[s] and self.inner_feasible[s]:
                 bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
-                outcomes = frozenset(by_bit[b] for b in bits)
-                rows.append((outcomes, mask, *self.mask_values(mask)))
-        return tuple(sorted(rows, key=lambda row: outcome_set_key(row[0])))
+                key = (len(bits), sorted(bit_keys[b] for b in bits))
+                row = (frozenset(by_bit[b] for b in bits), mask, *self.mask_values(mask))
+                keyed.append((key, row))
+        keyed.sort(key=itemgetter(0))
+        return tuple(row for _, row in keyed)
 
     @functools.cached_property
     def outcome_unit(self) -> int:
@@ -170,9 +180,10 @@ class ProbingGraph:
         """The optimal adaptive non-delegated strategy, solved once per graph.
 
         V(state) = max(u(observed), max over feasible next probes of the
-        expected successor value): `solve_probing` with stop value (u, u).
+        expected successor value): `solve_probing` with stop value (u, 0), whose
+        key is u itself under lexicographic ties.
         """
-        stops = [(u, u) for u in self.observed_values]
+        stops = [(u, 0) for u in self.observed_values]
         (value, _), _ = solve_probing(
             self, stops, TieBreak.LEXICOGRAPHIC, self.outcome_unit
         )

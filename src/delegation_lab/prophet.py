@@ -16,9 +16,12 @@ Everything is scored in integers on the compiled probing graph of the
 instance under a free outer constraint.  Its full-probe states are the
 scenarios, each with an integer weight and the bitmask of its realized
 outcomes (`ProbingGraph.full_probes`), and its `observed_values` at those
-states are the prophet's best feasible totals.  A family compiles once into
-one outcome mask per maximal set A, the OR of the bits of every outcome with
-an (element, x) pair in A; a scenario's B_A is then its mask AND A's mask.
+states are the prophet's best feasible totals.  A family compiles once per
+graph into one outcome mask per maximal set A (`family_masks`), the OR of the
+bits of every outcome with an (element, x) pair in A; a scenario's B_A is
+then its mask AND A's mask.  `delegation` compiles a `GreedyFamilyPolicy`
+from the same masks on the instance's own graph: a proposal is acceptable
+iff its outcome mask lies within one of them.
 """
 
 from __future__ import annotations
@@ -144,22 +147,27 @@ def scenario_table(instance: Instance, caps: Caps = Caps()) -> ProbingGraph:
     return probing_graph(instance, caps.dp_states)
 
 
+def family_masks(family: GreedyFamily, graph: ProbingGraph) -> set[int]:
+    """One outcome mask of `graph` per maximal set A of `family`: the OR of
+    the bits of every outcome with an (element, x) pair in A.  Pairs off the
+    support own no bit."""
+    pair_masks = graph.pair_masks
+    # distinct pairs own disjoint outcome bits, so their sum is their OR
+    return {sum(pair_masks.get(pair, 0) for pair in member) for member in family.maximal}
+
+
 def score_family(family: GreedyFamily, graph: ProbingGraph) -> ProphetReport:
     """Expected forced-greedy value of `family` under worst-case orderings.
 
     `graph` is the `scenario_table`.  Each scenario scores its lightest
     maximal B_A, in integers over the outcome unit times the root scale.
     """
-    pair_masks = graph.pair_masks
-    # distinct pairs own disjoint outcome bits, so their sum is their OR; an
-    # empty B_A is never maximal beside a nonempty one, and scores 0 alone
-    family_masks = {
-        sum(pair_masks.get(pair, 0) for pair in member) for member in family.maximal
-    }
+    masks = family_masks(family, graph)
     totals: dict[int, int] = {}  # x of each B_A met so far
     gambler = 0
     for weight, observed, _ in graph.full_probes:
-        reached = {observed & mask for mask in family_masks}
+        # an empty B_A is never maximal beside a nonempty one, and scores 0 alone
+        reached = {observed & mask for mask in masks}
         reached.discard(0)
         lightest = None
         for stop in reached:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import itertools
@@ -10,6 +11,7 @@ import pytest
 from delegation_lab import probing
 from delegation_lab.delegation import (
     ExplicitPolicy,
+    GreedyFamilyPolicy,
     Policy,
     ThresholdPolicy,
     TieBreak,
@@ -19,6 +21,7 @@ from delegation_lab.delegation import (
     evaluate_policy,
     materialize_policy,
     policy_from_greedy,
+    policy_offers,
     policy_from_json,
     policy_to_json,
     restrict_instance,
@@ -39,15 +42,20 @@ from delegation_lab.instances import (
 )
 from delegation_lab.probing import best_nonadaptive_set, optimal_adaptive_value, prefer
 from delegation_lab.prophet import (
+    GreedyFamily,
+    candidate_pair_sets,
     evaluate_vs_almighty,
     samuel_cahn_threshold,
+    scenario_table,
     threshold_family,
 )
 from delegation_lab.random_instances import (
+    _random_partition,
     random_free_outer_instance,
     random_greedy_family,
     random_tiny_instance,
 )
+from delegation_lab.errors import Caps
 from delegation_lab.set_systems import (
     FreeSystem,
     UniformSystem,
@@ -257,6 +265,83 @@ def test_policy_from_empty_family_accepts_only_nothing():
     assert not policy.accepts(frozenset({Outcome("2", Fraction(1), Fraction(1))}))
 
 
+def test_every_policy_kind_accepts_the_empty_proposal():
+    # the `Policy` contract: the empty set is always acceptable, even to a
+    # policy that accepts nothing else
+    nothing = Outcome("1", Fraction(0), Fraction(0))
+    policies = [
+        ExplicitPolicy(frozenset()),
+        ThresholdPolicy(Fraction(100)),
+        GreedyFamilyPolicy(GreedyFamily(frozenset())),
+    ]
+    for policy in policies:
+        assert policy.accepts(frozenset())
+        assert not policy.accepts(frozenset({nothing}))
+
+
+_OUTERS = {
+    "free": lambda rng, ids: FreeSystem(frozenset(ids)),
+    "uniform": lambda rng, ids: UniformSystem(frozenset(ids), rng.randint(1, len(ids))),
+    "partition": lambda rng, ids: _random_partition(rng, ids),
+}
+_INNERS = {
+    "1-uniform": lambda ids: UniformSystem(frozenset(ids), 1),
+    "2-uniform": lambda ids: UniformSystem(frozenset(ids), 2),
+    "free": lambda ids: FreeSystem(frozenset(ids)),
+}
+
+
+@pytest.mark.parametrize("inner", sorted(_INNERS))
+@pytest.mark.parametrize("outer", sorted(_OUTERS))
+def test_family_masks_filter_as_accepts_does(outer, inner):
+    # a greedy family's offers, compiled from its outcome masks, are the
+    # proposal rows its `accepts` takes, on the instance's graph and on its
+    # scenario table; members may hold pairs off the support (an x the
+    # element never takes, an unknown element)
+    rng = random.Random(f"{outer}/{inner}")
+    for _ in range(12):
+        ids = [f"e{i}" for i in range(1, rng.randint(1, 4) + 1)]
+        dists = {
+            e: [
+                UtilityAtom(Fraction(rng.randint(0, 12), 2), Fraction(rng.randint(1, 6)), p)
+                for p in [Fraction(1, k)] * k
+            ]
+            for e in ids
+            for k in [rng.randint(1, 3)]
+        }
+        inst = make_instance(ids, dists, _OUTERS[outer](rng, ids), _INNERS[inner](ids))
+        candidates = candidate_pair_sets(inst)
+        off = [(rng.choice(ids), Fraction(13)), ("zz", Fraction(1))]
+        for _ in range(3):
+            members = [
+                set(c) | set(rng.sample(off, rng.randint(0, 1)))
+                for c in rng.sample(candidates, rng.randint(0, len(candidates)))
+            ]
+            policy = GreedyFamilyPolicy(GreedyFamily(frozenset(map(frozenset, members))))
+            for graph in (probing.probing_graph(inst, Caps().dp_states), scenario_table(inst)):
+                expected = [
+                    [(mask, y, x)]
+                    for outcomes, mask, y, x in graph.proposals
+                    if policy.accepts(outcomes)
+                ]
+                assert policy_offers(graph, policy) == (expected, graph.outcome_unit)
+
+
+def test_a_greedy_subclass_that_restates_accepts_is_asked():
+    # only `GreedyFamilyPolicy` itself is compiled from its family's masks
+    asked = []
+
+    class OnlyNothing(GreedyFamilyPolicy):
+        def accepts(self, outcome_set):
+            asked.append(outcome_set)
+            return not outcome_set
+
+    inst = table1(EPS)
+    policy = OnlyNothing(threshold_family(inst, Fraction(0)))
+    assert materialize_policy(inst, policy) == frozenset()
+    assert len(asked) == 3  # one per proposable single outcome
+
+
 def test_table1_greedy_policy_beats_half():
     for eps in (Fraction(1, 10), EPS):
         inst = table1(eps)
@@ -334,6 +419,18 @@ def test_probe_distribution_sums_to_one():
     inst = table1(EPS)
     evaluation = evaluate_policy(inst, ThresholdPolicy(Fraction(1)))
     assert sum(evaluation.probe_distribution.values()) == 1
+
+
+def test_evaluations_compare_their_probe_distributions():
+    # the distribution is built on first read, and `==` still compares it:
+    # the same values with every state stopping differ by it alone
+    inst = table1(EPS)
+    evaluation = evaluate_policy(inst, ThresholdPolicy(Fraction(1)))
+    stopped = dataclasses.replace(evaluation, actions=[None] * len(evaluation.graph))
+    assert stopped.probe_distribution == {frozenset(): 1}
+    assert evaluation.probe_distribution != stopped.probe_distribution
+    assert stopped != evaluation
+    assert dataclasses.replace(evaluation) == evaluation
 
 
 def test_restrict_instance_keeps_inner_structure():
@@ -532,17 +629,24 @@ def test_a_second_evaluation_computes_no_outcome_totals_or_keys(monkeypatch):
     inst = make_instance(
         ["a", "b"], {"a": atoms, "b": atoms}, FreeSystem(ground), FreeSystem(ground)
     )
-    first = evaluate_policy(inst, ThresholdPolicy(Fraction(1)))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("outcome totals or keys computed again")
+        raise AssertionError("outcome totals or keys computed")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("delegation_lab"):
-            for helper in ("outcome_totals", "outcome_set_key"):
-                if hasattr(module, helper):
-                    monkeypatch.setattr(module, helper, refuse)
+    def refuse_helpers(*helpers):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("delegation_lab"):
+                for helper in helpers:
+                    if hasattr(module, helper):
+                        monkeypatch.setattr(module, helper, refuse)
+
+    # even the first evaluation, which builds the proposal table, sorts it
+    # by integer keys
+    probing.probing_graph.cache_clear()
+    refuse_helpers("outcome_set_key")
     monkeypatch.setattr(Outcome, "key", refuse)
+    first = evaluate_policy(inst, ThresholdPolicy(Fraction(1)))
+    refuse_helpers("outcome_totals")
     second = evaluate_policy(inst, ThresholdPolicy(Fraction(2)))
     assert second.principal_value < first.principal_value
     assert evaluate_policy(inst, ThresholdPolicy(Fraction(1))) == first

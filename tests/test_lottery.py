@@ -358,9 +358,12 @@ def test_search_compiles_once_and_builds_only_the_winner(monkeypatch):
     )
     assert graph_cache.cache_info().misses == 1
     assert calls["evaluate"] == [] and calls["compile"] == 0
-    assert calls["distribution"] == calls["menu"] == 1
+    assert calls["distribution"] == 0 and calls["menu"] == 1
     assert calls["lottery"] == 2
     assert evaluation.principal_value == 1
+    # the probe distribution is built once, on first read
+    assert evaluation.probe_distribution == evaluation.probe_distribution
+    assert calls["distribution"] == 1
 
 
 def test_search_shape_mismatch():

@@ -231,6 +231,9 @@ def test_adaptive_u_matches_the_literal_dp(instance, mode):
     _, actions = solve_probing(graph, stops, TieBreak.LEXICOGRAPHIC)
     assert _graph_actions(graph, actions) == literal_actions
     assert report.state_count == len(graph) == len(literal_actions)
+    # the benchmark's own stop pairs (u, 0) make the same lexicographic choices
+    zero_stops = [(u, 0) for u in graph.observed_values]
+    assert solve_probing(graph, zero_stops, TieBreak.LEXICOGRAPHIC)[1] == actions
 
 
 @settings(max_examples=150, deadline=None)
