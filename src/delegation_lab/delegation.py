@@ -6,6 +6,10 @@ subset of what was probed, maximizing agent utility.  Ties, both in the
 proposal and in the probing strategy, are resolved by a configurable rule;
 the adversarial rule minimizes the principal's utility among agent-optimal
 choices and is the conservative default.
+
+Each policy kind compiles itself to the proposal rows it accepts on a
+probing graph (`Policy.accepted_proposals`) in integers: explicit members by
+outcome mask, a threshold by a cut on integer x, a greedy family by masks.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .instances import (
 )
 from .probing import (
     ProbingGraph,
+    Proposal,
     TieBreak,
     best_nonadaptive_set,
     prefer,
@@ -46,7 +51,6 @@ from .prophet import (
     gambler_report,
     samuel_cahn_threshold,
     scenario_table,
-    threshold_family,
     threshold_totals,
 )
 
@@ -57,6 +61,17 @@ class Policy:
     def accepts(self, outcome_set: frozenset[Outcome]) -> bool:
         raise NotImplementedError
 
+    def accepted_proposals(self, graph: ProbingGraph) -> list[Proposal]:
+        """The `graph.proposals` rows that this policy accepts, in order: here
+        by asking `accepts` once per row, in each kind below on integers."""
+        return [row for row in graph.proposals if self.accepts(row[0])]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "accepts" in vars(cls) and "accepted_proposals" not in vars(cls):
+            # an inherited compile states the parent's rule, not this one
+            cls.accepted_proposals = Policy.accepted_proposals
+
 
 @dataclass(frozen=True)
 class ExplicitPolicy(Policy):
@@ -64,6 +79,13 @@ class ExplicitPolicy(Policy):
 
     def accepts(self, outcome_set: frozenset[Outcome]) -> bool:
         return not outcome_set or outcome_set in self.acceptable
+
+    def accepted_proposals(self, graph: ProbingGraph) -> list[Proposal]:
+        # the rows whose masks are members' masks; a member holding an
+        # outcome off the graph is no row
+        bits = graph.outcome_bits
+        masks = {sum(1 << bits[o] for o in m) for m in self.acceptable if m <= bits.keys()}
+        return [row for row in graph.proposals if row[1] in masks]
 
 
 @dataclass(frozen=True)
@@ -79,15 +101,21 @@ class ThresholdPolicy(Policy):
             return False
         return next(iter(outcome_set)).x >= self.tau
 
+    def accepted_proposals(self, graph: ProbingGraph) -> list[Proposal]:
+        # x / unit >= tau as x * tau.den >= tau.num * unit: exact off the grid
+        den, bound = self.tau.denominator, self.tau.numerator * graph.outcome_unit
+        return [row for row in graph.proposals if len(row[0]) == 1 and row[3] * den >= bound]
+
 
 @dataclass(frozen=True)
 class GreedyFamilyPolicy(Policy):
     """Accept a set iff its (element, x) projection is in the family.
 
     Agent utilities are deliberately ignored, so the construction works
-    even when the principal cannot observe them.  Evaluations filter by the
-    family's outcome masks instead (`accepted_proposals`); `accepts` states
-    the same rule on outcome sets.
+    even when the principal cannot observe them.  The compile takes a row
+    iff its mask lies within one of the family's outcome masks
+    (`family_masks`, looked up by integer (element, x) keys): a proposal
+    has one outcome per element, so that is `accepts`.
     """
 
     family: GreedyFamily
@@ -97,6 +125,10 @@ class GreedyFamilyPolicy(Policy):
         if len(pairs) != len(outcome_set):
             return False
         return self.family.accepts(pairs)
+
+    def accepted_proposals(self, graph: ProbingGraph) -> list[Proposal]:
+        masks = family_masks(self.family, graph)
+        return [row for row in graph.proposals if any(row[1] & m == row[1] for m in masks)]
 
 
 def policy_from_greedy(family: GreedyFamily) -> GreedyFamilyPolicy:
@@ -218,32 +250,13 @@ def offer_stop_values(
     return stops
 
 
-def accepted_proposals(
-    graph: ProbingGraph, policy: Policy
-) -> list[tuple[frozenset[Outcome], int, int, int]]:
-    """The `graph.proposals` rows that `policy` accepts, in their order.
-
-    Every proposal (a nonempty inner-feasible subset of what was observed)
-    is a graph state, the outer constraint being downward closed.  A
-    `GreedyFamilyPolicy` takes a row iff its mask lies within one of the
-    family's outcome masks (`family_masks`): a proposal has one outcome per
-    element, so that is `accepts`.  Any other policy is asked `accepts` once
-    per row.
-    """
-    rows = graph.proposals
-    if type(policy) is GreedyFamilyPolicy:
-        masks = family_masks(policy.family, graph)
-        return [row for row in rows if any(row[1] & m == row[1] for m in masks)]
-    return [row for row in rows if policy.accepts(row[0])]
-
-
 def policy_offers(graph: ProbingGraph, policy: Policy) -> tuple[list[Offer], int]:
     """`policy` compiled into point-mass offers on `graph`, and their unit.
 
-    Offers are the `accepted_proposals`, in `outcome_set_key` order,
+    Offers are the `Policy.accepted_proposals`, in `outcome_set_key` order,
     `agent_best_response`'s candidate order, so every tie resolves as there.
     """
-    offers = [[(mask, y, x)] for _, mask, y, x in accepted_proposals(graph, policy)]
+    offers = [[(mask, y, x)] for _, mask, y, x in policy.accepted_proposals(graph)]
     return offers, graph.outcome_unit
 
 
@@ -311,28 +324,39 @@ def build_threshold_policy(
     or above the cut.  The cut whose forced-greedy gambler value is largest
     wins (`max` keeps the earliest of tied candidates, so the median is
     preferred).  Every cut is scored in one integer sweep of one scenario
-    table (`threshold_totals`), and only the winner's family is built.
-    With finite supports a single fixed cut can land on a large atom and
-    lose more than half of the benchmark, which is why the cut is tuned by
-    exact evaluation instead of pinned at the median.
+    table (`threshold_totals`); the winner's family (`threshold_family` at
+    its cut: the median's 1-uniform inner takes every outcome alone) is read
+    off the table's integer `outcome_values`.  With finite supports a single
+    fixed cut can land on a large atom and lose more than half of the
+    benchmark, which is why the cut is tuned by exact evaluation instead of
+    pinned at the median.
+
+    The policy's principal value is at least the gambler's when every agent
+    utility y is positive.  With y = 0, an agent indifferent between an
+    outcome above the cut and nothing may propose nothing under adversarial
+    or lexicographic ties, and the principal gets less.
     """
     median = samuel_cahn_threshold(instance)
     table = scenario_table(instance, caps)
     unit = table.outcome_unit
     totals = threshold_totals(table)
     best = max([int(median * unit), *totals], key=totals.__getitem__)
-    cut = Fraction(best, unit)
-    policy = policy_from_greedy(threshold_family(instance, cut))
-    return policy, cut, gambler_report(table, totals[best])
+    members = {
+        frozenset({(o.element, o.x)})
+        for o, (_, x) in zip(table.outcome_bits, table.outcome_values)
+        if x >= best
+    }
+    policy = policy_from_greedy(GreedyFamily(frozenset(members)))
+    return policy, Fraction(best, unit), gambler_report(table, totals[best])
 
 
 def materialize_policy(
     instance: Instance, policy: Policy, caps: Caps = Caps()
 ) -> frozenset[frozenset[Outcome]]:
     """The acceptable proposable outcome sets (empty set left implicit): the
-    outcome sets of the `accepted_proposals`."""
+    outcome sets of the `Policy.accepted_proposals`."""
     graph = probing_graph(instance, caps.dp_states)
-    return frozenset(t for t, *_ in accepted_proposals(graph, policy))
+    return frozenset(t for t, *_ in policy.accepted_proposals(graph))
 
 
 def validate_policy(instance: Instance, policy: Policy) -> None:

@@ -31,6 +31,8 @@ from .set_systems import FreeSystem, max_weight_feasible
 
 # An (agent value, principal value) pair.
 ValuePair = tuple[Fraction, Fraction]
+# A `ProbingGraph.proposals` row: (outcome set, mask, y, x).
+Proposal = tuple[frozenset[Outcome], int, int, int]
 # A move probes one element: (element index, ((atom weight, successor), ...)).
 Move = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -103,7 +105,7 @@ class ProbingGraph:
         return len(self.moves)
 
     @functools.cached_property
-    def proposals(self) -> tuple[tuple[frozenset[Outcome], int, int, int], ...]:
+    def proposals(self) -> tuple[Proposal, ...]:
         """(outcome set, mask, y, x) of each nonempty inner-feasible state, y
         and x over `outcome_unit`, in `outcome_set_key` order (ties in graph
         order): the library's one list of the sets the agent can propose.
@@ -203,11 +205,17 @@ class ProbingGraph:
         )
 
     @functools.cached_property
-    def pair_masks(self) -> dict[tuple[str, Fraction], int]:
-        """The OR of the outcome bits of each (element, x) pair."""
-        masks: dict[tuple[str, Fraction], int] = {}
+    def prophet(self) -> int:
+        """Sum of weight * u over `full_probes`: under a free outer constraint,
+        the prophet's expected total over `outcome_unit` * `scales[0]`."""
+        return sum(weight * u for weight, _, u in self.full_probes)
+
+    @functools.cached_property
+    def pair_masks(self) -> dict[tuple[str, int, int], int]:
+        """The OR of the outcome bits of each (element, x.numerator, x.denominator)."""
+        masks: dict[tuple[str, int, int], int] = {}
         for outcome, bit in self.outcome_bits.items():
-            pair = (outcome.element, outcome.x)
+            pair = (outcome.element, outcome.x.numerator, outcome.x.denominator)
             masks[pair] = masks.get(pair, 0) | 1 << bit
         return masks
 

@@ -15,13 +15,16 @@ adversary scores the lightest maximal B_A, and no ordering is enumerated.
 Everything is scored in integers on the compiled probing graph of the
 instance under a free outer constraint.  Its full-probe states are the
 scenarios, each with an integer weight and the bitmask of its realized
-outcomes (`ProbingGraph.full_probes`), and its `observed_values` at those
-states are the prophet's best feasible totals.  A family compiles once per
-graph into one outcome mask per maximal set A (`family_masks`), the OR of the
-bits of every outcome with an (element, x) pair in A; a scenario's B_A is
-then its mask AND A's mask.  `delegation` compiles a `GreedyFamilyPolicy`
-from the same masks on the instance's own graph: a proposal is acceptable
-iff its outcome mask lies within one of them.
+outcomes (`ProbingGraph.full_probes`); their best feasible totals, weighted,
+sum to the prophet's total (`ProbingGraph.prophet`).  A family compiles into
+one outcome mask per maximal set A (`family_masks`), the OR of the bits of
+every outcome with an (element, x) pair in A, each pair looked up by its
+integer key (`ProbingGraph.pair_masks`); a scenario's B_A is then its mask
+AND A's mask.  `delegation` compiles a `GreedyFamilyPolicy` from the same
+masks on the instance's own graph: a proposal is acceptable iff its outcome
+mask lies within one of them.  The median threshold sweeps atoms by integer
+x, and every threshold cut is scored in one integer pass
+(`threshold_totals`).
 """
 
 from __future__ import annotations
@@ -77,12 +80,12 @@ class ProphetReport:
 
 
 def _is_one_uniform(system: SetSystem) -> bool:
-    elems = sorted(system.ground)
-    if not all(system.is_feasible({e}) for e in elems):
+    """Every element is feasible alone and no two are, by the mask test."""
+    test = system.mask_test(sorted(system.ground))
+    singles = [1 << j for j in range(len(system.ground))]
+    if not all(map(test, singles)):
         return False
-    return not any(
-        system.is_feasible({a, b}) for a, b in itertools.combinations(elems, 2)
-    )
+    return not any(test(a | b) for a, b in itertools.combinations(singles, 2))
 
 
 def samuel_cahn_threshold(instance: Instance) -> Fraction:
@@ -94,17 +97,19 @@ def samuel_cahn_threshold(instance: Instance) -> Fraction:
 
     That m is the first atom value with P[max <= m] >= 1/2 (every smaller
     v has P[max <= v] < 1/2, so P[max >= m] > 1/2), found in one ascending
-    sweep of the (x, element, weight) atoms.  Element e's atoms weigh
-    p * Q_e (`Instance.integer_probs`), so P[max <= v] is the product of
-    each element's weight at or below v over that of the Q_e.
+    sweep of the (x, element, weight) atoms, x over the lcd of every atom's
+    x.  Element e's atoms weigh p * Q_e (`Instance.integer_probs`), so
+    P[max <= v] is the product of each element's weight at or below v over
+    that of the Q_e.
     """
     if not _is_one_uniform(instance.inner):
         raise UnsupportedError("median threshold needs a 1-uniform inner constraint")
     if not instance.elements:
         raise UnsupportedError("median threshold needs at least one element")
     denominators, weights = instance.integer_probs
+    unit = math.lcm(*(a.x.denominator for support in instance.atoms for a in support))
     atoms = sorted(
-        (a.x, j, w)
+        (a.x.numerator * (unit // a.x.denominator), j, w)
         for j, (support, ws) in enumerate(zip(instance.atoms, weights))
         for a, w in zip(support, ws)
     )
@@ -113,7 +118,7 @@ def samuel_cahn_threshold(instance: Instance) -> Fraction:
     for v, j, weight in atoms:
         at_most[j] += weight
         if 2 * math.prod(at_most) >= total:
-            return v
+            return Fraction(v, unit)
     raise AssertionError("a median of the maximum always exists")
 
 
@@ -149,11 +154,12 @@ def scenario_table(instance: Instance, caps: Caps = Caps()) -> ProbingGraph:
 
 def family_masks(family: GreedyFamily, graph: ProbingGraph) -> set[int]:
     """One outcome mask of `graph` per maximal set A of `family`: the OR of
-    the bits of every outcome with an (element, x) pair in A.  Pairs off the
-    support own no bit."""
-    pair_masks = graph.pair_masks
+    the bits of every outcome with an (element, x) pair in A, looked up by
+    integer key (`ProbingGraph.pair_masks`).  Pairs off the support own no
+    bit."""
+    bits = graph.pair_masks
     # distinct pairs own disjoint outcome bits, so their sum is their OR
-    return {sum(pair_masks.get(pair, 0) for pair in member) for member in family.maximal}
+    return {sum(bits.get((e, x.numerator, x.denominator), 0) for e, x in m) for m in family.maximal}
 
 
 def score_family(family: GreedyFamily, graph: ProbingGraph) -> ProphetReport:
@@ -184,13 +190,11 @@ def score_family(family: GreedyFamily, graph: ProbingGraph) -> ProphetReport:
 
 def gambler_report(graph: ProbingGraph, gambler: int) -> ProphetReport:
     """The report of a gambler total over `graph.outcome_unit` times the
-    root scale, beside the prophet's total over the same `scenario_table`."""
-    prophet = sum(weight * u for weight, _, u in graph.full_probes)
-    denominator = graph.outcome_unit * graph.scales[0]
-    gambler_value = Fraction(gambler, denominator)
-    prophet_value = Fraction(prophet, denominator)
-    ratio = gambler_value / prophet_value if prophet > 0 else Fraction(1)
-    return ProphetReport(gambler_value, prophet_value, ratio)
+    root scale, beside the prophet's total (`ProbingGraph.prophet`) over the
+    same `scenario_table`."""
+    prophet, denominator = graph.prophet, graph.outcome_unit * graph.scales[0]
+    ratio = Fraction(gambler, prophet) if prophet > 0 else Fraction(1)
+    return ProphetReport(Fraction(gambler, denominator), Fraction(prophet, denominator), ratio)
 
 
 def threshold_totals(graph: ProbingGraph) -> dict[int, int]:

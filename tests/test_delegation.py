@@ -47,6 +47,7 @@ from delegation_lab.prophet import (
     evaluate_vs_almighty,
     samuel_cahn_threshold,
     scenario_table,
+    score_family,
     threshold_family,
 )
 from delegation_lab.random_instances import (
@@ -291,6 +292,20 @@ _INNERS = {
 }
 
 
+def _drawn_instance(rng, outer, inner):
+    """1 to 4 elements of 1 to 3 equiprobable atoms, x in halves up to 6."""
+    ids = [f"e{i}" for i in range(1, rng.randint(1, 4) + 1)]
+    dists = {
+        e: [
+            UtilityAtom(Fraction(rng.randint(0, 12), 2), Fraction(rng.randint(1, 6)), p)
+            for p in [Fraction(1, k)] * k
+        ]
+        for e in ids
+        for k in [rng.randint(1, 3)]
+    }
+    return make_instance(ids, dists, _OUTERS[outer](rng, ids), _INNERS[inner](ids))
+
+
 @pytest.mark.parametrize("inner", sorted(_INNERS))
 @pytest.mark.parametrize("outer", sorted(_OUTERS))
 def test_family_masks_filter_as_accepts_does(outer, inner):
@@ -300,16 +315,8 @@ def test_family_masks_filter_as_accepts_does(outer, inner):
     # element never takes, an unknown element)
     rng = random.Random(f"{outer}/{inner}")
     for _ in range(12):
-        ids = [f"e{i}" for i in range(1, rng.randint(1, 4) + 1)]
-        dists = {
-            e: [
-                UtilityAtom(Fraction(rng.randint(0, 12), 2), Fraction(rng.randint(1, 6)), p)
-                for p in [Fraction(1, k)] * k
-            ]
-            for e in ids
-            for k in [rng.randint(1, 3)]
-        }
-        inst = make_instance(ids, dists, _OUTERS[outer](rng, ids), _INNERS[inner](ids))
+        inst = _drawn_instance(rng, outer, inner)
+        ids = list(inst.elements)
         candidates = candidate_pair_sets(inst)
         off = [(rng.choice(ids), Fraction(13)), ("zz", Fraction(1))]
         for _ in range(3):
@@ -327,6 +334,34 @@ def test_family_masks_filter_as_accepts_does(outer, inner):
                 assert policy_offers(graph, policy) == (expected, graph.outcome_unit)
 
 
+@pytest.mark.parametrize("inner", sorted(_INNERS))
+@pytest.mark.parametrize("outer", sorted(_OUTERS))
+def test_every_policy_kind_compiles_to_the_rows_accepts_takes(outer, inner):
+    # each kind's own compile equals the `accepts` filter of `graph.proposals`:
+    # thresholds at 0, above every x, on an x and off the 1/unit grid;
+    # explicit members that are rows and members that are not (an outcome
+    # off the support, random outcome sets, the empty set)
+    rng = random.Random(f"kinds/{outer}/{inner}")
+    for _ in range(12):
+        inst = _drawn_instance(rng, outer, inner)
+        off = Outcome(rng.choice(inst.elements), Fraction(13), Fraction(1))
+        for graph in (probing.probing_graph(inst, Caps().dp_states), scenario_table(inst)):
+            unit, rows, outcomes = graph.outcome_unit, graph.proposals, list(graph.outcome_bits)
+            xs = [x for _, x in graph.outcome_values]
+            x = rng.choice(xs)
+            taus = [0, max(xs) + 1, x, 2 * x + 1, 2 * x - 1]
+            policies = [ThresholdPolicy(Fraction(tau, unit)) for tau in taus[:3]]
+            policies += [ThresholdPolicy(Fraction(tau, 2 * unit)) for tau in taus[3:]]
+            for _ in range(3):
+                members = [row[0] for row in rng.sample(rows, rng.randint(0, len(rows)))]
+                members += [frozenset(rng.sample(outcomes, rng.randint(1, len(outcomes))))]
+                members += [frozenset({off}), frozenset({off, outcomes[0]}), frozenset()]
+                policies.append(ExplicitPolicy(frozenset(members)))
+            for policy in policies:
+                expected = [row for row in rows if policy.accepts(row[0])]
+                assert policy.accepted_proposals(graph) == expected
+
+
 def test_a_greedy_subclass_that_restates_accepts_is_asked():
     # only `GreedyFamilyPolicy` itself is compiled from its family's masks
     asked = []
@@ -340,6 +375,26 @@ def test_a_greedy_subclass_that_restates_accepts_is_asked():
     policy = OnlyNothing(threshold_family(inst, Fraction(0)))
     assert materialize_policy(inst, policy) == frozenset()
     assert len(asked) == 3  # one per proposable single outcome
+
+
+def test_a_greedy_family_is_compiled_and_scored_without_hashing_a_fraction(monkeypatch):
+    # once a graph's tables are built, a greedy family is compiled, scored
+    # and evaluated in integers: its (element, x) pairs are looked up by
+    # (element, numerator, denominator)
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    rng = random.Random(29)
+    for _ in range(20):
+        inst = random_free_outer_instance(rng, max_elements=3)
+        family = random_greedy_family(rng, inst)
+        policy = GreedyFamilyPolicy(family)
+        table = scenario_table(inst)
+        report, evaluation = score_family(family, table), evaluate_policy(inst, policy)
+        with monkeypatch.context() as patched:
+            patched.setattr(Fraction, "__hash__", refuse)
+            assert score_family(family, table) == report
+            assert evaluate_policy(inst, policy) == evaluation
 
 
 def test_table1_greedy_policy_beats_half():
@@ -535,6 +590,28 @@ def test_build_threshold_policy_moves_off_blocked_median():
     assert report.ratio == Fraction(30, 37)
     evaluation = evaluate_policy(inst, policy)
     assert evaluation.alpha >= Fraction(1, 2)
+
+
+def test_the_tuned_policy_may_lose_to_the_gambler_when_y_is_zero():
+    # "principal >= gambler" needs y > 0: an agent indifferent between its
+    # one outcome (x = 2, y = 0) and proposing nothing proposes nothing
+    # under adversarial and lexicographic ties
+    ground = frozenset({"e1"})
+    inst = make_instance(
+        ["e1"],
+        {"e1": [UtilityAtom(Fraction(2), Fraction(0), Fraction(1))]},
+        FreeSystem(ground),
+        UniformSystem(ground, 1),
+    )
+    assert inst == random_tiny_instance(random.Random(15))
+    policy, cut, report = build_threshold_policy(inst)
+    assert (cut, report.gambler_value) == (2, 2)
+    principal = {mode: evaluate_policy(inst, policy, mode).principal_value for mode in TieBreak}
+    assert principal == {
+        TieBreak.ADVERSARIAL: 0,
+        TieBreak.LEXICOGRAPHIC: 0,
+        TieBreak.PRINCIPAL_FAVORING: 2,
+    }
 
 
 def test_threshold_cuts_share_one_scenario_table(monkeypatch):

@@ -150,20 +150,22 @@ def test_tuned_threshold_matches_the_literal_cut_loop():
 
 
 def test_tuned_threshold_builds_only_the_winning_family(monkeypatch):
-    delegation_module = importlib.import_module("delegation_lab.delegation")
-    built = []
-
-    def counted(instance, tau):
-        built.append(tau)
-        return threshold_family(instance, tau)
-
-    monkeypatch.setattr(delegation_module, "threshold_family", counted)
+    # no cut's family is built through `threshold_family` or `greedy_family`:
+    # the winner's is read off the scenario table, and it is the family that
+    # `threshold_family` builds at the winning cut
     rng = random.Random(43)
-    for _ in range(20):
-        inst, _ = _threshold_instance(rng)
-        built.clear()
-        _, cut, _ = build_threshold_policy(inst)
-        assert built == [cut]
+    cases = [_threshold_instance(rng)[0] for _ in range(20)]
+    expected = [threshold_family(inst, build_threshold_policy(inst)[1]) for inst in cases]
+
+    def refuse(*args):
+        raise AssertionError("a family was built for a cut")
+
+    for module in ("delegation_lab.delegation", "delegation_lab.prophet"):
+        for name in ("threshold_family", "greedy_family"):
+            monkeypatch.setattr(importlib.import_module(module), name, refuse, raising=False)
+    for inst, family in zip(cases, expected):
+        policy, _, _ = build_threshold_policy(inst)
+        assert policy.family == family
 
 
 def test_threshold_family_membership():

@@ -150,3 +150,39 @@ def test_no_module_states_a_set_rule_beside_the_mask_tests():
     # defined or called
     naming = [path.stem for path in MODULES if "_feasible" in set(_names(_tree(path)))]
     assert naming == []
+
+
+def _class_dispatches(function):
+    """Each `type(...)` or `isinstance(...)` call inside `function`."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("type", "isinstance")
+    ]
+
+
+def test_every_policy_kind_states_its_compile_and_no_compile_forks_on_kind():
+    # each policy kind compiles itself (`accepted_proposals`), and no path
+    # that compiles or evaluates a policy asks its class; only the JSON
+    # writer and the member validation, which read one kind's fields, do
+    tree = _tree(SOURCE / "delegation.py")
+    kinds = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "accepted_proposals"
+            for item in node.body
+        )
+    ]
+    assert kinds == ["Policy", "ExplicitPolicy", "ThresholdPolicy", "GreedyFamilyPolicy"]
+    compiling = {"accepted_proposals", "policy_offers", "materialize_policy", "evaluate_policy"}
+    functions = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in compiling
+    ]
+    assert {f.name for f in functions} == compiling
+    assert [d for f in functions for d in _class_dispatches(f)] == []
