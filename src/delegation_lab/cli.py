@@ -213,7 +213,7 @@ def _cmd_build_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[
         policy, cut, prophet = build_threshold_policy(instance, caps)
         extras = {
             "threshold": _rational(cut),
-            "median_threshold": _rational(samuel_cahn_threshold(instance)),
+            "median_threshold": _rational(samuel_cahn_threshold(instance, caps)),
             "gambler_value": _rational(prophet.gambler_value),
             "prophet_value": _rational(prophet.prophet_value),
         }
@@ -241,7 +241,7 @@ def _cmd_build_policy(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[
 
 def _cmd_prophet_check(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[list]]:
     instance, label = _load_instance(args)
-    tau = samuel_cahn_threshold(instance)
+    tau = samuel_cahn_threshold(instance, caps)
     family = threshold_family(instance, tau)
     report = evaluate_vs_almighty(instance, family, caps)
     body = {

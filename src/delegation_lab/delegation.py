@@ -336,7 +336,7 @@ def build_threshold_policy(
     outcome above the cut and nothing may propose nothing under adversarial
     or lexicographic ties, and the principal gets less.
     """
-    median = samuel_cahn_threshold(instance)
+    median = samuel_cahn_threshold(instance, caps)
     table = scenario_table(instance, caps)
     unit = table.outcome_unit
     totals = threshold_totals(table)

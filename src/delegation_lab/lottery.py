@@ -41,7 +41,8 @@ LotteryAtom = tuple[frozenset[Outcome], Fraction]
 
 @dataclass(frozen=True)
 class Lottery:
-    """Distribution over outcome sets (the empty set is allowed support)."""
+    """Distribution over outcome sets (the empty set is allowed support), its
+    atoms kept in `outcome_set_key` order: the same atoms, an equal lottery."""
 
     atoms: tuple[LotteryAtom, ...]
 
@@ -54,6 +55,8 @@ class Lottery:
         supports = [s for s, _ in self.atoms]
         if len(set(supports)) != len(supports):
             raise ValueError("duplicate outcome set within one lottery")
+        atoms = tuple(sorted(self.atoms, key=lambda a: outcome_set_key(a[0])))
+        object.__setattr__(self, "atoms", atoms)
 
     def support(self) -> frozenset[frozenset[Outcome]]:
         return frozenset(s for s, _ in self.atoms)
@@ -69,24 +72,14 @@ class Lottery:
                 principal += p * x
         return agent, principal
 
-    def key(self) -> tuple:
-        return tuple(
-            (outcome_set_key(s), p)
-            for s, p in sorted(
-                self.atoms, key=lambda a: outcome_set_key(a[0])
-            )
-        )
-
 
 def lottery(atoms: Iterable[tuple[Iterable[Outcome], Fraction]]) -> Lottery:
-    """Canonicalize: merge duplicate sets, drop zero mass, sort atoms."""
+    """Merge duplicate sets and drop zero mass (`Lottery` sorts the atoms)."""
     merged: dict[frozenset[Outcome], Fraction] = {}
     for outcome_set, p in atoms:
         s = frozenset(outcome_set)
         merged[s] = merged.get(s, Fraction(0)) + Fraction(p)
-    cleaned = [(s, p) for s, p in merged.items() if p != 0]
-    cleaned.sort(key=lambda a: outcome_set_key(a[0]))
-    return Lottery(tuple(cleaned))
+    return Lottery(tuple((s, p) for s, p in merged.items() if p != 0))
 
 
 @dataclass(frozen=True)
@@ -100,15 +93,8 @@ class LotteryMenu:
 
 
 def lottery_menu(lotteries: Iterable[Lottery]) -> LotteryMenu:
-    """Canonicalize: drop exact duplicates, keep first occurrence order."""
-    seen = set()
-    kept = []
-    for l in lotteries:
-        if l.key() in seen:
-            continue
-        seen.add(l.key())
-        kept.append(l)
-    return LotteryMenu(tuple(kept))
+    """Drop equal lotteries, keeping first occurrence order."""
+    return LotteryMenu(tuple(dict.fromkeys(lotteries)))
 
 
 def agent_lottery_choice(

@@ -22,16 +22,15 @@ every outcome with an (element, x) pair in A, each pair looked up by its
 integer key (`ProbingGraph.pair_masks`); a scenario's B_A is then its mask
 AND A's mask.  `delegation` compiles a `GreedyFamilyPolicy` from the same
 masks on the instance's own graph: a proposal is acceptable iff its outcome
-mask lies within one of them.  The median threshold sweeps atoms by integer
-x, and every threshold cut is scored in one integer pass
-(`threshold_totals`).
+mask lies within one of them.  The median threshold walks the same table's
+scenarios by integer u, and every threshold cut is scored in one integer
+pass (`threshold_totals`).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -88,37 +87,30 @@ def _is_one_uniform(system: SetSystem) -> bool:
     return not any(test(a | b) for a, b in itertools.combinations(singles, 2))
 
 
-def samuel_cahn_threshold(instance: Instance) -> Fraction:
+def samuel_cahn_threshold(instance: Instance, caps: Caps = Caps()) -> Fraction:
     """Smallest median of the distribution of the best single value.
 
     Returns the smallest support value m of max_e X_e with
     P[max >= m] >= 1/2 and P[max <= m] >= 1/2.  The induced strategy
     accepts a single outcome exactly when its value reaches the threshold.
 
-    That m is the first atom value with P[max <= m] >= 1/2 (every smaller
-    v has P[max <= v] < 1/2, so P[max >= m] > 1/2), found in one ascending
-    sweep of the (x, element, weight) atoms, x over the lcd of every atom's
-    x.  Element e's atoms weigh p * Q_e (`Instance.integer_probs`), so
-    P[max <= v] is the product of each element's weight at or below v over
-    that of the Q_e.
+    That m is the first u with P[max <= u] >= 1/2 (every smaller v has
+    P[max <= v] < 1/2, so P[max >= m] > 1/2), found in one ascending walk
+    of the `scenario_table`'s (weight, u) rows: under the 1-uniform inner
+    constraint a scenario's u is its max_e x_e, over `outcome_unit`, and
+    the weights sum to `scales[0]`.  The table is built under `caps`, so
+    the median refuses wherever the table does.
     """
     if not _is_one_uniform(instance.inner):
         raise UnsupportedError("median threshold needs a 1-uniform inner constraint")
     if not instance.elements:
         raise UnsupportedError("median threshold needs at least one element")
-    denominators, weights = instance.integer_probs
-    unit = math.lcm(*(a.x.denominator for support in instance.atoms for a in support))
-    atoms = sorted(
-        (a.x.numerator * (unit // a.x.denominator), j, w)
-        for j, (support, ws) in enumerate(zip(instance.atoms, weights))
-        for a, w in zip(support, ws)
-    )
-    total = math.prod(denominators)
-    at_most = [0] * len(denominators)  # by element, times its Q_e
-    for v, j, weight in atoms:
-        at_most[j] += weight
-        if 2 * math.prod(at_most) >= total:
-            return Fraction(v, unit)
+    table = scenario_table(instance, caps)
+    at_most = 0
+    for weight, _, u in sorted(table.full_probes, key=lambda row: row[2]):
+        at_most += weight
+        if 2 * at_most >= table.scales[0]:
+            return Fraction(u, table.outcome_unit)
     raise AssertionError("a median of the maximum always exists")
 
 
@@ -235,12 +227,11 @@ def candidate_pair_sets(
 ) -> list[frozenset[OutcomePair]]:
     """Nonempty inner-feasible sets of realizable (element, x) outcomes: the
     (element, x) projection of the `scenario_table`'s proposals, the gambler
-    having no outer constraint."""
-    projected = {
-        frozenset((o.element, o.x) for o in outcomes)
-        for outcomes, *_ in scenario_table(instance, caps).proposals
-    }
-    return sorted(projected, key=lambda s: (len(s), sorted(s)))
+    having no outer constraint.  The rows hold every atom combination of each
+    feasible element set in `outcome_set_key` order, so the projections first
+    occur sorted by (size, sorted pairs)."""
+    rows = scenario_table(instance, caps).proposals
+    return list(dict.fromkeys(frozenset((o.element, o.x) for o in t) for t, *_ in rows))
 
 
 def best_greedy_family(

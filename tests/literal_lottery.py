@@ -2,7 +2,7 @@
 
 This is the per-menu loop that `lottery.search_two_lottery_menus` replaced,
 kept in form: every grid menu is built from `Lottery` objects with
-`lottery()`, collapsed or skipped by `Lottery.key()` and `support()`,
+`lottery()`, collapsed or skipped by `Lottery` equality and `support()`,
 evaluated from scratch by `evaluate_lottery_menu`, and the first strict
 best principal value wins.
 """
@@ -36,15 +36,11 @@ def literal_search(instance, grid, mode=TieBreak.ADVERSARIAL, caps=Caps()):
     n = _grid_steps(grid)
     points = [Fraction(i, n) for i in range(n + 1)]
     best = None
-    high_lotteries = []
-    for b in points:
-        lot_b = lottery([({anchor}, b), ({high}, 1 - b)])
-        high_lotteries.append((lot_b, lot_b.key()))
+    high_lotteries = [lottery([({anchor}, b), ({high}, 1 - b)]) for b in points]
     for a in points:
         lot_a = lottery([({anchor}, a), ({low}, 1 - a)])
-        key_a = lot_a.key()
-        for lot_b, key_b in high_lotteries:
-            if key_a == key_b:
+        for lot_b in high_lotteries:
+            if lot_a == lot_b:
                 menu = LotteryMenu((lot_a,))
             elif lot_a.support() == lot_b.support():
                 continue

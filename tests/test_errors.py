@@ -143,6 +143,8 @@ FORWARDING = {
     ),
     21: (lambda caps: candidate_pair_sets(coins2(), caps), "scenarios", 4),
     22: (lambda caps: candidate_pair_sets(coins2(), caps), "dp_states", 9),
+    23: (lambda caps: samuel_cahn_threshold(coins2(), caps), "scenarios", 4),
+    24: (lambda caps: samuel_cahn_threshold(coins2(), caps), "dp_states", 9),
 }
 
 
@@ -520,13 +522,14 @@ REFUSALS = {
         None,
     ),
     "prophet-no-elements": (
-        lambda: samuel_cahn_threshold(load_instance(NO_ELEMENTS)),
+        # refused before the scenario table is counted
+        lambda: samuel_cahn_threshold(load_instance(NO_ELEMENTS), Caps(scenarios=0)),
         UnsupportedError,
         "median threshold needs at least one element",
         ["prophet-check", "--instance", NO_ELEMENTS],
     ),
     "prophet-infeasible-alone": (
-        lambda: samuel_cahn_threshold(load_instance(INFEASIBLE_ALONE)),
+        lambda: samuel_cahn_threshold(load_instance(INFEASIBLE_ALONE), Caps(scenarios=0)),
         UnsupportedError,
         "median threshold needs a 1-uniform inner constraint",
         ["prophet-check", "--instance", INFEASIBLE_ALONE],

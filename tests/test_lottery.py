@@ -9,7 +9,13 @@ import delegation_lab.delegation as delegation_module
 import delegation_lab.lottery as lottery_module
 from delegation_lab.delegation import TieBreak, evaluate_policy, materialize_policy
 from delegation_lab.errors import CapacityError, Caps, UnsupportedError
-from delegation_lab.instances import Outcome, outcome_set_key, table1, table2
+from delegation_lab.instances import (
+    Outcome,
+    outcome_set_key,
+    outcome_set_to_json,
+    table1,
+    table2,
+)
 from delegation_lab.lottery import (
     Lottery,
     LotteryMenu,
@@ -181,6 +187,22 @@ def test_duplicate_lotteries_collapse():
                 lottery([({w2}, Fraction(1, 3)), (frozenset(), Fraction(2, 3))]),
             ]
         )
+
+
+def test_a_lottery_is_canonical_when_it_is_built():
+    w0 = Outcome("1", Fraction(0), Fraction(0))
+    w2 = Outcome("2", Fraction(1), Fraction(1))
+    atoms = ((frozenset({w2}), Fraction(1, 3)), (frozenset({w0}), Fraction(2, 3)))
+    forward, reversed_ = Lottery(atoms), Lottery(atoms[::-1])
+    assert forward == reversed_
+    assert hash(forward) == hash(reversed_)
+    assert lottery_menu([forward, reversed_]).lotteries == (forward,)
+    (written,) = menu_to_json(LotteryMenu((reversed_,)))["lotteries"]
+    # written in `outcome_set_key` order, not in the order it was given
+    assert [item["set"] for item in written["atoms"]] == [
+        outcome_set_to_json({w0}),
+        outcome_set_to_json({w2}),
+    ]
 
 
 def _menu_with_atom_set(atom_set):

@@ -662,7 +662,10 @@ def test_family_cap_counts_the_candidate_sets():
                     frozenset((o.element, o.x) for o in outcomes)
                     for outcomes in realizable_inner_sets(inst)
                 }
-                assert set(candidate_pair_sets(inst)) == projected, kind
+                candidates = candidate_pair_sets(inst)
+                assert set(candidates) == projected, kind
+                # first occurrences on the proposal rows come in the lattice's order
+                assert candidates == sorted(projected, key=lambda s: (len(s), sorted(s))), kind
 
 
 def test_family_requires_feasible_members():

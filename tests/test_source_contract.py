@@ -87,26 +87,71 @@ def _names(tree):
             yield node.value
 
 
-def test_only_instances_names_the_literal_outcome_set_walk():
+# Reference code: kept for the differential tests and the bench's tracer, and
+# run by no command or library path
+REFERENCE_ONLY = {
+    "enumerate_scenarios",
+    "realizable_inner_sets",
+    "iter_feasible_sets",
+    "max_weight_feasible",
+    "_checked_weights",
+    "_subsets",
+    "nonadaptive_value",
+    "_observed_value",
+    "agent_best_response",
+    "agent_lottery_choice",
+    "expected_values",
+}
+
+
+def _uses(tree, names):
+    """(enclosing function, name) of every use of one of `names` as a name,
+    an attribute or an import; an import at module level is no use."""
+    found = []
+
+    def visit(node, function):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias) and function is not None:
+            name = node.name
+        if name in names:
+            found.append((function, name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_live_code_never_calls_reference_code():
     # every proposable outcome set is read off the compiled probing graph
-    # (`ProbingGraph.proposals`); the literal walk is a test reference
-    naming = [
-        path.stem
+    # (`ProbingGraph.proposals`), every value off its passes; a reference
+    # name is used only inside another reference function
+    defined = {
+        node.name
         for path in MODULES
-        if "realizable_inner_sets" in set(_names(_tree(path)))
-    ]
-    assert naming == ["instances"]
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert REFERENCE_ONLY <= defined
+    live = {}
+    for path in MODULES:
+        uses = [u for u in _uses(_tree(path), REFERENCE_ONLY) if u[0] not in REFERENCE_ONLY]
+        if uses:
+            live[path.stem] = uses
+    assert live == {}
 
 
-def _prefer_callers(tree):
-    """The enclosing function of every call to a name or attribute `prefer`."""
+def _callers(tree, called):
+    """The enclosing function of every call to a name or attribute `called`."""
     callers = []
 
     def visit(node, function):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "prefer":
+            if name == called:
                 callers.append(function)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
@@ -117,12 +162,26 @@ def _prefer_callers(tree):
     return callers
 
 
+def test_units_are_taken_in_one_place():
+    # each integer unit is one lcm: probability weights and canonical atom
+    # keys (`instances`), the outcome unit (`probing`) and menu probabilities
+    # (`lottery`); every other integer is read off these
+    callers = {
+        path.stem: found for path in MODULES if (found := _callers(_tree(path), "lcm"))
+    }
+    assert callers == {
+        "instances": ["integer_probs", "make_instance"],
+        "lottery": ["menu_offers"],
+        "probing": ["outcome_unit"],
+    }
+
+
 def test_the_tie_rule_is_one_key_outside_the_literal_best_response():
     # the probing pass, the offer ranking and the lanes compare keys; only
     # the literal best-response walk asks `prefer`, and nothing sorts by a
     # comparison function
     callers = {
-        path.stem: found for path in MODULES if (found := _prefer_callers(_tree(path)))
+        path.stem: found for path in MODULES if (found := _callers(_tree(path), "prefer"))
     }
     assert callers == {"delegation": ["agent_best_response"]}
     using = [path.stem for path in MODULES if "cmp_to_key" in set(_names(_tree(path)))]
