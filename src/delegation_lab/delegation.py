@@ -336,18 +336,17 @@ def build_threshold_policy(
     outcome above the cut and nothing may propose nothing under adversarial
     or lexicographic ties, and the principal gets less.
     """
-    median = samuel_cahn_threshold(instance, caps)
+    samuel_cahn_threshold(instance, caps)  # its refusals; the table keeps the median
     table = scenario_table(instance, caps)
-    unit = table.outcome_unit
     totals = threshold_totals(table)
-    best = max([int(median * unit), *totals], key=totals.__getitem__)
+    best = max([table.median, *totals], key=totals.__getitem__)
     members = {
         frozenset({(o.element, o.x)})
         for o, (_, x) in zip(table.outcome_bits, table.outcome_values)
         if x >= best
     }
     policy = policy_from_greedy(GreedyFamily(frozenset(members)))
-    return policy, Fraction(best, unit), gambler_report(table, totals[best])
+    return policy, Fraction(best, table.outcome_unit), gambler_report(table, totals[best])
 
 
 def materialize_policy(

@@ -1,17 +1,17 @@
 """Exact adaptive probing: one compiled state graph, solved in integers.
 
 `probing_graph` compiles an instance's probing states (probed elements and
-their observed support atoms) once: every state lists its outer-feasible
-moves with integer atom weights and successor indices, root first, every
-move to a later state.  `solve_probing` values each state by a stop rule,
-given as one integer (agent, principal) pair per state, in one backward pass
-(`probing_pass`) of integer keys; `Lanes` packs many rules into one pass.
-The non-delegated benchmark `optimal_adaptive_value`
-stops with (u, 0), u the best inner-feasible observed total; the delegated
-agent stops with its proposal (`delegation`, `lottery`).
-`best_nonadaptive_set` scores every probed set of the same graph, which are
-exactly the outer-feasible probe sets; the ratio of the two is the measured
-adaptivity gap for the instance.
+their observed support atoms) once, in one contiguous block per probed set:
+every state lists its outer-feasible moves as (element, first successor,
+stride), root first, every move to a later state.  `solve_probing` values
+each state by a stop rule, given as one integer (agent, principal) pair per
+state, in one backward pass (`probing_pass`) of integer keys; `Lanes` packs
+many rules into one pass.  The non-delegated benchmark
+`optimal_adaptive_value` stops with (u, 0), u the best inner-feasible
+observed total; the delegated agent stops with its proposal (`delegation`,
+`lottery`).  `best_nonadaptive_set` scores every probed set of the same
+graph, which are exactly the outer-feasible probe sets; the ratio of the two
+is the measured adaptivity gap for the instance.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .set_systems import FreeSystem, max_weight_feasible
 ValuePair = tuple[Fraction, Fraction]
 # A `ProbingGraph.proposals` row: (outcome set, mask, y, x).
 Proposal = tuple[frozenset[Outcome], int, int, int]
-# A move probes one element: (element index, ((atom weight, successor), ...)).
-Move = tuple[int, tuple[tuple[int, int], ...]]
+# A move probes element j: (j, first, stride); atom i leads to first + i * stride.
+Move = tuple[int, int, int]
 
 
 class TieBreak(str, enum.Enum):
@@ -79,12 +79,14 @@ def _observed_value(
 
 @dataclass(frozen=True, eq=False)
 class ProbingGraph:
-    """Every probing state of one instance, indexed in discovery order.
+    """Every probing state of one instance, one block per probed set.
 
-    Per state s (the root is state 0; every move leads to a later state):
-    - `moves[s]`: the outer-feasible next probes in element order; atom
-      weight w = p * Q_e, with Q_e the lcm of element e's probability
-      denominators;
+    Blocks follow their probed sets breadth first; within a block the atom
+    of the lowest element varies fastest.  Per state s (the root is state 0;
+    every move leads to a later state):
+    - `moves[s]`: the outer-feasible next probes in element order, each
+      (j, first, stride): atom i of element j, of weight w = p * Q_j
+      (`Instance.integer_probs`), leads to state first + i * stride;
     - `scales[s]`: the product of Q_e over the unprobed elements, so
       sum(w * value * scale[successor]) is the expectation times scale[s];
     - `probed[s]`: probed elements as a bitmask over element indices;
@@ -166,15 +168,16 @@ class ProbingGraph:
         max(x(s) if s's probed set is inner-feasible, u of each parent).  The
         outer constraint is downward closed, so every subset of what s
         observed is a state with a path of moves to s."""
-        u = [0] * len(self)
+        u, atoms = [0] * len(self), self.instance.atoms
         for s in range(len(self)):
             if self.inner_feasible[s]:
                 u[s] = max(u[s], self.mask_values(self.masks[s])[1])
             best = u[s]
-            for _, atoms in self.moves[s]:
-                for _, t in atoms:
+            for j, t, stride in self.moves[s]:
+                for _ in atoms[j]:
                     if best > u[t]:
                         u[t] = best
+                    t += stride
         return tuple(u)
 
     @functools.cached_property
@@ -211,6 +214,15 @@ class ProbingGraph:
         return sum(weight * u for weight, _, u in self.full_probes)
 
     @functools.cached_property
+    def median(self) -> int:
+        """The first u of `full_probes`, ascending, whose cumulative weight
+        reaches half of `scales[0]`: under a free outer constraint, the
+        smallest median of u over `outcome_unit`."""
+        rows = sorted(self.full_probes, key=itemgetter(2))
+        at_most = itertools.accumulate(weight for weight, _, _ in rows)
+        return next(u for (_, _, u), w in zip(rows, at_most) if 2 * w >= self.scales[0])
+
+    @functools.cached_property
     def pair_masks(self) -> dict[tuple[str, int, int], int]:
         """The OR of the outcome bits of each (element, x.numerator, x.denominator)."""
         masks: dict[tuple[str, int, int], int] = {}
@@ -232,66 +244,65 @@ def _too_many_states(state_cap: int) -> CapacityError:
 
 @functools.lru_cache(maxsize=2)
 def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
-    """Compile `instance`'s probing states; refuse a state beyond `state_cap`.
+    """Compile `instance`'s probing states; refuse more than `state_cap`.
 
     Memoized on the last two (instance, state_cap), so every stop rule solved
     on one instance shares one graph, and an instance under an outer
-    constraint keeps its graph beside its free-outer one (`prophet`).  A free
-    outer constraint has exactly prod(k_e + 1) states, so past the cap it is
-    refused before any state is built.
-    """
-    elements = instance.elements
-    denominators, atom_weights = instance.integer_probs
-    outcome_bits: dict[Outcome, int] = {}
-    atom_bits = [
-        [
-            1 << outcome_bits.setdefault(instance.outcome(e, i), len(outcome_bits))
-            for i in range(len(support))
-        ]
-        for e, support in zip(elements, instance.atoms)
-    ]
-    # a state's code is sum((atom index + 1) * radix[j]) over probed elements j
-    radix = [1]
-    for support in instance.atoms:
-        radix.append(radix[-1] * (len(support) + 1))
+    constraint keeps its graph beside its free-outer one (`prophet`).
 
-    # Breadth first: every state is found before its successors.
+    The outer-feasible probed sets are walked breadth first, asking the outer
+    mask test once per (set, next element); a set P gets a block of
+    prod_{j in P} k_j states, and past the cap the walk refuses before any
+    state is built (a free outer constraint, with prod(k_e + 1) states,
+    before the walk).  A block extends the block of P minus its top element.
+    """
+    elements, sizes = instance.elements, [len(support) for support in instance.atoms]
     if state_cap < 1 or (
-        isinstance(instance.outer, FreeSystem)
-        and math.prod(len(support) + 1 for support in instance.atoms) > state_cap
+        isinstance(instance.outer, FreeSystem) and math.prod(k + 1 for k in sizes) > state_cap
     ):
         raise _too_many_states(state_cap)
     outer_feasible = instance.outer.mask_test(elements)
-
-    @functools.cache
-    def feasible_next(probed: int) -> list[int]:
-        unprobed = (j for j in range(len(elements)) if not probed >> j & 1)
-        return [j for j in unprobed if outer_feasible(probed | 1 << j)]
-
-    root_scale = math.prod(denominators)
-    found = {0: 0}
-    codes, scales, probed, masks, weights = [0], [root_scale], [0], [0], [root_scale]
-    moves: list[tuple[Move, ...]] = []
-    for s, code in enumerate(codes):
-        state_moves = []
-        for j in feasible_next(probed[s]):
-            atoms = []
-            for i, w in enumerate(atom_weights[j]):
-                child = code + (i + 1) * radix[j]
-                t = found.get(child)
-                if t is None:
-                    if len(codes) >= state_cap:
+    # (probed set, state count, its moves as (j, first, stride, k_j)), breadth first
+    firsts, blocks, total = {0: 0}, [(0, 1, [])], 1
+    for p, count, nexts in blocks:
+        stride = 1  # the atom counts of p's elements below j
+        for j, k in enumerate(sizes):
+            if p >> j & 1:
+                stride *= k
+            elif outer_feasible(child := p | 1 << j):
+                if child not in firsts:
+                    firsts[child], total = total, total + count * k
+                    if total > state_cap:
                         raise _too_many_states(state_cap)
-                    t = found[child] = len(codes)
-                    codes.append(child)
-                    scale = scales[s] // denominators[j]
-                    scales.append(scale)
-                    probed.append(probed[s] | 1 << j)
-                    masks.append(masks[s] | atom_bits[j][i])
-                    weights.append(weights[s] // scales[s] * w * scale)
-                atoms.append((w, t))
-            state_moves.append((j, tuple(atoms)))
-        moves.append(tuple(state_moves))
+                    blocks.append((child, count * k, []))
+                nexts.append((j, firsts[child], stride, k))
+
+    denominators, atom_weights = instance.integer_probs
+    outcome_bits: dict[Outcome, int] = {}
+    atom_bits = [
+        [1 << outcome_bits.setdefault(instance.outcome(e, i), len(outcome_bits)) for i in range(k)]
+        for e, k in zip(elements, sizes)
+    ]
+    root_scale = math.prod(denominators)
+    scales, probed, masks, weights, moves = [root_scale], [0], [0], [root_scale], []
+    for p, count, nexts in blocks:
+        if p:  # extend the block of p minus its top element, atom by atom
+            top = p.bit_length() - 1
+            a, q = firsts[p ^ 1 << top], denominators[top]
+            below = range(a, a + count // sizes[top])
+            masks += [masks[s] | bit for bit in atom_bits[top] for s in below]
+            weights += [weights[s] // q * w for w in atom_weights[top] for s in below]
+            scales += [scales[a] // q] * count
+            probed += [p] * count
+        columns = [
+            [
+                (j, first + high + low, stride)
+                for high in range(0, count * k, stride * k)
+                for low in range(stride)
+            ]
+            for j, first, stride, k in nexts
+        ]
+        moves += zip(*columns) if columns else [()] * count
     return ProbingGraph(
         instance,
         tuple(moves),
@@ -388,14 +399,16 @@ def probing_pass(
     root compares exactly what a Fraction DP would.
     """
     scales, moves, one_lane, cut = graph.scales, graph.moves, lanes.count == 1, lanes.cut
+    weights = graph.instance.integer_probs[1]
     values = [0] * len(moves)
     actions: list[int | None] = [None] * len(moves)
     for s in reversed(range(len(moves))):
         best, action = stops[s] * scales[s], None
-        for k, (_, atoms) in enumerate(moves[s]):
+        for k, (j, t, stride) in enumerate(moves[s]):
             total = 0
-            for w, t in atoms:
+            for w in weights[j]:
                 total += w * values[t]
+                t += stride
             if not one_lane:
                 best = lanes.merge(total, best)
             elif total >> cut > best >> cut:
@@ -438,8 +451,9 @@ def probe_distribution(
         if action is None:
             totals[graph.probed[s]] = totals.get(graph.probed[s], 0) + graph.weights[s]
             continue
-        for _, t in graph.moves[s][action][1]:
-            reached[t] = True
+        j, first, stride = graph.moves[s][action]
+        for i in range(len(graph.instance.atoms[j])):
+            reached[first + i * stride] = True
     return {
         graph.element_set(probed): Fraction(weight, graph.scales[0])
         for probed, weight in totals.items()

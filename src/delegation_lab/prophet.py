@@ -95,23 +95,18 @@ def samuel_cahn_threshold(instance: Instance, caps: Caps = Caps()) -> Fraction:
     accepts a single outcome exactly when its value reaches the threshold.
 
     That m is the first u with P[max <= u] >= 1/2 (every smaller v has
-    P[max <= v] < 1/2, so P[max >= m] > 1/2), found in one ascending walk
-    of the `scenario_table`'s (weight, u) rows: under the 1-uniform inner
-    constraint a scenario's u is its max_e x_e, over `outcome_unit`, and
-    the weights sum to `scales[0]`.  The table is built under `caps`, so
-    the median refuses wherever the table does.
+    P[max <= v] < 1/2, so P[max >= m] > 1/2): the `scenario_table`'s
+    `median`, walked once per table, as under the 1-uniform inner
+    constraint a scenario's u is its max_e x_e, over `outcome_unit`.  The
+    table is built under `caps`, so the median refuses wherever the table
+    does.
     """
     if not _is_one_uniform(instance.inner):
         raise UnsupportedError("median threshold needs a 1-uniform inner constraint")
     if not instance.elements:
         raise UnsupportedError("median threshold needs at least one element")
     table = scenario_table(instance, caps)
-    at_most = 0
-    for weight, _, u in sorted(table.full_probes, key=lambda row: row[2]):
-        at_most += weight
-        if 2 * at_most >= table.scales[0]:
-            return Fraction(u, table.outcome_unit)
-    raise AssertionError("a median of the maximum always exists")
+    return Fraction(table.median, table.outcome_unit)
 
 
 def threshold_family(instance: Instance, tau: Fraction) -> GreedyFamily:

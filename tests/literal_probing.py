@@ -79,14 +79,26 @@ def outcomes_at(instance, state):
 
 
 
+def state_moves(graph):
+    """Each compiled state's moves as (element index, the successor of each
+    atom), read off `graph.moves`: atom i of a move (j, first, stride) leads
+    to state first + i * stride.  The one reader of the move layout outside
+    `probing`."""
+    atoms = graph.instance.atoms
+    return [
+        [(j, [first + i * stride for i in range(len(atoms[j]))]) for j, first, stride in moves]
+        for moves in graph.moves
+    ]
+
+
 def state_observations(graph):
     """Each compiled state's (element index, atom index) pairs, by element,
-    rebuilt from `graph.moves`: the root observed nothing, and the i-th atom
+    rebuilt from `state_moves`: the root observed nothing, and the i-th atom
     of a move probing element j leads to a state that also observed (j, i)."""
     observed = [()] + [None] * (len(graph) - 1)
-    for s, moves in enumerate(graph.moves):
-        for j, atoms in moves:
-            for i, (_, t) in enumerate(atoms):
+    for s, moves in enumerate(state_moves(graph)):
+        for j, successors in moves:
+            for i, t in enumerate(successors):
                 pairs = tuple(sorted(observed[s] + ((j, i),)))
                 assert observed[t] in (None, pairs)
                 observed[t] = pairs

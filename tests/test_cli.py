@@ -14,6 +14,7 @@ import pytest
 from delegation_lab import instances, probing
 from delegation_lab.cli import Caps, argument_parser, run
 from delegation_lab.instances import instance_to_json, table2
+from delegation_lab.prophet import scenario_table
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -152,6 +153,26 @@ def test_build_policy_methods(method, capsys):
         report["evaluation"]["principal_value"]["den"],
     )
     assert value >= Fraction(1, 2) * Fraction(7, 4)
+
+
+def test_threshold_build_walks_the_median_once(monkeypatch, capsys):
+    # `build_threshold_policy` and the report's `median_threshold` both read
+    # the scenario table's cached median: its rows are sorted once
+    sorts = []
+
+    def counting_sorted(rows, **kwargs):
+        sorts.append(list(rows))
+        return sorted(sorts[-1], **kwargs)
+
+    probing.probing_graph.cache_clear()
+    monkeypatch.setattr(probing, "sorted", counting_sorted, raising=False)
+    code, out, _ = run_cli(capsys, "build-policy", "--builtin", "coins2", "--method", "threshold")
+    assert code == 0
+    golden = ROOT / "tests" / "golden" / "build_policy_threshold_coins2.json"
+    assert out == golden.read_text(encoding="utf-8")
+    rows = list(scenario_table(instances.coins2()).full_probes)
+    assert len(rows) == 4
+    assert sum(1 for sorted_rows in sorts if sorted_rows == rows) == 1
 
 
 def test_reports_are_byte_identical(capsys):

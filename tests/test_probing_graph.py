@@ -8,6 +8,7 @@ must agree exactly.
 """
 
 import dataclasses
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -65,6 +66,7 @@ from literal_probing import (
     literal_distribution,
     literal_solve,
     outcomes_at,
+    state_moves,
     state_observations,
 )
 
@@ -195,7 +197,7 @@ def _graph_actions(graph, actions):
     elements = graph.instance.elements
     return {
         _state_key(graph, observed): None if k is None else elements[moves[k][0]]
-        for observed, moves, k in zip(state_observations(graph), graph.moves, actions)
+        for observed, moves, k in zip(state_observations(graph), state_moves(graph), actions)
     }
 
 
@@ -366,6 +368,72 @@ def test_state_cap_admits_exactly_the_state_count():
         optimal_adaptive_value(inst, Caps(dp_states=0))
 
 
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_each_probed_set_is_one_block_of_literal_states(instance):
+    # every state's arrays are the literal product of the atoms it observed;
+    # a probed set's states are contiguous; moves probe the outer-feasible
+    # next elements in element order, and every successor comes later
+    graph = probing_graph(instance, Caps.dp_states)
+    elements, atoms = instance.elements, instance.atoms
+    qs = [math.lcm(*(a.prob.denominator for a in support)) for support in atoms]
+    blocks = {}
+    for s, (observed, moves) in enumerate(zip(state_observations(graph), state_moves(graph))):
+        probed = {j for j, _ in observed}
+        assert graph.probed[s] == sum(1 << j for j in probed)
+        assert graph.scales[s] == math.prod(q for j, q in enumerate(qs) if j not in probed)
+        probability = math.prod(atoms[j][i].prob for j, i in observed)
+        assert graph.weights[s] == probability * graph.scales[0]
+        bits = {graph.outcome_bits[instance.outcome(elements[j], i)] for j, i in observed}
+        assert graph.masks[s] == sum(1 << b for b in bits)
+        feasible = [
+            j
+            for j, e in enumerate(elements)
+            if j not in probed
+            and instance.outer.is_feasible({elements[i] for i in probed} | {e})
+        ]
+        assert [j for j, _ in moves] == feasible
+        assert all(t > s for _, successors in moves for t in successors)
+        blocks.setdefault(graph.probed[s], []).append(s)
+    for probed, states in blocks.items():
+        assert states == list(range(states[0], states[0] + len(states)))
+        assert len(states) == math.prod(len(a) for j, a in enumerate(atoms) if probed >> j & 1)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a state was built before the cap was checked")
+
+
+GROUND = frozenset({"e1", "e2", "e3"})
+
+
+@pytest.mark.parametrize(
+    "outer, count",
+    [
+        # {}, 3 singles, the pairs {e1, e3} and {e2, e3}: 1 + 7 + 4 + 6
+        (PartitionSystem(GROUND, (frozenset({"e1", "e2"}), frozenset({"e3"})), (1, 1)), 18),
+        # {}, 3 singles, 3 pairs: 1 + 7 + 6 + 4 + 6
+        (UniformSystem(GROUND, 2), 24),
+    ],
+)
+def test_constrained_states_are_capped_before_any_state_is_built(outer, count, monkeypatch):
+    # e1, e2, e3 of 2, 3, 2 atoms under a non-free outer constraint
+    sizes = {"e1": 2, "e2": 3, "e3": 2}
+    dists = {
+        e: [UtilityAtom(Fraction(i), Fraction(i), Fraction(1, k)) for i in range(k)]
+        for e, k in sizes.items()
+    }
+    inst = make_instance(list(sizes), dists, outer, UniformSystem(GROUND, 1))
+    assert optimal_adaptive_value(inst).state_count == count
+    assert optimal_adaptive_value(inst, Caps(dp_states=count)).state_count == count
+    # the walk counts the states of each probed set: no outcome is looked up
+    monkeypatch.setattr(Instance, "outcome", _refuse)
+    with pytest.raises(CapacityError) as err:
+        optimal_adaptive_value(inst, Caps(dp_states=count - 1))
+    assert str(err.value) == f"probing DP exceeded {count - 1} states"
+    assert (err.value.cap, err.value.limit, err.value.reached) == ("dp_states", count - 1, count)
+
+
 def test_graph_is_shared_by_every_stop_rule_on_one_instance():
     inst = table1(Fraction(1, 3))
     graph = probing_graph(inst, Caps.dp_states)
@@ -373,8 +441,8 @@ def test_graph_is_shared_by_every_stop_rule_on_one_instance():
     evaluate_policy(inst, ThresholdPolicy(Fraction(1)))
     assert probing_graph(inst, Caps.dp_states) is graph
     # the root comes first; every move leads to a later state
-    for s, moves in enumerate(graph.moves):
-        assert all(t > s for _, atoms in moves for _, t in atoms)
+    for s, moves in enumerate(state_moves(graph)):
+        assert all(t > s for _, successors in moves for t in successors)
     assert graph.probed[0] == graph.masks[0] == 0
 
 

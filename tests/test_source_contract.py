@@ -203,6 +203,21 @@ def test_the_probing_compile_asks_feasibility_on_masks():
     assert "is_feasible" not in called
 
 
+def test_the_move_layout_is_read_in_probing_alone():
+    # a move's (element, first, stride) layout is private to the compile and
+    # its passes; the tests read it through `literal_probing.state_moves`
+    root = SOURCE.parent.parent
+    readers = sorted(
+        str(path.relative_to(root))
+        for path in [*MODULES, *root.glob("tests/*.py"), *root.glob("bench/*.py")]
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "moves"
+            for node in ast.walk(_tree(path))
+        )
+    )
+    assert readers == ["src/delegation_lab/probing.py", "tests/literal_probing.py"]
+
+
 def test_no_module_states_a_set_rule_beside_the_mask_tests():
     # each set-system kind states its rule once, as a mask test; `is_feasible`
     # asks the sorted mask test, and no `_feasible` rule on sets of ids is
