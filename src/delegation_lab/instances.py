@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, Caps
@@ -106,10 +107,6 @@ class Instance:
     def dist(self, element: str) -> tuple[UtilityAtom, ...]:
         return self.atoms[self.elements.index(element)]
 
-    def outcome(self, element: str, atom_index: int) -> Outcome:
-        atom = self.dist(element)[atom_index]
-        return Outcome(element, atom.x, atom.y)
-
 
 def make_instance(
     elements: Sequence[str],
@@ -127,10 +124,11 @@ def make_instance(
         atoms = dists[e]
         unit = math.lcm(*(v.denominator for a in atoms for v in (a.x, a.y)))
         key = lambda a: (a.x.numerator * unit // a.x.denominator, a.y.numerator * unit // a.y.denominator)
+        keyed = sorted(zip(map(key, atoms), atoms), key=itemgetter(0))
         support = []
-        for _, (atom, *rest) in itertools.groupby(sorted(atoms, key=key), key):
+        for _, ((_, atom), *rest) in itertools.groupby(keyed, itemgetter(0)):
             if rest:
-                atom = UtilityAtom(atom.x, atom.y, sum((a.prob for a in rest), atom.prob))
+                atom = UtilityAtom(atom.x, atom.y, sum((a.prob for _, a in rest), atom.prob))
             support.append(atom)
         supports.append(tuple(support))
     return Instance(tuple(elements), tuple(supports), outer, inner)
@@ -258,7 +256,8 @@ def fraction_from_json(value, what: str) -> Fraction:
     if (
         not isinstance(value, list)
         or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+        or not isinstance(value[0], int) or isinstance(value[0], bool)
+        or not isinstance(value[1], int) or isinstance(value[1], bool)
     ):
         raise ValueError(f"{what} must be a [numerator, denominator] integer pair")
     num, den = value

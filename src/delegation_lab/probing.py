@@ -1,17 +1,17 @@
 """Exact adaptive probing: one compiled state graph, solved in integers.
 
 `probing_graph` compiles an instance's probing states (probed elements and
-their observed support atoms) once, in one contiguous block per probed set:
-every state lists its outer-feasible moves as (element, first successor,
-stride), root first, every move to a later state.  `solve_probing` values
-each state by a stop rule, given as one integer (agent, principal) pair per
-state, in one backward pass (`probing_pass`) of integer keys; `Lanes` packs
-many rules into one pass.  The non-delegated benchmark
-`optimal_adaptive_value` stops with (u, 0), u the best inner-feasible
-observed total; the delegated agent stops with its proposal (`delegation`,
-`lottery`).  `best_nonadaptive_set` scores every probed set of the same
-graph, which are exactly the outer-feasible probe sets; the ratio of the two
-is the measured adaptivity gap for the instance.
+their observed support atoms) once, in one contiguous block per probed set,
+root first: each block stores once the outer-feasible moves its states
+share, as (element, first successor, stride, gap), every move to a later
+state.  `solve_probing` values each state by a stop rule, given as one
+integer (agent, principal) pair per state, in one backward pass
+(`probing_pass`) of integer keys; `Lanes` packs many rules into one pass.
+The non-delegated benchmark `optimal_adaptive_value` stops with (u, 0), u
+the best inner-feasible observed total; the delegated agent stops with its
+proposal (`delegation`, `lottery`).  `best_nonadaptive_set` scores every
+probed set of the same graph, which are exactly the outer-feasible probe
+sets; the ratio of the two is the measured adaptivity gap for the instance.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .set_systems import FreeSystem, max_weight_feasible
 ValuePair = tuple[Fraction, Fraction]
 # A `ProbingGraph.proposals` row: (outcome set, mask, y, x).
 Proposal = tuple[frozenset[Outcome], int, int, int]
-# A move probes element j: (j, first, stride); atom i leads to first + i * stride.
-Move = tuple[int, int, int]
 
 
 class TieBreak(str, enum.Enum):
@@ -82,11 +80,14 @@ class ProbingGraph:
     """Every probing state of one instance, one block per probed set.
 
     Blocks follow their probed sets breadth first; within a block the atom
-    of the lowest element varies fastest.  Per state s (the root is state 0;
-    every move leads to a later state):
-    - `moves[s]`: the outer-feasible next probes in element order, each
-      (j, first, stride): atom i of element j, of weight w = p * Q_j
-      (`Instance.integer_probs`), leads to state first + i * stride;
+    of the lowest element varies fastest.  The root is state 0; every move
+    leads to a later state.
+    - `move_blocks`: per block, (first state, state count, moves): its
+      states' outer-feasible next probes in element order, each (j, first,
+      stride, gap), gap = stride * (k_j - 1).  From the state at offset o,
+      atom i of element j, of weight w = p * Q_j (`Instance.integer_probs`),
+      leads to state first + o + (o // stride) * gap + i * stride.
+    Per state s:
     - `scales[s]`: the product of Q_e over the unprobed elements, so
       sum(w * value * scale[successor]) is the expectation times scale[s];
     - `probed[s]`: probed elements as a bitmask over element indices;
@@ -95,7 +96,7 @@ class ProbingGraph:
     """
 
     instance: Instance
-    moves: tuple[tuple[Move, ...], ...]
+    move_blocks: tuple[tuple[int, int, tuple[tuple[int, int, int, int], ...]], ...]
     scales: tuple[int, ...]
     probed: tuple[int, ...]
     masks: tuple[int, ...]
@@ -104,7 +105,7 @@ class ProbingGraph:
     outcome_bits: Mapping[Outcome, int]
 
     def __len__(self) -> int:
-        return len(self.moves)
+        return len(self.scales)
 
     @functools.cached_property
     def proposals(self) -> tuple[Proposal, ...]:
@@ -164,20 +165,23 @@ class ProbingGraph:
 
     @functools.cached_property
     def observed_values(self) -> tuple[int, ...]:
-        """u at every state over `outcome_unit`, in one root-first pass: u(s) =
-        max(x(s) if s's probed set is inner-feasible, u of each parent).  The
-        outer constraint is downward closed, so every subset of what s
-        observed is a state with a path of moves to s."""
+        """u at every state over `outcome_unit`, in one root-first pass over the
+        blocks: u(s) = max(x(s) if s's probed set is inner-feasible, u of each
+        parent).  The outer constraint is downward closed, so every subset of
+        what s observed is a state with a path of moves to s."""
         u, atoms = [0] * len(self), self.instance.atoms
-        for s in range(len(self)):
-            if self.inner_feasible[s]:
-                u[s] = max(u[s], self.mask_values(self.masks[s])[1])
-            best = u[s]
-            for j, t, stride in self.moves[s]:
-                for _ in atoms[j]:
-                    if best > u[t]:
-                        u[t] = best
-                    t += stride
+        feasible, masks = self.inner_feasible, self.masks
+        for first, count, moves in self.move_blocks:
+            for s in range(first, first + count):
+                if feasible[s]:
+                    u[s] = max(u[s], self.mask_values(masks[s])[1])
+                best, o = u[s], s - first
+                for j, t, stride, gap in moves:
+                    t += o + o // stride * gap
+                    for _ in atoms[j]:
+                        if best > u[t]:
+                            u[t] = best
+                        t += stride
         return tuple(u)
 
     @functools.cached_property
@@ -254,7 +258,8 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     mask test once per (set, next element); a set P gets a block of
     prod_{j in P} k_j states, and past the cap the walk refuses before any
     state is built (a free outer constraint, with prod(k_e + 1) states,
-    before the walk).  A block extends the block of P minus its top element.
+    before the walk).  The walk yields each block's moves, stored once per
+    block; the block's states extend the block of P minus its top element.
     """
     elements, sizes = instance.elements, [len(support) for support in instance.atoms]
     if state_cap < 1 or (
@@ -262,7 +267,7 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     ):
         raise _too_many_states(state_cap)
     outer_feasible = instance.outer.mask_test(elements)
-    # (probed set, state count, its moves as (j, first, stride, k_j)), breadth first
+    # (probed set, state count, its moves as (j, first, stride, gap)), breadth first
     firsts, blocks, total = {0: 0}, [(0, 1, [])], 1
     for p, count, nexts in blocks:
         stride = 1  # the atom counts of p's elements below j
@@ -275,37 +280,27 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
                     if total > state_cap:
                         raise _too_many_states(state_cap)
                     blocks.append((child, count * k, []))
-                nexts.append((j, firsts[child], stride, k))
+                nexts.append((j, firsts[child], stride, stride * (k - 1)))
 
     denominators, atom_weights = instance.integer_probs
     outcome_bits: dict[Outcome, int] = {}
     atom_bits = [
-        [1 << outcome_bits.setdefault(instance.outcome(e, i), len(outcome_bits)) for i in range(k)]
-        for e, k in zip(elements, sizes)
+        [1 << outcome_bits.setdefault(Outcome(e, a.x, a.y), len(outcome_bits)) for a in support]
+        for e, support in zip(elements, instance.atoms)
     ]
     root_scale = math.prod(denominators)
-    scales, probed, masks, weights, moves = [root_scale], [0], [0], [root_scale], []
-    for p, count, nexts in blocks:
-        if p:  # extend the block of p minus its top element, atom by atom
-            top = p.bit_length() - 1
-            a, q = firsts[p ^ 1 << top], denominators[top]
-            below = range(a, a + count // sizes[top])
-            masks += [masks[s] | bit for bit in atom_bits[top] for s in below]
-            weights += [weights[s] // q * w for w in atom_weights[top] for s in below]
-            scales += [scales[a] // q] * count
-            probed += [p] * count
-        columns = [
-            [
-                (j, first + high + low, stride)
-                for high in range(0, count * k, stride * k)
-                for low in range(stride)
-            ]
-            for j, first, stride, k in nexts
-        ]
-        moves += zip(*columns) if columns else [()] * count
+    scales, probed, masks, weights = [root_scale], [0], [0], [root_scale]
+    for p, count, _ in blocks[1:]:  # extend the block of p minus its top element, atom by atom
+        top = p.bit_length() - 1
+        a, q = firsts[p ^ 1 << top], denominators[top]
+        below = range(a, a + count // sizes[top])
+        masks += [masks[s] | bit for bit in atom_bits[top] for s in below]
+        weights += [weights[s] // q * w for w in atom_weights[top] for s in below]
+        scales += [scales[a] // q] * count
+        probed += [p] * count
     return ProbingGraph(
         instance,
-        tuple(moves),
+        tuple((firsts[p], count, tuple(nexts)) for p, count, nexts in blocks),
         tuple(scales),
         tuple(probed),
         tuple(masks),
@@ -393,27 +388,30 @@ def probing_pass(
     `stops[s]` is state s's stop key over a unit, or `lanes.count` of them.
     V(s) = the best of the stop key times scales[s] and each move's expected
     successor key; ties go to stopping, then to the earliest element.  One
-    lane compares with `>` and records the chosen move's position in
-    `graph.moves[s]` (None to stop); more lanes `merge`.  Every key at state
-    s is over unit * scales[s], so one pass from the last state back to the
-    root compares exactly what a Fraction DP would.
+    lane compares with `>` and records the chosen move's position in its
+    block's moves (None to stop); more lanes `merge`.  Every key at state s
+    is over unit * scales[s], so one pass from the last state back to the
+    root, block by block, compares exactly what a Fraction DP would.
     """
-    scales, moves, one_lane, cut = graph.scales, graph.moves, lanes.count == 1, lanes.cut
+    scales, one_lane, cut = graph.scales, lanes.count == 1, lanes.cut
     weights = graph.instance.integer_probs[1]
-    values = [0] * len(moves)
-    actions: list[int | None] = [None] * len(moves)
-    for s in reversed(range(len(moves))):
-        best, action = stops[s] * scales[s], None
-        for k, (j, t, stride) in enumerate(moves[s]):
-            total = 0
-            for w in weights[j]:
-                total += w * values[t]
-                t += stride
-            if not one_lane:
-                best = lanes.merge(total, best)
-            elif total >> cut > best >> cut:
-                best, action = total, k
-        values[s], actions[s] = best, action
+    values = [0] * len(scales)
+    actions: list[int | None] = [None] * len(scales)
+    for first, count, moves in reversed(graph.move_blocks):
+        for o in reversed(range(count)):
+            s = first + o
+            best, action = stops[s] * scales[s], None
+            for k, (j, t, stride, gap) in enumerate(moves):
+                t += o + o // stride * gap
+                total = 0
+                for w in weights[j]:
+                    total += w * values[t]
+                    t += stride
+                if not one_lane:
+                    best = lanes.merge(total, best)
+                elif total >> cut > best >> cut:
+                    best, action = total, k
+            values[s], actions[s] = best, action
     return (values[:1] if one_lane else lanes.unpack(values[0])), actions
 
 
@@ -438,22 +436,24 @@ def probe_distribution(
     """The distribution of the probed set at stopping under `actions`.
 
     Given its observations a state is reached along one path or not at all,
-    so a reached state carries its integer weight; one forward pass marks
-    the reached states.
+    so a reached state carries its integer weight; one forward pass over
+    the blocks, and in each over its states, marks the reached states.
     """
     reached = [False] * len(graph)
     reached[0] = True
     totals: dict[int, int] = {}
-    for s in range(len(graph)):
-        if not reached[s]:
-            continue
-        action = actions[s]
-        if action is None:
-            totals[graph.probed[s]] = totals.get(graph.probed[s], 0) + graph.weights[s]
-            continue
-        j, first, stride = graph.moves[s][action]
-        for i in range(len(graph.instance.atoms[j])):
-            reached[first + i * stride] = True
+    for first, count, moves in graph.move_blocks:
+        for s in range(first, first + count):
+            if not reached[s]:
+                continue
+            action = actions[s]
+            if action is None:
+                totals[graph.probed[s]] = totals.get(graph.probed[s], 0) + graph.weights[s]
+                continue
+            j, t, stride, gap = moves[action]
+            t += s - first + (s - first) // stride * gap
+            for i in range(len(graph.instance.atoms[j])):
+                reached[t + i * stride] = True
     return {
         graph.element_set(probed): Fraction(weight, graph.scales[0])
         for probed, weight in totals.items()

@@ -4,12 +4,20 @@ This is the `make_instance` that the integer-key pass replaced, kept in
 form: each element's atoms are merged in a dict keyed by their (x, y)
 Fractions, probabilities summed from Fraction(0), the merged atoms rebuilt
 in (x, y) order, and each support's probabilities summed in Fractions
-(the check `Instance` made before it compared integer weights).
+(the check `Instance` made before it compared integer weights).  `outcome`
+names one atom's outcome by element id, the lookup the tests build their
+expected outcome sets with.
 """
 
 from fractions import Fraction
 
-from delegation_lab.instances import Instance, UtilityAtom
+from delegation_lab.instances import Instance, Outcome, UtilityAtom
+
+
+def outcome(instance, element, atom_index):
+    """The outcome of atom `atom_index` of `element`, found by its id."""
+    atom = instance.dist(element)[atom_index]
+    return Outcome(element, atom.x, atom.y)
 
 
 def literal_make_instance(elements, dists, outer, inner):

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 from delegation_lab.probing import prefer
 
+from literal_instances import outcome
+
 ROOT_STATE = ((), ())
 
 
@@ -75,19 +77,24 @@ def literal_distribution(instance, actions):
 
 
 def outcomes_at(instance, state):
-    return frozenset(instance.outcome(e, i) for e, i in zip(*state))
+    return frozenset(outcome(instance, e, i) for e, i in zip(*state))
 
 
 
 def state_moves(graph):
     """Each compiled state's moves as (element index, the successor of each
-    atom), read off `graph.moves`: atom i of a move (j, first, stride) leads
-    to state first + i * stride.  The one reader of the move layout outside
-    `probing`."""
+    atom), read off `graph.move_blocks`: from the state at offset o of its
+    block, atom i of a move (j, first, stride, gap) leads to state
+    first + o + (o // stride) * gap + i * stride.  The one reader of the move
+    layout outside `probing`."""
     atoms = graph.instance.atoms
     return [
-        [(j, [first + i * stride for i in range(len(atoms[j]))]) for j, first, stride in moves]
-        for moves in graph.moves
+        [
+            (j, [first + o + o // stride * gap + i * stride for i in range(len(atoms[j]))])
+            for j, first, stride, gap in moves
+        ]
+        for _, count, moves in graph.move_blocks
+        for o in range(count)
     ]
 
 

@@ -65,6 +65,7 @@ from delegation_lab.set_systems import (
 )
 
 from conftest import one_uniform_instance
+from literal_instances import outcome
 from literal_prophet import literal_threshold_policy
 
 
@@ -167,7 +168,7 @@ def _best_response_case(rng):
         inner = FreeSystem(ground)
     instance = make_instance(elements, dists, FreeSystem(ground), inner)
     outcomes = [
-        instance.outcome(e, i) for e in elements for i in range(len(instance.dist(e)))
+        outcome(instance, e, i) for e in elements for i in range(len(instance.dist(e)))
     ]
     feasible = realizable_inner_sets(instance)
     acceptable = rng.sample(feasible, rng.randint(0, len(feasible)))
@@ -458,7 +459,7 @@ def test_agent_dp_beats_every_fixed_probe_set():
                             inst,
                             policy,
                             frozenset(
-                                inst.outcome(e, realization[e]) for e in probe_set
+                                outcome(inst, e, realization[e]) for e in probe_set
                             ),
                             TieBreak.ADVERSARIAL,
                         )
@@ -687,7 +688,7 @@ def test_each_policy_is_compiled_once_per_evaluation(monkeypatch):
     assert compiled == [policy]
     assert walked == []
     expected = [
-        frozenset(inst.outcome(e, i) for e, i in zip(chosen, choice))
+        frozenset(outcome(inst, e, i) for e, i in zip(chosen, choice))
         for r in (1, 2)
         for chosen in itertools.combinations(ids, r)
         for choice in itertools.product(range(2), repeat=r)

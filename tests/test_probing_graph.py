@@ -43,6 +43,7 @@ from delegation_lab.lottery import (
     lottery,
     menu_offers,
 )
+from delegation_lab import probing
 from delegation_lab.probing import (
     _observed_value,
     best_nonadaptive_set,
@@ -62,6 +63,7 @@ from delegation_lab.set_systems import (
     iter_feasible_sets,
 )
 
+from literal_instances import outcome
 from literal_probing import (
     literal_distribution,
     literal_solve,
@@ -249,7 +251,7 @@ def test_graph_u_matches_the_max_weight_search(data, base):
     ):
         pairs = [(instance.elements[j], i) for j, i in observed]
         assert Fraction(u, graph.outcome_unit) == _observed_value(instance, pairs)
-        assert mask == sum(1 << graph.outcome_bits[instance.outcome(e, i)] for e, i in pairs)
+        assert mask == sum(1 << graph.outcome_bits[outcome(instance, e, i)] for e, i in pairs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -384,7 +386,7 @@ def test_each_probed_set_is_one_block_of_literal_states(instance):
         assert graph.scales[s] == math.prod(q for j, q in enumerate(qs) if j not in probed)
         probability = math.prod(atoms[j][i].prob for j, i in observed)
         assert graph.weights[s] == probability * graph.scales[0]
-        bits = {graph.outcome_bits[instance.outcome(elements[j], i)] for j, i in observed}
+        bits = {graph.outcome_bits[outcome(instance, elements[j], i)] for j, i in observed}
         assert graph.masks[s] == sum(1 << b for b in bits)
         feasible = [
             j
@@ -426,12 +428,77 @@ def test_constrained_states_are_capped_before_any_state_is_built(outer, count, m
     inst = make_instance(list(sizes), dists, outer, UniformSystem(GROUND, 1))
     assert optimal_adaptive_value(inst).state_count == count
     assert optimal_adaptive_value(inst, Caps(dp_states=count)).state_count == count
-    # the walk counts the states of each probed set: no outcome is looked up
-    monkeypatch.setattr(Instance, "outcome", _refuse)
+    # the walk counts the states of each probed set: no outcome is built
+    monkeypatch.setattr(probing, "Outcome", _refuse)
     with pytest.raises(CapacityError) as err:
         optimal_adaptive_value(inst, Caps(dp_states=count - 1))
     assert str(err.value) == f"probing DP exceeded {count - 1} states"
     assert (err.value.cap, err.value.limit, err.value.reached) == ("dp_states", count - 1, count)
+
+
+def _mask_pair(mask):
+    """An arbitrary (agent, principal) stop pair of an outcome mask, with
+    many agent ties, so each tie rule decides some states."""
+    return mask * 37 % 11, mask * 53 % 7
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_middle_stride_move_reaches_its_literal_successors(mode):
+    # e1, e2, e3 of 2, 3, 2 atoms, free outer: the block {e1, e3} (4 states)
+    # probes e2 with stride 2, so 1 < stride < count and a successor's
+    # offset needs the gap between the strided runs
+    x = {"e1": [1, 5], "e2": [2, 4, 7], "e3": [3, 8]}
+    p = {"e1": [1, 2], "e2": [1, 2, 3], "e3": [1, 3]}
+    dists = {
+        e: [
+            UtilityAtom(Fraction(v), Fraction(v * v % 5), Fraction(w, sum(p[e])))
+            for v, w in zip(x[e], p[e])
+        ]
+        for e in x
+    }
+    instance = make_instance(list(x), dists, FreeSystem(GROUND), UniformSystem(GROUND, 1))
+    graph = probing_graph(instance, Caps.dp_states)
+    elements, observations, moves = instance.elements, state_observations(graph), state_moves(graph)
+
+    def bit(j, i):
+        return 1 << graph.outcome_bits[outcome(instance, elements[j], i)]
+
+    middle = [s for s in range(len(graph)) if graph.probed[s] == 0b101]
+    probes = [successors for s in middle for j, successors in moves[s] if j == 1]
+    full = graph.probed.index(0b111)
+    assert [t - full for t, _, _ in probes] == [0, 1, 6, 7]
+    assert all(b - a == c - b == 2 for a, b, c in probes)
+    for s in range(len(graph)):
+        for j, successors in moves[s]:
+            for i, t in enumerate(successors):
+                assert observations[t] == tuple(sorted(observations[s] + ((j, i),)))
+                assert graph.masks[t] == graph.masks[s] | bit(j, i)
+
+    def literal_stop(state):
+        mask = sum(bit(elements.index(e), i) for e, i in zip(*state))
+        return tuple(map(Fraction, _mask_pair(mask)))
+
+    stops = [_mask_pair(mask) for mask in graph.masks]
+    _assert_same_dp(instance, stops, 1, literal_stop, mode)
+    for observed, u in zip(observations, graph.observed_values):
+        pairs = [(elements[j], i) for j, i in observed]
+        assert Fraction(u, graph.outcome_unit) == _observed_value(instance, pairs)
+    # probe e1, then e3, then e2 unless e3 drew its first atom
+    def action(observed, state_moves):
+        probed = [j for j, _ in observed]
+        after = [j for j in (0, 2, 1) if j not in probed]
+        if not after or (2, 0) in observed:
+            return None
+        return [j for j, _ in state_moves].index(after[0])
+
+    actions = [action(observed, moves[s]) for s, observed in enumerate(observations)]
+    literal_actions = {
+        _state_key(graph, observed): None if k is None else elements[moves[s][k][0]]
+        for s, (observed, k) in enumerate(zip(observations, actions))
+    }
+    distribution = probe_distribution(graph, actions)
+    assert distribution == literal_distribution(instance, literal_actions)
+    assert distribution == {frozenset({"e1", "e3"}): Fraction(1, 4), GROUND: Fraction(3, 4)}
 
 
 def test_graph_is_shared_by_every_stop_rule_on_one_instance():

@@ -204,14 +204,15 @@ def test_the_probing_compile_asks_feasibility_on_masks():
 
 
 def test_the_move_layout_is_read_in_probing_alone():
-    # a move's (element, first, stride) layout is private to the compile and
-    # its passes; the tests read it through `literal_probing.state_moves`
+    # a block's (first, count, moves) and a move's (element, first, stride,
+    # gap) layout are private to the compile and its passes; the tests read
+    # them through `literal_probing.state_moves`
     root = SOURCE.parent.parent
     readers = sorted(
         str(path.relative_to(root))
         for path in [*MODULES, *root.glob("tests/*.py"), *root.glob("bench/*.py")]
         if any(
-            isinstance(node, ast.Attribute) and node.attr == "moves"
+            isinstance(node, ast.Attribute) and node.attr == "move_blocks"
             for node in ast.walk(_tree(path))
         )
     )
