@@ -214,7 +214,7 @@ def search_two_lottery_menus(
     ]
     offers = [[(1 << b, w * table[b][0], w * table[b][1]) for b, w in a] for a in atom_sets]
     rows = [[offer_value(atoms, observed) for atoms in offers] for observed in graph.masks]
-    scale, m = graph.scales[0], n + 1
+    scale, m = graph.scale, n + 1
     bound = max(p for row in rows for _, p in row)
     agent_top = max(a for row in rows for a, _ in row) * scale
     lanes = Lanes(mode, bound, scale, agent_top, m * m)

@@ -48,7 +48,7 @@ def exact_delegation_gap(
     if count > cap:
         text = f"inner-feasible outcome sets exceed cap {cap} (count reached {count})"
         raise CapacityError(text, "policy_sets", cap, count)
-    scale, pairs = graph.scales[0], [(y, x) for _, _, y, x in rows]
+    scale, pairs = graph.scale, [(y, x) for _, _, y, x in rows]
     bound = max((x for _, x in pairs), default=0)
     agent_top = max((y for y, _ in pairs), default=0) * scale
     size = Lanes(mode, bound, scale, agent_top).size

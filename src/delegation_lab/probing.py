@@ -2,10 +2,10 @@
 
 `probing_graph` compiles an instance's probing states (probed elements and
 their observed support atoms) once, in one contiguous block per probed set,
-root first: each block stores once the outer-feasible moves its states
-share, as (element, first successor, stride, gap), every move to a later
-state.  `solve_probing` values each state by a stop rule, given as one
-integer (agent, principal) pair per state, in one backward pass
+root first: each block stores once what its states share, the probed set,
+its scale and its outer-feasible moves, each (element, first successor,
+stride, gap) to later states.  `solve_probing` values each state by a stop
+rule, one integer (agent, principal) pair per state, in one backward pass
 (`probing_pass`) of integer keys; `Lanes` packs many rules into one pass.
 The non-delegated benchmark `optimal_adaptive_value` stops with (u, 0), u
 the best inner-feasible observed total; the delegated agent stops with its
@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, Caps
@@ -82,30 +82,30 @@ class ProbingGraph:
     Blocks follow their probed sets breadth first; within a block the atom
     of the lowest element varies fastest.  The root is state 0; every move
     leads to a later state.
-    - `move_blocks`: per block, (first state, state count, moves): its
-      states' outer-feasible next probes in element order, each (j, first,
+    - `set_blocks`: per block, (first state, state count, probed, scale,
+      moves), its states' constants: the probed elements as a bitmask over
+      element indices; the product of Q_e over the unprobed elements, so
+      sum(w * value * successor's scale) is the expectation times scale;
+      the outer-feasible next probes in element order, each (j, first,
       stride, gap), gap = stride * (k_j - 1).  From the state at offset o,
       atom i of element j, of weight w = p * Q_j (`Instance.integer_probs`),
       leads to state first + o + (o // stride) * gap + i * stride.
+    - `scale`: the root's scale, the product of every Q_e.
     Per state s:
-    - `scales[s]`: the product of Q_e over the unprobed elements, so
-      sum(w * value * scale[successor]) is the expectation times scale[s];
-    - `probed[s]`: probed elements as a bitmask over element indices;
     - `masks[s]`: observed outcomes as a bitmask over `outcome_bits`;
-    - `weights[s]`: the probability of the observed atoms times `scales[0]`.
+    - `weights[s]`: the probability of the observed atoms times `scale`.
     """
 
     instance: Instance
-    move_blocks: tuple[tuple[int, int, tuple[tuple[int, int, int, int], ...]], ...]
-    scales: tuple[int, ...]
-    probed: tuple[int, ...]
+    set_blocks: tuple[tuple[int, int, int, int, tuple[tuple[int, int, int, int], ...]], ...]
+    scale: int
     masks: tuple[int, ...]
     weights: tuple[int, ...]
     # one bit per distinct outcome (element, x, y)
     outcome_bits: Mapping[Outcome, int]
 
     def __len__(self) -> int:
-        return len(self.scales)
+        return len(self.masks)
 
     @functools.cached_property
     def proposals(self) -> tuple[Proposal, ...]:
@@ -122,8 +122,8 @@ class ProbingGraph:
             (o.element, x, y) for o, (y, x) in zip(by_bit, self.outcome_values)
         ]
         keyed = []
-        for s, mask in enumerate(self.masks):
-            if self.probed[s] and self.inner_feasible[s]:
+        for (first, count, probed, _, _), feasible in zip(self.set_blocks, self.inner_feasible):
+            for mask in self.masks[first : first + count] if probed and feasible else ():
                 bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
                 key = (len(bits), sorted(bit_keys[b] for b in bits))
                 row = (frozenset(by_bit[b] for b in bits), mask, *self.mask_values(mask))
@@ -157,11 +157,10 @@ class ProbingGraph:
 
     @functools.cached_property
     def inner_feasible(self) -> tuple[bool, ...]:
-        """Whether each state's probed set is inner-feasible, asked of the
-        inner constraint's mask test once per distinct probed set."""
+        """Whether each block's probed set is inner-feasible, asked of the
+        inner constraint's mask test once per block."""
         test = self.instance.inner.mask_test(self.instance.elements)
-        feasible = {p: test(p) for p in set(self.probed)}
-        return tuple(feasible[p] for p in self.probed)
+        return tuple(test(probed) for _, _, probed, _, _ in self.set_blocks)
 
     @functools.cached_property
     def observed_values(self) -> tuple[int, ...]:
@@ -169,11 +168,10 @@ class ProbingGraph:
         blocks: u(s) = max(x(s) if s's probed set is inner-feasible, u of each
         parent).  The outer constraint is downward closed, so every subset of
         what s observed is a state with a path of moves to s."""
-        u, atoms = [0] * len(self), self.instance.atoms
-        feasible, masks = self.inner_feasible, self.masks
-        for first, count, moves in self.move_blocks:
+        u, atoms, masks = [0] * len(self), self.instance.atoms, self.masks
+        for (first, count, _, _, moves), feasible in zip(self.set_blocks, self.inner_feasible):
             for s in range(first, first + count):
-                if feasible[s]:
+                if feasible:
                     u[s] = max(u[s], self.mask_values(masks[s])[1])
                 best, o = u[s], s - first
                 for j, t, stride, gap in moves:
@@ -200,31 +198,29 @@ class ProbingGraph:
 
     @functools.cached_property
     def full_probes(self) -> tuple[tuple[int, int, int], ...]:
-        """(weight, outcome mask, u) of every state that probed all elements:
-        one row per scenario when the outer constraint is free."""
-        everything = (1 << len(self.instance.elements)) - 1
-        return tuple(
-            (weight, mask, u)
-            for probed, weight, mask, u in zip(
-                self.probed, self.weights, self.masks, self.observed_values
-            )
-            if probed == everything
-        )
+        """(weight, outcome mask, u) of every state that probed all elements,
+        the last block's if any, breadth first: one row per scenario when
+        the outer constraint is free."""
+        first, count, probed, _, _ = self.set_blocks[-1]
+        if probed != (1 << len(self.instance.elements)) - 1:
+            return ()
+        rows = slice(first, first + count)
+        return tuple(zip(self.weights[rows], self.masks[rows], self.observed_values[rows]))
 
     @functools.cached_property
     def prophet(self) -> int:
         """Sum of weight * u over `full_probes`: under a free outer constraint,
-        the prophet's expected total over `outcome_unit` * `scales[0]`."""
+        the prophet's expected total over `outcome_unit` * `scale`."""
         return sum(weight * u for weight, _, u in self.full_probes)
 
     @functools.cached_property
     def median(self) -> int:
         """The first u of `full_probes`, ascending, whose cumulative weight
-        reaches half of `scales[0]`: under a free outer constraint, the
+        reaches half of `scale`: under a free outer constraint, the
         smallest median of u over `outcome_unit`."""
         rows = sorted(self.full_probes, key=itemgetter(2))
         at_most = itertools.accumulate(weight for weight, _, _ in rows)
-        return next(u for (_, _, u), w in zip(rows, at_most) if 2 * w >= self.scales[0])
+        return next(u for (_, _, u), w in zip(rows, at_most) if 2 * w >= self.scale)
 
     @functools.cached_property
     def pair_masks(self) -> dict[tuple[str, int, int], int]:
@@ -259,7 +255,8 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     prod_{j in P} k_j states, and past the cap the walk refuses before any
     state is built (a free outer constraint, with prod(k_e + 1) states,
     before the walk).  The walk yields each block's moves, stored once per
-    block; the block's states extend the block of P minus its top element.
+    block with its probed set and scale; the block's states extend the
+    block of P minus its top element.
     """
     elements, sizes = instance.elements, [len(support) for support in instance.atoms]
     if state_cap < 1 or (
@@ -267,9 +264,11 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     ):
         raise _too_many_states(state_cap)
     outer_feasible = instance.outer.mask_test(elements)
-    # (probed set, state count, its moves as (j, first, stride, gap)), breadth first
-    firsts, blocks, total = {0: 0}, [(0, 1, [])], 1
-    for p, count, nexts in blocks:
+    denominators, atom_weights = instance.integer_probs
+    root_scale = math.prod(denominators)
+    # (probed set, state count, scale, its moves as (j, first, stride, gap)), breadth first
+    firsts, blocks, total = {0: 0}, [(0, 1, root_scale, [])], 1
+    for p, count, scale, nexts in blocks:
         stride = 1  # the atom counts of p's elements below j
         for j, k in enumerate(sizes):
             if p >> j & 1:
@@ -279,30 +278,25 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
                     firsts[child], total = total, total + count * k
                     if total > state_cap:
                         raise _too_many_states(state_cap)
-                    blocks.append((child, count * k, []))
+                    blocks.append((child, count * k, scale // denominators[j], []))
                 nexts.append((j, firsts[child], stride, stride * (k - 1)))
 
-    denominators, atom_weights = instance.integer_probs
     outcome_bits: dict[Outcome, int] = {}
     atom_bits = [
         [1 << outcome_bits.setdefault(Outcome(e, a.x, a.y), len(outcome_bits)) for a in support]
         for e, support in zip(elements, instance.atoms)
     ]
-    root_scale = math.prod(denominators)
-    scales, probed, masks, weights = [root_scale], [0], [0], [root_scale]
-    for p, count, _ in blocks[1:]:  # extend the block of p minus its top element, atom by atom
+    masks, weights = [0], [root_scale]
+    for p, count, _, _ in blocks[1:]:  # extend the block of p minus its top element, atom by atom
         top = p.bit_length() - 1
         a, q = firsts[p ^ 1 << top], denominators[top]
         below = range(a, a + count // sizes[top])
         masks += [masks[s] | bit for bit in atom_bits[top] for s in below]
         weights += [weights[s] // q * w for w in atom_weights[top] for s in below]
-        scales += [scales[a] // q] * count
-        probed += [p] * count
     return ProbingGraph(
         instance,
-        tuple((firsts[p], count, tuple(nexts)) for p, count, nexts in blocks),
-        tuple(scales),
-        tuple(probed),
+        tuple((firsts[p], count, p, scale, tuple(nexts)) for p, count, scale, nexts in blocks),
+        root_scale,
         tuple(masks),
         tuple(weights),
         outcome_bits,
@@ -328,17 +322,17 @@ class Lanes:
     pair, and `count` of them side by side in one int.
 
     key = (agent << shift) + low, low = principal, or bound - principal
-    under adversarial ties (bound >= every principal stop value).  At state
-    s the DP holds keys times scales[s], with 0 <= low <= bound * scales[s]
-    < 2 ** shift: `>` on keys is `prefer` (on key >> `cut` under
-    lexicographic ties), and as sum(w * scales[t]) = scales[s] over a move's
-    atoms, a move's expected key is the key of its expected pair.  Keys are
+    under adversarial ties (bound >= every principal stop value).  A state
+    holds keys times its block's scale, 0 <= low <= bound * scale <
+    2 ** shift: `>` on keys is `prefer` (on key >> `cut` under lexicographic
+    ties), and as sum(w * successor's scale) = scale over a move's atoms, a
+    move's expected key is the key of its expected pair.  Keys are
     nonnegative, as `UtilityAtom` has x, y >= 0.
 
     Lane i is bytes [i * size, (i + 1) * size), little-endian, width = 8 *
     size bits.  Every key the DP holds is below 2 ** (width - 1), as
-    `agent_top` bounds the agent stop values times scales[0], so sums of
-    keys carry into no other lane.  `merge(x, y)` keeps y where x_i <= y_i:
+    `agent_top` bounds the agent stop values times the root scale, so sums
+    of keys carry into no other lane.  `merge(x, y)` keeps y where x_i <= y_i:
     with H the top (guard) bit and ONE a 1 in every lane, lane i of
     (x | H) - y - ONE is 2 ** (width - 1) + x_i - y_i - 1, in
     [0, 2 ** width), so no lane borrows and the guard is set iff x_i > y_i
@@ -386,21 +380,21 @@ def probing_pass(
     """The root key of each lane and, for one lane, each state's action.
 
     `stops[s]` is state s's stop key over a unit, or `lanes.count` of them.
-    V(s) = the best of the stop key times scales[s] and each move's expected
-    successor key; ties go to stopping, then to the earliest element.  One
-    lane compares with `>` and records the chosen move's position in its
-    block's moves (None to stop); more lanes `merge`.  Every key at state s
-    is over unit * scales[s], so one pass from the last state back to the
-    root, block by block, compares exactly what a Fraction DP would.
+    V(s) = the best of the stop key times its block's scale and each move's
+    expected successor key; ties go to stopping, then to the earliest
+    element.  One lane compares with `>` and records the chosen move's
+    position in its block's moves (None to stop); more lanes `merge`.  Every
+    key at a state is over unit * its block's scale, so one pass from the
+    last state back to the root, block by block, is an exact Fraction DP.
     """
-    scales, one_lane, cut = graph.scales, lanes.count == 1, lanes.cut
+    one_lane, cut = lanes.count == 1, lanes.cut
     weights = graph.instance.integer_probs[1]
-    values = [0] * len(scales)
-    actions: list[int | None] = [None] * len(scales)
-    for first, count, moves in reversed(graph.move_blocks):
+    values = [0] * len(graph)
+    actions: list[int | None] = [None] * len(graph)
+    for first, count, _, scale, moves in reversed(graph.set_blocks):
         for o in reversed(range(count)):
             s = first + o
-            best, action = stops[s] * scales[s], None
+            best, action = stops[s] * scale, None
             for k, (j, t, stride, gap) in enumerate(moves):
                 t += o + o // stride * gap
                 total = 0
@@ -423,7 +417,7 @@ def solve_probing(
 ) -> tuple[ValuePair, list[int | None]]:
     """Root (agent, principal) value and each state's action: `probing_pass`
     on the keys of stop value pairs over `unit`."""
-    scale = graph.scales[0]
+    scale = graph.scale
     lanes = Lanes(mode, max(stop_values, key=itemgetter(1), default=(0, 0))[1], scale)
     roots, actions = probing_pass(graph, lanes.pack(stop_values), lanes)
     agent, principal = lanes.pair(roots[0], scale)
@@ -442,20 +436,20 @@ def probe_distribution(
     reached = [False] * len(graph)
     reached[0] = True
     totals: dict[int, int] = {}
-    for first, count, moves in graph.move_blocks:
+    for first, count, probed, _, moves in graph.set_blocks:
         for s in range(first, first + count):
             if not reached[s]:
                 continue
             action = actions[s]
             if action is None:
-                totals[graph.probed[s]] = totals.get(graph.probed[s], 0) + graph.weights[s]
+                totals[probed] = totals.get(probed, 0) + graph.weights[s]
                 continue
             j, t, stride, gap = moves[action]
             t += s - first + (s - first) // stride * gap
             for i in range(len(graph.instance.atoms[j])):
                 reached[t + i * stride] = True
     return {
-        graph.element_set(probed): Fraction(weight, graph.scales[0])
+        graph.element_set(probed): Fraction(weight, graph.scale)
         for probed, weight in totals.items()
     }
 
@@ -488,20 +482,22 @@ def best_nonadaptive_set(
 
     The graph's distinct probed sets are exactly the outer-feasible sets, the
     outer constraint being downward closed, so no walk of the outer
-    constraint is needed.  A set F scores the sum, over the graph states
-    that probed exactly F, of weight times u: the `nonadaptive_value` of F
-    over a denominator shared by every set.  Ties prefer larger sets
+    constraint is needed.  A set F scores the sum, over the states of its
+    block, of weight times u: the `nonadaptive_value` of F over a
+    denominator shared by every set.  Ties prefer larger sets
     (probing more never hurts), then the smallest sorted id tuple.  No
     product support is built: only `caps.dp_states` bounds the work.
     """
     graph = probing_graph(instance, caps.dp_states)
-    scores: dict[int, int] = {}
-    for probed, weight, u in zip(graph.probed, graph.weights, graph.observed_values):
-        scores[probed] = scores.get(probed, 0) + weight * u
-    top = max((score, probed.bit_count()) for probed, score in scores.items())
-    tied = [probed for probed, score in scores.items() if (score, probed.bit_count()) == top]
+    weights, u = graph.weights, graph.observed_values
+    scores = [
+        (sum(map(mul, weights[first : first + count], u[first : first + count])), probed)
+        for first, count, probed, _, _ in graph.set_blocks
+    ]
+    top = max((score, probed.bit_count()) for score, probed in scores)
+    tied = [probed for score, probed in scores if (score, probed.bit_count()) == top]
     ids = min(tuple(sorted(graph.element_set(probed))) for probed in tied)
-    best_value = Fraction(top[0], graph.outcome_unit * graph.scales[0])
+    best_value = Fraction(top[0], graph.outcome_unit * graph.scale)
     benchmark = graph.adaptive.expected_value
     ratio = best_value / benchmark if benchmark > 0 else Fraction(1)
     return NonAdaptiveReport(frozenset(ids), best_value, ratio)

@@ -179,7 +179,7 @@ def gambler_report(graph: ProbingGraph, gambler: int) -> ProphetReport:
     """The report of a gambler total over `graph.outcome_unit` times the
     root scale, beside the prophet's total (`ProbingGraph.prophet`) over the
     same `scenario_table`."""
-    prophet, denominator = graph.prophet, graph.outcome_unit * graph.scales[0]
+    prophet, denominator = graph.prophet, graph.outcome_unit * graph.scale
     ratio = Fraction(gambler, prophet) if prophet > 0 else Fraction(1)
     return ProphetReport(Fraction(gambler, denominator), Fraction(prophet, denominator), ratio)
 

@@ -83,19 +83,31 @@ def outcomes_at(instance, state):
 
 def state_moves(graph):
     """Each compiled state's moves as (element index, the successor of each
-    atom), read off `graph.move_blocks`: from the state at offset o of its
+    atom), read off `graph.set_blocks`: from the state at offset o of its
     block, atom i of a move (j, first, stride, gap) leads to state
-    first + o + (o // stride) * gap + i * stride.  The one reader of the move
-    layout outside `probing`."""
+    first + o + (o // stride) * gap + i * stride.  With `state_probed` and
+    `state_scales`, the one reader of the block layout outside `probing`."""
     atoms = graph.instance.atoms
     return [
         [
             (j, [first + o + o // stride * gap + i * stride for i in range(len(atoms[j]))])
             for j, first, stride, gap in moves
         ]
-        for _, count, moves in graph.move_blocks
+        for _, count, _, _, moves in graph.set_blocks
         for o in range(count)
     ]
+
+
+def state_probed(graph):
+    """Each compiled state's probed elements as a bitmask over element
+    indices: its block's probed set, read off `graph.set_blocks`."""
+    return [probed for _, count, probed, _, _ in graph.set_blocks for _ in range(count)]
+
+
+def state_scales(graph):
+    """Each compiled state's scale, the product of Q_e over its unprobed
+    elements: its block's scale, read off `graph.set_blocks`."""
+    return [scale for _, count, _, scale, _ in graph.set_blocks for _ in range(count)]
 
 
 def state_observations(graph):

@@ -108,7 +108,7 @@ def _graphs(rng):
 def test_every_lane_is_its_own_one_lane_pass():
     rng = random.Random(61)
     for graph in _graphs(rng):
-        scale = graph.scales[0]
+        scale = graph.scale
         count = rng.randint(1, 12)
         rules = [
             [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(len(graph))]

@@ -240,7 +240,7 @@ def _thirteen_row_draw():
 def test_thirteen_row_draw_matches_the_scalar_evaluator_at_chunk_edges(monkeypatch):
     inst = _thirteen_row_draw()
     graph = probing_graph(inst, Caps.dp_states)
-    rows, unit, scale = graph.proposals, graph.outcome_unit, graph.scales[0]
+    rows, unit, scale = graph.proposals, graph.outcome_unit, graph.scale
     chunks = []
 
     def recorded(graph, stops, lanes):

@@ -28,6 +28,7 @@ from delegation_lab.random_instances import (
 from delegation_lab.set_systems import SetSystem, UniformSystem, iter_feasible_sets
 
 from conftest import one_uniform_instance
+from literal_probing import state_probed
 
 
 def test_adaptive_value_on_table1():
@@ -182,7 +183,7 @@ def test_u_is_one_integer_pass_per_graph(monkeypatch):
         assert searches == []
         assert passes == [graph]
         assert len(inner.asked) == len(set(inner.asked))
-        assert set(inner.asked) <= {graph.element_set(p) for p in graph.probed}
+        assert set(inner.asked) <= {graph.element_set(p) for p in state_probed(graph)}
 
 
 def test_fixed_sets_are_read_off_the_graph():
@@ -200,4 +201,4 @@ def test_fixed_sets_are_read_off_the_graph():
     graph = probing_graph(inst, Caps.dp_states)
     assert report.best_set == {"e15"}
     assert len(graph) == 17
-    assert len(outer.asked) <= len(set(graph.probed)) * len(elements)
+    assert len(outer.asked) <= len(set(state_probed(graph))) * len(elements)

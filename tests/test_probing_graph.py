@@ -70,6 +70,8 @@ from literal_probing import (
     outcomes_at,
     state_moves,
     state_observations,
+    state_probed,
+    state_scales,
 )
 
 MODES = list(TieBreak)
@@ -379,13 +381,13 @@ def test_each_probed_set_is_one_block_of_literal_states(instance):
     graph = probing_graph(instance, Caps.dp_states)
     elements, atoms = instance.elements, instance.atoms
     qs = [math.lcm(*(a.prob.denominator for a in support)) for support in atoms]
-    blocks = {}
+    blocks, probed_sets, scales = {}, state_probed(graph), state_scales(graph)
     for s, (observed, moves) in enumerate(zip(state_observations(graph), state_moves(graph))):
         probed = {j for j, _ in observed}
-        assert graph.probed[s] == sum(1 << j for j in probed)
-        assert graph.scales[s] == math.prod(q for j, q in enumerate(qs) if j not in probed)
+        assert probed_sets[s] == sum(1 << j for j in probed)
+        assert scales[s] == math.prod(q for j, q in enumerate(qs) if j not in probed)
         probability = math.prod(atoms[j][i].prob for j, i in observed)
-        assert graph.weights[s] == probability * graph.scales[0]
+        assert graph.weights[s] == probability * scales[0]
         bits = {graph.outcome_bits[outcome(instance, elements[j], i)] for j, i in observed}
         assert graph.masks[s] == sum(1 << b for b in bits)
         feasible = [
@@ -396,7 +398,7 @@ def test_each_probed_set_is_one_block_of_literal_states(instance):
         ]
         assert [j for j, _ in moves] == feasible
         assert all(t > s for _, successors in moves for t in successors)
-        blocks.setdefault(graph.probed[s], []).append(s)
+        blocks.setdefault(probed_sets[s], []).append(s)
     for probed, states in blocks.items():
         assert states == list(range(states[0], states[0] + len(states)))
         assert len(states) == math.prod(len(a) for j, a in enumerate(atoms) if probed >> j & 1)
@@ -463,9 +465,10 @@ def test_a_middle_stride_move_reaches_its_literal_successors(mode):
     def bit(j, i):
         return 1 << graph.outcome_bits[outcome(instance, elements[j], i)]
 
-    middle = [s for s in range(len(graph)) if graph.probed[s] == 0b101]
+    probed_sets = state_probed(graph)
+    middle = [s for s in range(len(graph)) if probed_sets[s] == 0b101]
     probes = [successors for s in middle for j, successors in moves[s] if j == 1]
-    full = graph.probed.index(0b111)
+    full = probed_sets.index(0b111)
     assert [t - full for t, _, _ in probes] == [0, 1, 6, 7]
     assert all(b - a == c - b == 2 for a, b, c in probes)
     for s in range(len(graph)):
@@ -510,7 +513,7 @@ def test_graph_is_shared_by_every_stop_rule_on_one_instance():
     # the root comes first; every move leads to a later state
     for s, moves in enumerate(state_moves(graph)):
         assert all(t > s for _, successors in moves for t in successors)
-    assert graph.probed[0] == graph.masks[0] == 0
+    assert state_probed(graph)[0] == graph.masks[0] == 0
 
 
 def _ranking_instance(rng):

@@ -5,8 +5,11 @@ the six-place `approx` rendering of a reported rational.
 """
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
+
+from delegation_lab.probing import ProbingGraph
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "delegation_lab"
 MODULES = sorted(SOURCE.glob("*.py"))
@@ -204,19 +207,28 @@ def test_the_probing_compile_asks_feasibility_on_masks():
 
 
 def test_the_move_layout_is_read_in_probing_alone():
-    # a block's (first, count, moves) and a move's (element, first, stride,
-    # gap) layout are private to the compile and its passes; the tests read
-    # them through `literal_probing.state_moves`
+    # a block's (first, count, probed, scale, moves) and a move's (element,
+    # first, stride, gap) layout are private to the compile and its passes;
+    # the tests read them through `literal_probing.state_moves`,
+    # `state_probed` and `state_scales`
     root = SOURCE.parent.parent
     readers = sorted(
         str(path.relative_to(root))
         for path in [*MODULES, *root.glob("tests/*.py"), *root.glob("bench/*.py")]
         if any(
-            isinstance(node, ast.Attribute) and node.attr == "move_blocks"
+            isinstance(node, ast.Attribute) and node.attr == "set_blocks"
             for node in ast.walk(_tree(path))
         )
     )
     assert readers == ["src/delegation_lab/probing.py", "tests/literal_probing.py"]
+
+
+def test_the_probing_graph_stores_block_constants_once_per_block():
+    # what is constant within a block (probed set, scale, moves, inner
+    # feasibility) lives in `set_blocks`; per state the graph keeps only
+    # what varies inside a block
+    fields = [field.name for field in dataclasses.fields(ProbingGraph)]
+    assert fields == ["instance", "set_blocks", "scale", "masks", "weights", "outcome_bits"]
 
 
 def test_no_module_states_a_set_rule_beside_the_mask_tests():
