@@ -159,8 +159,8 @@ def _evaluation_json(evaluation) -> dict:
 def _cmd_gap(args: argparse.Namespace, caps: Caps) -> tuple[dict, list[list]]:
     instance, label = _load_instance(args)
     mode = _tie_break(args)
-    benchmark = optimal_adaptive_value(instance, caps).expected_value
     report = oracle.exact_delegation_gap(instance, mode, caps)
+    benchmark = optimal_adaptive_value(instance, caps).expected_value
     value = report.alpha_star * benchmark
     body = {
         "command": "gap",

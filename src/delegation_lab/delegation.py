@@ -37,6 +37,7 @@ from .probing import (
     ProbingGraph,
     Proposal,
     TieBreak,
+    benchmark_ratio,
     best_nonadaptive_set,
     prefer,
     probe_distribution,
@@ -274,12 +275,11 @@ def agent_probe_values(
     (agent_value, principal_value), actions = solve_probing(graph, stops, mode, unit)
     if benchmark is None:
         benchmark = graph.adaptive.expected_value
-    alpha = principal_value / benchmark if benchmark > 0 else Fraction(1)
     return PolicyEvaluation(
         principal_value=principal_value,
         agent_value=agent_value,
         benchmark_value=benchmark,
-        alpha=alpha,
+        alpha=benchmark_ratio(principal_value, benchmark),
         graph=graph,
         actions=actions,
     )

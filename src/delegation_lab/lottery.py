@@ -177,8 +177,8 @@ def search_two_lottery_menus(
     lottery.  One compile per search: each grid lottery is one integer offer
     over `outcome_unit` * n (n = 1 / grid), valued at every state once by
     `offer_value`, and lane i * (n + 1) + j of one `probing_pass` solves the
-    menu (A_i, B_j).  Menus compare by root principal integer, decoded once
-    per lane; only the first best menu is built, with weights i / n and
+    menu (A_i, B_j).  The first lane with the largest root principal
+    (`Lanes.best`) wins; only its menu is built, with weights i / n and
     j / n on the anchor, and it is evaluated from its compiled offers.
     """
     if len(instance.elements) != 2:
@@ -227,8 +227,7 @@ def search_two_lottery_menus(
         b = int.from_bytes(b"".join(keys[m:]) * m, "little")
         stops.append(lanes.merge(b, lanes.merge(a, empty)))
     roots, _ = probing_pass(graph, stops, lanes)
-    principals = [lanes.pair(root, scale)[1] for root in roots]
-    i, j = divmod(max(range(m * m), key=principals.__getitem__), m)
+    i, j = divmod(lanes.best(roots, scale)[1], m)
     lot_a = lottery([({anchor}, Fraction(i, n)), ({low}, Fraction(n - i, n))])
     lot_b = lottery([({anchor}, Fraction(j, n)), ({high}, Fraction(n - j, n))])
     if atom_sets[i] == atom_sets[m + j]:

@@ -3,7 +3,8 @@
 A policy acts only through the sets the agent can propose, the rows of the
 compiled probing graph (`ProbingGraph.proposals`), so every subset of the
 rows is a stop rule of point-mass offers, and chunks of subsets are solved
-side by side in one lane-packed `probing_pass`.
+side by side in one lane-packed `probing_pass`, whose winning lane gives
+alpha* directly.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .delegation import ExplicitPolicy, Policy, TieBreak, agent_probe_values, policy_offers
+from .delegation import ExplicitPolicy, Policy, TieBreak
 from .errors import CapacityError, Caps
 from .instances import Instance
-from .probing import Lanes, probing_graph, probing_pass, rank_offers
+from .probing import Lanes, benchmark_ratio, probing_graph, probing_pass, rank_offers
 
 LANE_BUDGET = 1 << 22  # bytes of stop keys: states x lanes in a chunk x lane size
 
@@ -33,22 +34,23 @@ def exact_delegation_gap(
 ) -> GapReport:
     """Max over all deterministic policies of the achieved fraction alpha.
 
-    Policies are bitmasks over the proposal rows, whose count
-    `caps.policy_sets` bounds before any policy is scored.  They are solved
-    in ascending chunks of 2 ** b masks, b as large as keeps states x lanes
-    x lane bytes under `LANE_BUDGET`: lane i of the chunk from `base` is
-    policy base + i, which stops at each state with the best-ranked
+    Policies are bitmasks over the proposal rows, whose count (off
+    `proposal_blocks`) `caps.policy_sets` bounds before any row is built.
+    They are solved in ascending chunks of 2 ** b masks, b as large as keeps
+    states x lanes x lane bytes under `LANE_BUDGET`: lane i of the chunk from
+    `base` is policy base + i, which stops at each state with the best-ranked
     (`rank_offers`) row it contains and sets.  The first strictly best root
-    principal integer wins (alpha shares its denominator), and only it is
-    built as an `ExplicitPolicy` and evaluated through `policy_offers`.
+    principal (`Lanes.best`) over `outcome_unit` * `scale` is the principal
+    value, so alpha* is its `benchmark_ratio`; the winner is built as an
+    `ExplicitPolicy` only for the report.
     """
     graph = probing_graph(instance, caps.dp_states)
-    rows = graph.proposals
-    count, cap = len(rows), caps.policy_sets
+    count, cap = sum(n for _, n in graph.proposal_blocks), caps.policy_sets
     if count > cap:
         text = f"inner-feasible outcome sets exceed cap {cap} (count reached {count})"
         raise CapacityError(text, "policy_sets", cap, count)
-    scale, pairs = graph.scale, [(y, x) for _, _, y, x in rows]
+    rows, scale = graph.proposals, graph.scale
+    pairs = [(y, x) for _, _, y, x in rows]
     bound = max((x for _, x in pairs), default=0)
     agent_top = max((y for y, _ in pairs), default=0) * scale
     size = Lanes(mode, bound, scale, agent_top).size
@@ -72,10 +74,9 @@ def exact_delegation_gap(
                 stop ^= (stop ^ packed[r]) & chosen[r]
             stops.append(stop)
         roots, _ = probing_pass(graph, stops, lanes)
-        for i, root in enumerate(roots):
-            principal = lanes.pair(root, scale)[1]
-            if principal > best[0]:
-                best = (principal, base + i)
+        principal, i = lanes.best(roots, scale)
+        if principal > best[0]:
+            best = (principal, base + i)
     policy = ExplicitPolicy(frozenset(t for i, (t, *_) in enumerate(rows) if best[1] >> i & 1))
-    evaluation = agent_probe_values(graph, *policy_offers(graph, policy), mode)
-    return GapReport(policy, evaluation.alpha, 2 ** count)
+    value = Fraction(best[0], graph.outcome_unit * scale)
+    return GapReport(policy, benchmark_ratio(value, graph.adaptive.expected_value), 2 ** count)

@@ -54,6 +54,12 @@ class NonAdaptiveReport:
     ratio_to_adaptive: Fraction
 
 
+def benchmark_ratio(value: Fraction, benchmark: Fraction) -> Fraction:
+    """`value` over the adaptive `benchmark`, or 1 when the benchmark is 0:
+    how alpha and the adaptivity ratio are read."""
+    return value / benchmark if benchmark > 0 else Fraction(1)
+
+
 def prefer(candidate: ValuePair, incumbent: ValuePair, mode: TieBreak) -> bool:
     """Whether (agent, principal) value pair `candidate` beats `incumbent`."""
     if candidate[0] != incumbent[0]:
@@ -122,14 +128,24 @@ class ProbingGraph:
             (o.element, x, y) for o, (y, x) in zip(by_bit, self.outcome_values)
         ]
         keyed = []
-        for (first, count, probed, _, _), feasible in zip(self.set_blocks, self.inner_feasible):
-            for mask in self.masks[first : first + count] if probed and feasible else ():
+        for first, count in self.proposal_blocks:
+            for mask in self.masks[first : first + count]:
                 bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
                 key = (len(bits), sorted(bit_keys[b] for b in bits))
                 row = (frozenset(by_bit[b] for b in bits), mask, *self.mask_values(mask))
                 keyed.append((key, row))
         keyed.sort(key=itemgetter(0))
         return tuple(row for _, row in keyed)
+
+    @functools.cached_property
+    def proposal_blocks(self) -> tuple[tuple[int, int], ...]:
+        """(first state, state count) of each block whose states are
+        `proposals` rows: its probed set is nonempty and inner-feasible, asked
+        of the inner constraint's mask test once per block."""
+        test = self.instance.inner.mask_test(self.instance.elements)
+        return tuple(
+            (first, count) for first, count, probed, *_ in self.set_blocks if probed and test(probed)
+        )
 
     @functools.cached_property
     def outcome_unit(self) -> int:
@@ -156,20 +172,16 @@ class ProbingGraph:
         return y, x
 
     @functools.cached_property
-    def inner_feasible(self) -> tuple[bool, ...]:
-        """Whether each block's probed set is inner-feasible, asked of the
-        inner constraint's mask test once per block."""
-        test = self.instance.inner.mask_test(self.instance.elements)
-        return tuple(test(probed) for _, _, probed, _, _ in self.set_blocks)
-
-    @functools.cached_property
     def observed_values(self) -> tuple[int, ...]:
         """u at every state over `outcome_unit`, in one root-first pass over the
         blocks: u(s) = max(x(s) if s's probed set is inner-feasible, u of each
         parent).  The outer constraint is downward closed, so every subset of
-        what s observed is a state with a path of moves to s."""
+        what s observed is a state with a path of moves to s; the root, left
+        out of `proposal_blocks`, has x = 0."""
         u, atoms, masks = [0] * len(self), self.instance.atoms, self.masks
-        for (first, count, _, _, moves), feasible in zip(self.set_blocks, self.inner_feasible):
+        proposable = {first for first, _ in self.proposal_blocks}
+        for first, count, _, _, moves in self.set_blocks:
+            feasible = first in proposable
             for s in range(first, first + count):
                 if feasible:
                     u[s] = max(u[s], self.mask_values(masks[s])[1])
@@ -369,6 +381,14 @@ class Lanes:
         wins = ((x & self.keep | self.guard) - (y & self.keep) - self.one) & self.guard
         return y ^ (y ^ x) & (wins >> self.width - 1) * ((1 << self.width) - 1)
 
+    def best(self, roots: Sequence[int], scale: int) -> tuple[int, int]:
+        """(principal, index) of the first of `roots` (keys at a state of
+        `scale`) whose principal is largest, by the keys' low bits as they are
+        (the smallest under adversarial ties); only the winner is decoded."""
+        lows = [root & (1 << self.shift) - 1 for root in roots]
+        i = lows.index((min if self.mode is TieBreak.ADVERSARIAL else max)(lows))
+        return self.pair(roots[i], scale)[1], i
+
     def unpack(self, packed: int) -> list[int]:
         raw, size = packed.to_bytes(self.count * self.size, "little"), self.size
         return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
@@ -498,6 +518,5 @@ def best_nonadaptive_set(
     tied = [probed for score, probed in scores if (score, probed.bit_count()) == top]
     ids = min(tuple(sorted(graph.element_set(probed))) for probed in tied)
     best_value = Fraction(top[0], graph.outcome_unit * graph.scale)
-    benchmark = graph.adaptive.expected_value
-    ratio = best_value / benchmark if benchmark > 0 else Fraction(1)
+    ratio = benchmark_ratio(best_value, graph.adaptive.expected_value)
     return NonAdaptiveReport(frozenset(ids), best_value, ratio)

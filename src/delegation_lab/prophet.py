@@ -237,23 +237,31 @@ def best_greedy_family(
     Returns a family maximizing the almighty-adversary ratio; ties keep the
     first candidate in canonical enumeration order.  The lattice size is
     checked against `caps.family_sets` before any candidate set is built.
+    The count's walk stops once the count passes the cap's bit length, so a
+    refusal expands O(log cap) element sets; when the sets left unexpanded
+    extend, the message gives the count as a lower bound ("at least 2^c").
     """
     # len(candidate_pair_sets(instance)): each nonempty inner-feasible
     # element set contributes the product of its elements' distinct x values;
     # walked depth first by higher indices (all reached: downward closed)
     sizes = [len(x_values(instance, e)) for e in instance.elements]
     feasible = instance.inner.mask_test(instance.elements)
+    # 2^count > limit, without building 2^count
+    bits = max(caps.family_sets, 0).bit_length()
     count, stack = 0, [(0, 0, 1)]  # (element mask, next index, product)
-    while stack:
+    while stack and count <= bits:
         mask, start, product = stack.pop()
         for j in range(start, len(sizes)):
             if feasible(mask | 1 << j):
                 count += product * sizes[j]
                 stack.append((mask | 1 << j, j + 1, product * sizes[j]))
-    # 2^count > limit, without building 2^count
-    if count >= max(caps.family_sets, 0).bit_length():
+    if count >= bits:
+        # the count is exact unless a set left on the stack still extends
+        n = len(sizes)
+        extends = any(feasible(m | 1 << j) for m, start, _ in stack for j in range(start, n))
+        at_least = "at least " if extends else ""
         raise CapacityError(
-            f"candidate family lattice 2^{count} exceeds cap {caps.family_sets}",
+            f"candidate family lattice {at_least}2^{count} exceeds cap {caps.family_sets}",
             "family_sets",
             caps.family_sets,
             caps.family_sets + 1,

@@ -380,6 +380,38 @@ def test_from_greedy_refuses_a_large_lattice_quickly(tmp_path, capsys):
     assert "candidate family lattice 2^40 exceeds cap 1000000" in err
 
 
+def _refuse(*args):
+    raise AssertionError("built before the cap was checked")
+
+
+def test_gap_refuses_many_proposal_rows_before_building_one(tmp_path, capsys, monkeypatch):
+    # 12 two-atom elements under free outer and inner constraints: 3^12
+    # states, all but the root proposable; the count comes from the graph's
+    # blocks, and the benchmark is not solved for a refused oracle
+    elements = [
+        {
+            "id": f"e{i}",
+            "support": [
+                {"x": [x, 1], "y": [y, 1], "p": [1, 2]} for x, y in [(i % 3, 1), (i + 2, 2)]
+            ],
+        }
+        for i in range(12)
+    ]
+    path = tmp_path / "instance.json"
+    path.write_text(
+        json.dumps({"elements": elements, "outer": {"kind": "free"}, "inner": {"kind": "free"}})
+    )
+    monkeypatch.setattr(probing.ProbingGraph, "proposals", property(_refuse))
+    monkeypatch.setattr("delegation_lab.cli.optimal_adaptive_value", _refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gap", "--instance", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (
+        "capacity error: inner-feasible outcome sets exceed cap 20 (count reached 531440)\n"
+    )
+
+
 def test_readme_lists_exactly_the_caps():
     readme = (ROOT / "README.md").read_text()
     listed = re.search(r"Capacity caps \((.*?)\)", readme, re.DOTALL)

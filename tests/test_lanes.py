@@ -3,7 +3,9 @@
 `prefer` is the tie rule's literal statement.  One lane's `>` on keys, the
 lane-wise `merge` and `rank_offers` must all order (agent, principal) pairs
 as it does, at the extremes of every lane, and a lane-packed `probing_pass`
-must give every lane the root of its own one-lane pass.
+must give every lane the root of its own one-lane pass.  `Lanes.best` must
+pick the lane that decoding every lane and taking the first largest
+principal picks.
 """
 
 import random
@@ -127,3 +129,36 @@ def test_every_lane_is_its_own_one_lane_pass():
                 (agent, principal), _ = solve_probing(graph, rule, mode)
                 assert Fraction(lanes.pair(root, scale)[0], scale) == agent
                 assert Fraction(lanes.pair(root, scale)[1], scale) == principal
+            assert lanes.best(roots, scale) == _first_largest(lanes, roots, scale)
+
+
+def _first_largest(lanes, roots, scale):
+    """(principal, index) of the first largest principal, every lane decoded."""
+    principals = [lanes.pair(root, scale)[1] for root in roots]
+    return max(principals), principals.index(max(principals))
+
+
+def test_best_reads_off_the_first_largest_principal():
+    rng = random.Random(67)
+    cases = []
+    for _ in range(200):
+        bound, agent_top, scale = rng.randint(0, 40), rng.randint(0, 40), rng.randint(1, 12)
+        count = rng.randint(1, 20)
+        pairs = [(rng.randint(0, agent_top), rng.randint(0, bound)) for _ in range(count)]
+        cases.append((bound, agent_top, scale, pairs))
+    extremes = [(0, 0, 1), (1, 0, 1), (0, 1, 3), (7, 9, 5), (2**31 - 1, 2**33 + 5, 3)]
+    for bound, top, scale in extremes:
+        cases += [
+            (bound, top, scale, [(top, bound)] * 6),  # every lane equal
+            # ties at the largest principal; the first has the smaller agent value
+            (bound, top, scale, [(0, 0), (top, 0), (0, bound), (top, bound), (0, bound)]),
+            (bound, top, scale, [(top, 0), (0, 0), (top, 0)]),  # zero principal
+        ]
+    for mode in MODES:
+        for bound, agent_top, scale, pairs in cases:
+            # keys as a state of `scale` holds them
+            lanes = Lanes(mode, bound, scale, agent_top * scale, len(pairs))
+            roots = [key * scale for key in lanes.pack(pairs)]
+            expected = _first_largest(lanes, roots, scale)
+            assert lanes.best(roots, scale) == expected, (mode, bound, agent_top, scale, pairs)
+            assert lanes.pair(roots[expected[1]], scale)[1] == max(p for _, p in pairs) * scale

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from delegation_lab import delegation as delegation_module
 from delegation_lab import oracle as oracle_module
+from delegation_lab import probing as probing_module
 from delegation_lab.delegation import (
     ExplicitPolicy,
     ThresholdPolicy,
@@ -185,6 +187,7 @@ def test_oracle_matches_the_literal_oracle_on_free_outer_instances():
             report = exact_delegation_gap(inst, mode)
             best_policy, alpha_star, count = literal_gap(inst, mode)
             assert (report.alpha_star, report.best_policy) == (alpha_star, best_policy)
+            assert evaluate_policy(inst, report.best_policy, mode).alpha == alpha_star
             assert report.policies_enumerated == count
             assert count == 2 ** len(realizable_inner_sets(inst))
 
@@ -220,6 +223,7 @@ def test_oracle_matches_the_literal_oracle_under_outer_constraints():
                     alpha_star,
                     best_policy,
                 ), (name, mode)
+                assert evaluate_policy(inst, report.best_policy, mode).alpha == alpha_star
                 assert report.policies_enumerated <= count
                 fewer[name] += report.policies_enumerated < count
     # every inner-feasible pair is outer-infeasible under outer k=1
@@ -237,10 +241,15 @@ def _thirteen_row_draw():
             return inst
 
 
+def _no_solve(*args):
+    raise AssertionError("alpha* is read off the sweep, not solved again")
+
+
 def test_thirteen_row_draw_matches_the_scalar_evaluator_at_chunk_edges(monkeypatch):
     inst = _thirteen_row_draw()
     graph = probing_graph(inst, Caps.dp_states)
     rows, unit, scale = graph.proposals, graph.outcome_unit, graph.scale
+    graph.adaptive  # the benchmark is solved once per graph, and cached
     chunks = []
 
     def recorded(graph, stops, lanes):
@@ -251,11 +260,15 @@ def test_thirteen_row_draw_matches_the_scalar_evaluator_at_chunk_edges(monkeypat
     monkeypatch.setattr(oracle_module, "probing_pass", recorded)
     for mode in TieBreak:
         chunks.clear()
-        report = exact_delegation_gap(inst, mode)
+        with monkeypatch.context() as solves:
+            for module in (probing_module, delegation_module):
+                solves.setattr(module, "solve_probing", _no_solve)
+            report = exact_delegation_gap(inst, mode)
         assert report.alpha_star == Fraction(72731, 75185)
         assert report.policies_enumerated == 2**13
         lanes = [pair for chunk in chunks for pair in chunk]
-        assert len(chunks) > 1 and len(lanes) == 2**13
+        # one pass per chunk of equal size
+        assert len(chunks) > 1 and len(lanes) == 2**13 == len(chunks) * len(chunks[0])
         # the winner is the first strictly best root principal, mask 7984
         principals = [principal for _, principal in lanes]
         winner = principals.index(max(principals))

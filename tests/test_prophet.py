@@ -584,19 +584,30 @@ def test_best_family_scores_exactly_the_downward_closed_families(monkeypatch):
 
 
 def test_family_cap_refuses_before_building_candidate_sets(monkeypatch):
-    # free inner: sum over nonempty F of 3^|F| = 4^8 - 1 candidate sets
+    # free inner: sum over nonempty F of 3^|F| = 4^8 - 1 candidate sets, but
+    # the count stops past 20 = the cap's bit length, at the 8 singletons
     inst = _three_atom_instance(8, FreeSystem)
     prophet_module = importlib.import_module("delegation_lab.prophet")
     monkeypatch.setattr(prophet_module, "candidate_pair_sets", _refuse)
     monkeypatch.setattr(prophet_module, "scenario_table", _refuse)
     with pytest.raises(CapacityError) as err:
         best_greedy_family(inst)
-    assert str(err.value) == f"candidate family lattice 2^65535 exceeds cap {10**6}"
+    assert str(err.value) == f"candidate family lattice at least 2^24 exceeds cap {10**6}"
     assert (err.value.cap, err.value.limit, err.value.reached) == (
         "family_sets",
         10**6,
         10**6 + 1,
     )
+
+
+def test_family_cap_refuses_forty_free_elements_quickly():
+    # 4^40 - 1 candidate sets: the count stops at the first few singletons
+    inst = _three_atom_instance(40, FreeSystem)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="lattice at least 2") as err:
+        best_greedy_family(inst)
+    assert time.perf_counter() - start < 1
+    assert err.value.cap == "family_sets"
 
 
 def test_family_cap_refusal_is_quick_and_printable():
@@ -651,12 +662,14 @@ def test_family_cap_counts_the_candidate_sets():
             # neither the count nor the candidate sets
             for outer in (FreeSystem(ground), UniformSystem(ground, 1)):
                 inst = make_instance(ids, dists, outer, inner)
-                # the lattice is refused from the count, before any set is built
-                with pytest.raises(CapacityError) as err:
-                    best_greedy_family(inst, Caps(family_sets=0))
+                # the lattice is refused from the count, before any set is
+                # built; at cap 2^count - 1 the count's walk has to finish
                 count = len(candidate_pair_sets(inst))
+                cap = 2**count - 1
+                with pytest.raises(CapacityError) as err:
+                    best_greedy_family(inst, Caps(family_sets=cap))
                 assert str(err.value) == (
-                    f"candidate family lattice 2^{count} exceeds cap 0"
+                    f"candidate family lattice 2^{count} exceeds cap {cap}"
                 ), kind
                 projected = {
                     frozenset((o.element, o.x) for o in outcomes)

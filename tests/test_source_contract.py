@@ -1,15 +1,26 @@
 """The library's source contract: stdlib only, and nothing floated.
 
 Every number the library computes is an exact rational; the one float is
-the six-place `approx` rendering of a reported rational.
+the six-place `approx` rendering of a reported rational.  Every site that
+raises a `CapacityError` is found in the source and held to a quick
+refusal.
 """
 
 import ast
 import dataclasses
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
-from delegation_lab.probing import ProbingGraph
+import pytest
+
+from delegation_lab.errors import CapacityError
+from delegation_lab.instances import UtilityAtom, make_instance
+from delegation_lab.oracle import exact_delegation_gap
+from delegation_lab.probing import ProbingGraph, optimal_adaptive_value
+from delegation_lab.prophet import best_greedy_family, scenario_table
+from delegation_lab.set_systems import FreeSystem, UniformSystem
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "delegation_lab"
 MODULES = sorted(SOURCE.glob("*.py"))
@@ -273,3 +284,114 @@ def test_every_policy_kind_states_its_compile_and_no_compile_forks_on_kind():
     ]
     assert {f.name for f in functions} == compiling
     assert [d for f in functions for d in _class_dispatches(f)] == []
+
+
+def test_only_probing_decodes_a_lane_key():
+    # a sweep's winning lane is read off by `Lanes.best`, which decodes only
+    # the winner; no other module turns lane keys back into pairs
+    decoding = [path.stem for path in MODULES if "pair" in set(_called_attributes(_tree(path)))]
+    assert decoding == ["probing"]
+
+
+def test_the_oracle_reads_alpha_star_off_its_sweep():
+    # one path to alpha*: the oracle neither compiles the winner's offers
+    # again nor solves them with the scalar evaluator
+    names = set(_names(_tree(SOURCE / "oracle.py")))
+    assert names & {"policy_offers", "agent_probe_values", "solve_probing"} == set()
+
+
+def _called_name(expr):
+    """The plain name `expr` calls, if it is a call of one."""
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+        return expr.func.id
+    return None
+
+
+def _capacity_raises():
+    """(module, enclosing function, line) of every raise of a CapacityError:
+    `raise CapacityError(...)`, or a raise of a call to a function of the
+    same module that returns one."""
+    sites = []
+    for path in MODULES:
+        tree = _tree(path)
+        makers = {"CapacityError"} | {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and any(
+                isinstance(ret, ast.Return) and _called_name(ret.value) == "CapacityError"
+                for ret in ast.walk(node)
+            )
+        }
+
+        def visit(node, function):
+            if isinstance(node, ast.Raise) and _called_name(node.exc) in makers:
+                sites.append((path.stem, function, node.lineno))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(tree, None)
+    return sites
+
+
+def _instance(n, outer=FreeSystem, inner=FreeSystem):
+    """n elements of three atoms each, the default caps far behind."""
+    ids = [f"e{i}" for i in range(n)]
+    atoms = [UtilityAtom(Fraction(k), Fraction(k + 1), Fraction(1, 3)) for k in range(3)]
+    ground = frozenset(ids)
+    return make_instance(ids, {e: atoms for e in ids}, outer(ground), inner(ground))
+
+
+# Per function that raises a CapacityError, one refusal per raise in source
+# order: its cap, and a call whose input is far past that cap at its default
+REFUSALS = {
+    # 3^40 scenarios
+    ("instances", "check_scenario_cap"): [
+        ("scenarios", lambda: scenario_table(_instance(40))),
+    ],
+    ("probing", "probing_graph"): [
+        # 4^40 free-outer states, refused before the walk
+        ("dp_states", lambda: optimal_adaptive_value(_instance(40))),
+        # as many states under an outer constraint the walk must ask
+        (
+            "dp_states",
+            lambda: optimal_adaptive_value(_instance(40, lambda g: UniformSystem(g, 40))),
+        ),
+    ],
+    # 4^9 - 1 proposal rows against a cap of 20
+    ("oracle", "exact_delegation_gap"): [
+        ("policy_sets", lambda: exact_delegation_gap(_instance(9))),
+    ],
+    # a lattice of 2^(4^40 - 1) families
+    ("prophet", "best_greedy_family"): [
+        ("family_sets", lambda: best_greedy_family(_instance(40))),
+    ],
+}
+
+
+def test_every_capacity_refusal_costs_no_more_than_its_cap():
+    # every cap is checked before the work it bounds: each raise site has a
+    # case that is refused, from that site, in under a second
+    sites = _capacity_raises()
+    assert sorted({(m, f) for m, f, _ in sites}) == sorted(REFUSALS)
+    for (module, function), cases in REFUSALS.items():
+        lines = [line for m, f, line in sites if (m, f) == (module, function)]
+        assert len(lines) == len(cases), (module, function)
+        for line, (cap, refuse) in zip(lines, cases):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError) as err:
+                refuse()
+            assert time.perf_counter() - start < 1, (module, function, line)
+            assert err.value.cap == cap
+            assert err.value.reached > err.value.limit
+            raised = err.tb
+            while raised.tb_next is not None:
+                raised = raised.tb_next
+            code = raised.tb_frame.f_code
+            assert (Path(code.co_filename).stem, code.co_name, raised.tb_lineno) == (
+                module,
+                function,
+                line,
+            )
