@@ -15,7 +15,7 @@ from fractions import Fraction
 from .delegation import ExplicitPolicy, Policy, TieBreak
 from .errors import CapacityError, Caps
 from .instances import Instance
-from .probing import Lanes, benchmark_ratio, probing_graph, probing_pass, rank_offers
+from .probing import Lanes, benchmark_ratio, lattice, probing_graph, probing_pass, rank_offers
 
 LANE_BUDGET = 1 << 22  # bytes of stop keys: states x lanes in a chunk x lane size
 
@@ -34,21 +34,23 @@ def exact_delegation_gap(
 ) -> GapReport:
     """Max over all deterministic policies of the achieved fraction alpha.
 
-    Policies are bitmasks over the proposal rows, whose count (off
-    `proposal_blocks`) `caps.policy_sets` bounds before any row is built.
-    They are solved in ascending chunks of 2 ** b masks, b as large as keeps
-    states x lanes x lane bytes under `LANE_BUDGET`: lane i of the chunk from
-    `base` is policy base + i, which stops at each state with the best-ranked
-    (`rank_offers`) row it contains and sets.  The first strictly best root
-    principal (`Lanes.best`) over `outcome_unit` * `scale` is the principal
-    value, so alpha* is its `benchmark_ratio`; the winner is built as an
-    `ExplicitPolicy` only for the report.
+    Policies are bitmasks over the proposal rows, whose count (the outer and
+    inner tests' `lattice` less its root) `caps.policy_sets` bounds before
+    any state is built.  They are solved in ascending chunks of 2 ** b masks,
+    b as large as keeps states x lanes x lane bytes under `LANE_BUDGET`: lane
+    i of the chunk from `base` is policy base + i, which stops at each state
+    with the best-ranked (`rank_offers`) row it contains and sets.  The first
+    strictly best root principal (`Lanes.best`) over `outcome_unit` * `scale`
+    is the principal value, so alpha* is its `benchmark_ratio`; the winner is
+    built as an `ExplicitPolicy` only for the report.
     """
-    graph = probing_graph(instance, caps.dp_states)
-    count, cap = sum(n for _, n in graph.proposal_blocks), caps.policy_sets
-    if count > cap:
+    outer, inner = (s.mask_test(instance.elements) for s in (instance.outer, instance.inner))
+    sizes, cap = [len(support) for support in instance.atoms], caps.policy_sets
+    *_, (_, _, _, total) = lattice(sizes, lambda m: outer(m) and inner(m), cap + 1)
+    if (count := total - 1) > cap:
         text = f"inner-feasible outcome sets exceed cap {cap} (count reached {count})"
         raise CapacityError(text, "policy_sets", cap, count)
+    graph = probing_graph(instance, caps.dp_states)
     rows, scale = graph.proposals, graph.scale
     pairs = [(y, x) for _, _, y, x in rows]
     bound = max((x for _, x in pairs), default=0)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, Caps
 from .instances import Instance, Outcome, known_elements
@@ -254,6 +254,32 @@ def _too_many_states(state_cap: int) -> CapacityError:
     )
 
 
+def lattice(
+    sizes: Sequence[int], feasible: Callable[[int], bool], limit: int
+) -> Iterator[tuple[int, int, tuple[tuple[int, int, int, int], ...], int]]:
+    """The library's one walk of a downward-closed lattice: per `feasible`
+    element mask P, breadth first from 0, (P, count = prod_{j in P} sizes[j],
+    moves, total).  A move (j, first, stride, gap) leads to P + j: first the
+    counts of the sets met before it, stride those of P's elements below j,
+    gap = stride * (sizes[j] - 1).  total counts every set met so far.  Each
+    (set, next element) is tested once; the walk ends after the first set
+    (its children all counted) whose total passes `limit`."""
+    firsts, queue, total = {0: 0}, [(0, 1)], 1
+    for p, count in queue:
+        moves, stride = [], 1  # the sizes of p's elements below j
+        for j, k in enumerate(sizes):
+            if p >> j & 1:
+                stride *= k
+            elif feasible(child := p | 1 << j):
+                if child not in firsts:
+                    firsts[child], total = total, total + count * k
+                    queue.append((child, count * k))
+                moves.append((j, firsts[child], stride, stride * (k - 1)))
+        yield p, count, tuple(moves), total
+        if total > limit:
+            return
+
+
 @functools.lru_cache(maxsize=2)
 def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     """Compile `instance`'s probing states; refuse more than `state_cap`.
@@ -262,56 +288,36 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     on one instance shares one graph, and an instance under an outer
     constraint keeps its graph beside its free-outer one (`prophet`).
 
-    The outer-feasible probed sets are walked breadth first, asking the outer
-    mask test once per (set, next element); a set P gets a block of
-    prod_{j in P} k_j states, and past the cap the walk refuses before any
-    state is built (a free outer constraint, with prod(k_e + 1) states,
-    before the walk).  The walk yields each block's moves, stored once per
-    block with its probed set and scale; the block's states extend the
-    block of P minus its top element.
+    The probed sets are the `lattice` of the outer mask test over the atom
+    counts k_e, each set P's block its count of states and its moves; past
+    the cap the walk refuses before any state is built (a free outer
+    constraint, of prod(k_e + 1) states, before the walk).  P's states and
+    scale extend those of the block of P minus its top element.
     """
     elements, sizes = instance.elements, [len(support) for support in instance.atoms]
-    if state_cap < 1 or (
-        isinstance(instance.outer, FreeSystem) and math.prod(k + 1 for k in sizes) > state_cap
-    ):
+    if isinstance(instance.outer, FreeSystem) and math.prod(k + 1 for k in sizes) > state_cap:
         raise _too_many_states(state_cap)
-    outer_feasible = instance.outer.mask_test(elements)
+    walk = list(lattice(sizes, instance.outer.mask_test(elements), state_cap))
+    if walk[-1][3] > state_cap:
+        raise _too_many_states(state_cap)
     denominators, atom_weights = instance.integer_probs
     root_scale = math.prod(denominators)
-    # (probed set, state count, scale, its moves as (j, first, stride, gap)), breadth first
-    firsts, blocks, total = {0: 0}, [(0, 1, root_scale, [])], 1
-    for p, count, scale, nexts in blocks:
-        stride = 1  # the atom counts of p's elements below j
-        for j, k in enumerate(sizes):
-            if p >> j & 1:
-                stride *= k
-            elif outer_feasible(child := p | 1 << j):
-                if child not in firsts:
-                    firsts[child], total = total, total + count * k
-                    if total > state_cap:
-                        raise _too_many_states(state_cap)
-                    blocks.append((child, count * k, scale // denominators[j], []))
-                nexts.append((j, firsts[child], stride, stride * (k - 1)))
-
     outcome_bits: dict[Outcome, int] = {}
     atom_bits = [
         [1 << outcome_bits.setdefault(Outcome(e, a.x, a.y), len(outcome_bits)) for a in support]
         for e, support in zip(elements, instance.atoms)
     ]
     masks, weights = [0], [root_scale]
-    for p, count, _, _ in blocks[1:]:  # extend the block of p minus its top element, atom by atom
+    blocks = {0: (0, 1, 0, root_scale, walk[0][2])}  # by probed set, breadth first
+    for p, count, moves, _ in walk[1:]:  # extend the block of p minus its top element, atom by atom
         top = p.bit_length() - 1
-        a, q = firsts[p ^ 1 << top], denominators[top]
+        (a, _, _, scale, _), q = blocks[p ^ 1 << top], denominators[top]
+        blocks[p] = (len(masks), count, p, scale // q, moves)
         below = range(a, a + count // sizes[top])
         masks += [masks[s] | bit for bit in atom_bits[top] for s in below]
         weights += [weights[s] // q * w for w in atom_weights[top] for s in below]
     return ProbingGraph(
-        instance,
-        tuple((firsts[p], count, p, scale, tuple(nexts)) for p, count, scale, nexts in blocks),
-        root_scale,
-        tuple(masks),
-        tuple(weights),
-        outcome_bits,
+        instance, tuple(blocks.values()), root_scale, tuple(masks), tuple(weights), outcome_bits
     )
 
 

@@ -37,7 +37,7 @@ from typing import Iterable
 
 from .errors import CapacityError, Caps, UnsupportedError
 from .instances import Instance, check_scenario_cap, restrict_instance, x_values
-from .probing import ProbingGraph, probing_graph
+from .probing import ProbingGraph, lattice, probing_graph
 from .set_systems import FreeSystem, SetSystem, _antichain
 
 OutcomePair = tuple[str, Fraction]
@@ -79,12 +79,12 @@ class ProphetReport:
 
 
 def _is_one_uniform(system: SetSystem) -> bool:
-    """Every element is feasible alone and no two are, by the mask test."""
-    test = system.mask_test(sorted(system.ground))
-    singles = [1 << j for j in range(len(system.ground))]
-    if not all(map(test, singles)):
-        return False
-    return not any(test(a | b) for a, b in itertools.combinations(singles, 2))
+    """Every element is feasible alone and no two are: the `lattice` of the
+    mask test, every size 1, meets exactly the empty set and the n
+    singletons, its total n + 1 from the empty set's children on."""
+    n = len(system.ground)
+    walk = list(lattice([1] * n, system.mask_test(sorted(system.ground)), n + 1))
+    return walk[0][3] == walk[-1][3] == n + 1
 
 
 def samuel_cahn_threshold(instance: Instance, caps: Caps = Caps()) -> Fraction:
@@ -237,29 +237,21 @@ def best_greedy_family(
     Returns a family maximizing the almighty-adversary ratio; ties keep the
     first candidate in canonical enumeration order.  The lattice size is
     checked against `caps.family_sets` before any candidate set is built.
-    The count's walk stops once the count passes the cap's bit length, so a
-    refusal expands O(log cap) element sets; when the sets left unexpanded
-    extend, the message gives the count as a lower bound ("at least 2^c").
+    The count's walk (`lattice`) stops past the cap's bit length, so a
+    refusal expands O(log cap) element sets; when a set it met extends to
+    one it did not, the count is a lower bound ("at least 2^c").
     """
-    # len(candidate_pair_sets(instance)): each nonempty inner-feasible
-    # element set contributes the product of its elements' distinct x values;
-    # walked depth first by higher indices (all reached: downward closed)
+    # len(candidate_pair_sets(instance)) + 1: the walk of the inner test over
+    # each element's distinct x values; 2^count > cap without building 2^count
     sizes = [len(x_values(instance, e)) for e in instance.elements]
     feasible = instance.inner.mask_test(instance.elements)
-    # 2^count > limit, without building 2^count
     bits = max(caps.family_sets, 0).bit_length()
-    count, stack = 0, [(0, 0, 1)]  # (element mask, next index, product)
-    while stack and count <= bits:
-        mask, start, product = stack.pop()
-        for j in range(start, len(sizes)):
-            if feasible(mask | 1 << j):
-                count += product * sizes[j]
-                stack.append((mask | 1 << j, j + 1, product * sizes[j]))
-    if count >= bits:
-        # the count is exact unless a set left on the stack still extends
-        n = len(sizes)
-        extends = any(feasible(m | 1 << j) for m, start, _ in stack for j in range(start, n))
-        at_least = "at least " if extends else ""
+    walk = list(lattice(sizes, feasible, bits + 1))
+    if (count := walk[-1][3] - 1) >= bits:
+        # exact unless a set the walk met extends to one it did not meet
+        met = {p | 1 << j for p, _, moves, _ in walk for j, *_ in moves}
+        ups = {m | 1 << j for m in met for j in range(len(sizes))} - met
+        at_least = "at least " if any(map(feasible, ups)) else ""
         raise CapacityError(
             f"candidate family lattice {at_least}2^{count} exceeds cap {caps.family_sets}",
             "family_sets",

@@ -386,8 +386,9 @@ def _refuse(*args):
 
 def test_gap_refuses_many_proposal_rows_before_building_one(tmp_path, capsys, monkeypatch):
     # 12 two-atom elements under free outer and inner constraints: 3^12
-    # states, all but the root proposable; the count comes from the graph's
-    # blocks, and the benchmark is not solved for a refused oracle
+    # states, all but the root proposable; the count's walk stops at the 12
+    # singletons' 24 rows, past the cap of 20, so no graph is compiled and
+    # the benchmark is not solved for a refused oracle
     elements = [
         {
             "id": f"e{i}",
@@ -402,13 +403,15 @@ def test_gap_refuses_many_proposal_rows_before_building_one(tmp_path, capsys, mo
         json.dumps({"elements": elements, "outer": {"kind": "free"}, "inner": {"kind": "free"}})
     )
     monkeypatch.setattr(probing.ProbingGraph, "proposals", property(_refuse))
+    monkeypatch.setattr(probing, "probing_graph", _refuse)
+    monkeypatch.setattr("delegation_lab.oracle.probing_graph", _refuse)
     monkeypatch.setattr("delegation_lab.cli.optimal_adaptive_value", _refuse)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "gap", "--instance", str(path))
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     assert err == (
-        "capacity error: inner-feasible outcome sets exceed cap 20 (count reached 531440)\n"
+        "capacity error: inner-feasible outcome sets exceed cap 20 (count reached 24)\n"
     )
 
 

@@ -8,6 +8,7 @@ must agree exactly.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -35,6 +36,7 @@ from delegation_lab.instances import (
     outcome_totals,
     realizable_inner_sets,
     table1,
+    x_values,
 )
 from delegation_lab.lottery import (
     LotteryMenu,
@@ -47,13 +49,14 @@ from delegation_lab import probing
 from delegation_lab.probing import (
     _observed_value,
     best_nonadaptive_set,
+    lattice,
     nonadaptive_value,
     optimal_adaptive_value,
     probe_distribution,
     probing_graph,
     solve_probing,
 )
-from delegation_lab.prophet import candidate_pair_sets, greedy_family
+from delegation_lab.prophet import _is_one_uniform, candidate_pair_sets, greedy_family
 from delegation_lab.set_systems import (
     FreeSystem,
     IntersectionSystem,
@@ -436,6 +439,83 @@ def test_constrained_states_are_capped_before_any_state_is_built(outer, count, m
         optimal_adaptive_value(inst, Caps(dp_states=count - 1))
     assert str(err.value) == f"probing DP exceeded {count - 1} states"
     assert (err.value.cap, err.value.limit, err.value.reached) == ("dp_states", count - 1, count)
+
+
+KINDS = ("free", "uniform", "partition", "explicit", "intersection")
+
+
+def _seeded_system(rng, ids, kind):
+    """A set system of `kind` over `ids`, drawn from `rng`; empty `ids` allowed."""
+    ground = frozenset(ids)
+    if kind == "free":
+        return FreeSystem(ground)
+    if kind == "uniform":
+        return UniformSystem(ground, rng.randint(0, len(ids)))
+    if kind == "partition":
+        order, cut = rng.sample(ids, len(ids)), rng.randint(0, len(ids))
+        blocks = [frozenset(b) for b in (order[:cut], order[cut:]) if b]
+        return PartitionSystem(ground, tuple(blocks), tuple(rng.randint(0, len(b)) for b in blocks))
+    if kind == "explicit":
+        return explicit_system(ground, [rng.sample(ids, rng.randint(0, len(ids))) for _ in range(3)])
+    parts = (_seeded_system(rng, ids, "partition"), _seeded_system(rng, ids, "explicit"))
+    return IntersectionSystem(ground, parts)
+
+
+def _walked_total(sizes, feasible, limit=10**6):
+    *_, (_, _, _, total) = lattice(sizes, feasible, limit)
+    return total
+
+
+def test_the_lattice_counts_the_graph_its_proposals_and_the_candidate_sets():
+    # the one walk behind the compile and the three lattice caps counts what
+    # each builds, the root included, under every outer and inner kind
+    rng = random.Random(27)
+    for _ in range(30):
+        ids = [f"e{i}" for i in range(rng.randint(1, 4))]
+        # x repeats across atoms, so some elements have fewer x values than atoms
+        atom_counts = {e: rng.randint(1, 3) for e in ids}
+        dists = {
+            e: [UtilityAtom(Fraction(rng.randint(0, 2)), Fraction(k), Fraction(1, m)) for k in range(m)]
+            for e, m in atom_counts.items()
+        }
+        for outer_kind, inner_kind in itertools.product(KINDS, KINDS):
+            outer_system = _seeded_system(rng, ids, outer_kind)
+            inst = make_instance(ids, dists, outer_system, _seeded_system(rng, ids, inner_kind))
+            outer, inner = (s.mask_test(inst.elements) for s in (inst.outer, inst.inner))
+            sizes = [len(support) for support in inst.atoms]
+            graph = probing_graph(inst, Caps.dp_states)
+            assert _walked_total(sizes, outer) == len(graph)
+            both = lambda m: outer(m) and inner(m)
+            assert _walked_total(sizes, both) == len(graph.proposals) + 1
+            x_sizes = [len(x_values(inst, e)) for e in inst.elements]
+            assert _walked_total(x_sizes, inner) == len(candidate_pair_sets(inst)) + 1
+            # below the total, the walk stops at the first set that passes
+            # the limit, every set before it within the limit, and each set
+            # it yields is whole: its count and moves as in the full walk
+            full = list(lattice(sizes, outer, len(graph)))
+            for limit in range(len(graph)):
+                *within, (_, _, _, passed) = walked = list(lattice(sizes, outer, limit))
+                assert passed > limit
+                assert all(total <= limit for *_, total in within)
+                assert [w[:3] for w in walked] == [w[:3] for w in full[: len(walked)]]
+
+
+def test_one_uniform_is_the_literal_rule():
+    # every element feasible alone and no pair feasible, on systems of every
+    # kind, the empty ground and the 1-uniform systems of each kind included
+    rng = random.Random(28)
+    for n in range(5):
+        ids = [f"e{i}" for i in range(n)]
+        ground = frozenset(ids)
+        systems = [_seeded_system(rng, ids, kind) for kind in KINDS for _ in range(20)]
+        systems += [UniformSystem(ground, 1), explicit_system(ground, [[e] for e in ids])]
+        systems.append(PartitionSystem(ground, (ground,) if ids else (), (1,) if ids else ()))
+        for system in systems:
+            literal = all(system.is_feasible([e]) for e in ids) and not any(
+                system.is_feasible(pair) for pair in itertools.combinations(ids, 2)
+            )
+            assert _is_one_uniform(system) == literal, system
+        assert _is_one_uniform(UniformSystem(ground, 1))
 
 
 def _mask_pair(mask):

@@ -190,6 +190,20 @@ def test_units_are_taken_in_one_place():
     }
 
 
+def test_the_set_lattice_is_walked_in_one_place():
+    # the probing compile and every lattice cap read one breadth-first walk
+    # (`probing.lattice`): the graph's blocks, the proposal rows' count, the
+    # family lattice's count and the 1-uniform test; no second walk comes back
+    callers = {
+        path.stem: found for path in MODULES if (found := _callers(_tree(path), "lattice"))
+    }
+    assert callers == {
+        "oracle": ["exact_delegation_gap"],
+        "probing": ["probing_graph"],
+        "prophet": ["_is_one_uniform", "best_greedy_family"],
+    }
+
+
 def test_the_tie_rule_is_one_key_outside_the_literal_best_response():
     # the probing pass, the offer ranking and the lanes compare keys; only
     # the literal best-response walk asks `prefer`, and nothing sorts by a
@@ -360,9 +374,10 @@ REFUSALS = {
             lambda: optimal_adaptive_value(_instance(40, lambda g: UniformSystem(g, 40))),
         ),
     ],
-    # 4^9 - 1 proposal rows against a cap of 20
+    # 4^40 - 1 proposal rows against a cap of 20, counted before any state
+    # is built (4^40 states are past `dp_states` too)
     ("oracle", "exact_delegation_gap"): [
-        ("policy_sets", lambda: exact_delegation_gap(_instance(9))),
+        ("policy_sets", lambda: exact_delegation_gap(_instance(40))),
     ],
     # a lattice of 2^(4^40 - 1) families
     ("prophet", "best_greedy_family"): [
