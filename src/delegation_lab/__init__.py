@@ -30,7 +30,6 @@ from .probing import (
     optimal_adaptive_value,
 )
 from .prophet import (
-    GreedyFamily,
     ProphetReport,
     best_greedy_family,
     evaluate_vs_almighty,

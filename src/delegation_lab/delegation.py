@@ -7,9 +7,9 @@ proposal and in the probing strategy, are resolved by a configurable rule;
 the adversarial rule minimizes the principal's utility among agent-optimal
 choices and is the conservative default.
 
-Each policy kind compiles itself to the proposal rows it accepts on a
-probing graph (`Policy.accepted_proposals`) in integers: explicit members by
-outcome mask, a threshold by a cut on integer x, a greedy family by masks.
+A policy compiles to the proposal rows it accepts on a probing graph
+(`Policy.accepted_proposals`) by asking `accepts` once per row; a greedy
+family compiles by its outcome masks instead.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .probing import (
     solve_probing,
 )
 from .prophet import (
-    GreedyFamily,
     ProphetReport,
     family_masks,
     gambler_report,
@@ -54,6 +53,7 @@ from .prophet import (
     scenario_table,
     threshold_totals,
 )
+from .set_systems import ExplicitSystem
 
 
 class Policy:
@@ -63,8 +63,8 @@ class Policy:
         raise NotImplementedError
 
     def accepted_proposals(self, graph: ProbingGraph) -> list[Proposal]:
-        """The `graph.proposals` rows that this policy accepts, in order: here
-        by asking `accepts` once per row, in each kind below on integers."""
+        """The `graph.proposals` rows that this policy accepts, in order, by
+        asking `accepts` once per row."""
         return [row for row in graph.proposals if self.accepts(row[0])]
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -81,13 +81,6 @@ class ExplicitPolicy(Policy):
     def accepts(self, outcome_set: frozenset[Outcome]) -> bool:
         return not outcome_set or outcome_set in self.acceptable
 
-    def accepted_proposals(self, graph: ProbingGraph) -> list[Proposal]:
-        # the rows whose masks are members' masks; a member holding an
-        # outcome off the graph is no row
-        bits = graph.outcome_bits
-        masks = {sum(1 << bits[o] for o in m) for m in self.acceptable if m <= bits.keys()}
-        return [row for row in graph.proposals if row[1] in masks]
-
 
 @dataclass(frozen=True)
 class ThresholdPolicy(Policy):
@@ -102,11 +95,6 @@ class ThresholdPolicy(Policy):
             return False
         return next(iter(outcome_set)).x >= self.tau
 
-    def accepted_proposals(self, graph: ProbingGraph) -> list[Proposal]:
-        # x / unit >= tau as x * tau.den >= tau.num * unit: exact off the grid
-        den, bound = self.tau.denominator, self.tau.numerator * graph.outcome_unit
-        return [row for row in graph.proposals if len(row[0]) == 1 and row[3] * den >= bound]
-
 
 @dataclass(frozen=True)
 class GreedyFamilyPolicy(Policy):
@@ -119,20 +107,20 @@ class GreedyFamilyPolicy(Policy):
     has one outcome per element, so that is `accepts`.
     """
 
-    family: GreedyFamily
+    family: ExplicitSystem
 
     def accepts(self, outcome_set: frozenset[Outcome]) -> bool:
         pairs = frozenset((o.element, o.x) for o in outcome_set)
         if len(pairs) != len(outcome_set):
             return False
-        return self.family.accepts(pairs)
+        return pairs <= self.family.ground and self.family.is_feasible(pairs)
 
     def accepted_proposals(self, graph: ProbingGraph) -> list[Proposal]:
         masks = family_masks(self.family, graph)
         return [row for row in graph.proposals if any(row[1] & m == row[1] for m in masks)]
 
 
-def policy_from_greedy(family: GreedyFamily) -> GreedyFamilyPolicy:
+def policy_from_greedy(family: ExplicitSystem) -> GreedyFamilyPolicy:
     """Translate a gambler acceptance family into a delegation policy."""
     return GreedyFamilyPolicy(family)
 
@@ -340,12 +328,10 @@ def build_threshold_policy(
     table = scenario_table(instance, caps)
     totals = threshold_totals(table)
     best = max([table.median, *totals], key=totals.__getitem__)
-    members = {
-        frozenset({(o.element, o.x)})
-        for o, (_, x) in zip(table.outcome_bits, table.outcome_values)
-        if x >= best
-    }
-    policy = policy_from_greedy(GreedyFamily(frozenset(members)))
+    outcomes = zip(table.outcome_bits, table.outcome_values)
+    members = frozenset(frozenset({(o.element, o.x)}) for o, (_, x) in outcomes if x >= best)
+    # the union reuses the members' stored hashes: no `Fraction` is hashed twice
+    policy = policy_from_greedy(ExplicitSystem(frozenset().union(*members), members))
     return policy, Fraction(best, table.outcome_unit), gambler_report(table, totals[best])
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import Caps, UnsupportedError
+from .errors import CapacityError, Caps, UnsupportedError
 from .instances import (
     Instance,
     Outcome,
@@ -180,6 +180,8 @@ def search_two_lottery_menus(
     menu (A_i, B_j).  The first lane with the largest root principal
     (`Lanes.best`) wins; only its menu is built, with weights i / n and
     j / n on the anchor, and it is evaluated from its compiled offers.
+    The pass holds (n + 1)^2 lanes at each state of the graph; past
+    `caps.dp_states` lane states the search refuses before any is built.
     """
     if len(instance.elements) != 2:
         raise UnsupportedError("two-lottery search needs exactly two elements")
@@ -203,6 +205,10 @@ def search_two_lottery_menus(
 
     n = _grid_steps(grid)
     graph = probing_graph(instance, caps.dp_states)
+    scale, m, cap = graph.scale, n + 1, caps.dp_states
+    if (states := m * m * len(graph)) > cap:
+        text = f"two-lottery grid of {m * m} menus needs {states} lane states, past cap {cap}"
+        raise CapacityError(text, "dp_states", cap, states)
     bits, table = graph.outcome_bits, graph.outcome_values
     # A_i at i, B_j at n + 1 + j: i / n on the anchor, the rest on low or high,
     # as (bit, weight) atoms less zero weights; equal sets mean equal keys
@@ -214,7 +220,6 @@ def search_two_lottery_menus(
     ]
     offers = [[(1 << b, w * table[b][0], w * table[b][1]) for b, w in a] for a in atom_sets]
     rows = [[offer_value(atoms, observed) for atoms in offers] for observed in graph.masks]
-    scale, m = graph.scale, n + 1
     bound = max(p for row in rows for _, p in row)
     agent_top = max(a for row in rows for a, _ in row) * scale
     lanes = Lanes(mode, bound, scale, agent_top, m * m)

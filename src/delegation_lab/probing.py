@@ -248,9 +248,9 @@ class ProbingGraph:
         return frozenset(e for j, e in enumerate(elements) if probed >> j & 1)
 
 
-def _too_many_states(state_cap: int) -> CapacityError:
+def _too_many_states(state_cap: int, reached: int) -> CapacityError:
     return CapacityError(
-        f"probing DP exceeded {state_cap} states", "dp_states", state_cap, state_cap + 1
+        f"probing DP exceeded {state_cap} states", "dp_states", state_cap, reached
     )
 
 
@@ -295,11 +295,12 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
     scale extend those of the block of P minus its top element.
     """
     elements, sizes = instance.elements, [len(support) for support in instance.atoms]
-    if isinstance(instance.outer, FreeSystem) and math.prod(k + 1 for k in sizes) > state_cap:
-        raise _too_many_states(state_cap)
+    states = math.prod(k + 1 for k in sizes)  # under a free outer constraint
+    if isinstance(instance.outer, FreeSystem) and states > state_cap:
+        raise _too_many_states(state_cap, states)
     walk = list(lattice(sizes, instance.outer.mask_test(elements), state_cap))
     if walk[-1][3] > state_cap:
-        raise _too_many_states(state_cap)
+        raise _too_many_states(state_cap, walk[-1][3])
     denominators, atom_weights = instance.integer_probs
     root_scale = math.prod(denominators)
     outcome_bits: dict[Outcome, int] = {}

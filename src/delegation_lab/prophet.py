@@ -1,9 +1,10 @@
 """Greedy gambler strategies against an almighty ordering adversary.
 
-A greedy strategy is a downward-closed family of (element, x) outcome sets;
-the gambler is forced to accept an outcome exactly when the accepted set
-stays in the family.  The almighty adversary knows the full realization and
-picks the worst element order.  Agent utilities play no role here.
+A greedy strategy is a downward-closed family of (element, x) outcome sets,
+an `ExplicitSystem` over the pairs its maximal sets hold; the gambler is
+forced to accept an outcome exactly when the accepted set stays in the
+family.  The almighty adversary knows the full realization and picks the
+worst element order.  Agent utilities play no role here.
 
 The worst order has a closed form.  In a scenario with values x_e, let
 B_A = {e : (e, x_e) in A} for each maximal acceptable set A.  Forced greedy,
@@ -38,25 +39,16 @@ from typing import Iterable
 from .errors import CapacityError, Caps, UnsupportedError
 from .instances import Instance, check_scenario_cap, restrict_instance, x_values
 from .probing import ProbingGraph, lattice, probing_graph
-from .set_systems import FreeSystem, SetSystem, _antichain
+from .set_systems import ExplicitSystem, FreeSystem, SetSystem, explicit_system
 
 OutcomePair = tuple[str, Fraction]
 
 
-@dataclass(frozen=True)
-class GreedyFamily:
-    """Downward-closed acceptance family stored as its maximal antichain."""
-
-    maximal: frozenset[frozenset[OutcomePair]]
-
-    def accepts(self, s: frozenset) -> bool:
-        return not s or any(s <= m for m in self.maximal)
-
-
 def greedy_family(
     members: Iterable[Iterable[OutcomePair]], constraint: SetSystem
-) -> GreedyFamily:
-    """Downward closure of the given generating sets, validated and reduced."""
+) -> ExplicitSystem:
+    """Downward closure of the given generating sets, validated and reduced:
+    an explicit system over the (element, x) pairs its members hold."""
     pool = {frozenset(m) for m in members}
     pool.discard(frozenset())
     for member in pool:
@@ -68,7 +60,7 @@ def greedy_family(
         for _, x in member:
             if x < 0:
                 raise ValueError("outcome values must be nonnegative")
-    return GreedyFamily(_antichain(pool))
+    return explicit_system(frozenset().union(*pool), pool)
 
 
 @dataclass(frozen=True)
@@ -109,7 +101,7 @@ def samuel_cahn_threshold(instance: Instance, caps: Caps = Caps()) -> Fraction:
     return Fraction(table.median, table.outcome_unit)
 
 
-def threshold_family(instance: Instance, tau: Fraction) -> GreedyFamily:
+def threshold_family(instance: Instance, tau: Fraction) -> ExplicitSystem:
     """Accept any single realizable outcome with value >= tau."""
     members = []
     for e in instance.elements:
@@ -139,7 +131,7 @@ def scenario_table(instance: Instance, caps: Caps = Caps()) -> ProbingGraph:
     return probing_graph(instance, caps.dp_states)
 
 
-def family_masks(family: GreedyFamily, graph: ProbingGraph) -> set[int]:
+def family_masks(family: ExplicitSystem, graph: ProbingGraph) -> set[int]:
     """One outcome mask of `graph` per maximal set A of `family`: the OR of
     the bits of every outcome with an (element, x) pair in A, looked up by
     integer key (`ProbingGraph.pair_masks`).  Pairs off the support own no
@@ -149,7 +141,7 @@ def family_masks(family: GreedyFamily, graph: ProbingGraph) -> set[int]:
     return {sum(bits.get((e, x.numerator, x.denominator), 0) for e, x in m) for m in family.maximal}
 
 
-def score_family(family: GreedyFamily, graph: ProbingGraph) -> ProphetReport:
+def score_family(family: ExplicitSystem, graph: ProbingGraph) -> ProphetReport:
     """Expected forced-greedy value of `family` under worst-case orderings.
 
     `graph` is the `scenario_table`.  Each scenario scores its lightest
@@ -207,7 +199,7 @@ def threshold_totals(graph: ProbingGraph) -> dict[int, int]:
 
 
 def evaluate_vs_almighty(
-    instance: Instance, family: GreedyFamily, caps: Caps = Caps()
+    instance: Instance, family: ExplicitSystem, caps: Caps = Caps()
 ) -> ProphetReport:
     """Expected forced-greedy value under worst-case per-scenario orderings.
 
@@ -231,7 +223,7 @@ def candidate_pair_sets(
 
 def best_greedy_family(
     instance: Instance, caps: Caps = Caps()
-) -> tuple[GreedyFamily, ProphetReport]:
+) -> tuple[ExplicitSystem, ProphetReport]:
     """Exhaustive search over downward-closed families of realizable outcomes.
 
     Returns a family maximizing the almighty-adversary ratio; ties keep the
@@ -266,7 +258,7 @@ def best_greedy_family(
     ]
 
     table = scenario_table(instance, caps)
-    best: tuple[GreedyFamily, ProphetReport] | None = None
+    best: tuple[ExplicitSystem, ProphetReport] | None = None
     for mask in range(2 ** len(candidates)):
         if any(mask >> i & 1 and mask & sub != sub for i, sub in enumerate(below)):
             continue

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .instances import Instance, UtilityAtom, make_instance
-from .prophet import GreedyFamily, candidate_pair_sets, greedy_family
-from .set_systems import FreeSystem, PartitionSystem, SetSystem, UniformSystem
+from .prophet import candidate_pair_sets, greedy_family
+from .set_systems import ExplicitSystem, FreeSystem, PartitionSystem, SetSystem, UniformSystem
 
 _DENOMINATORS = (1, 2, 3, 4)
 
@@ -106,7 +106,7 @@ def random_matroid_outer_instance(rng: random.Random, max_elements: int = 4) -> 
 _candidates = functools.lru_cache(maxsize=1)(candidate_pair_sets)
 
 
-def random_greedy_family(rng: random.Random, instance: Instance) -> GreedyFamily:
+def random_greedy_family(rng: random.Random, instance: Instance) -> ExplicitSystem:
     """Downward closure of a random sample of feasible realizable outcome sets."""
     candidates = _candidates(instance)
     if not candidates:

@@ -127,9 +127,8 @@ class PartitionSystem(SetSystem):
 def _antichain(sets: Iterable[frozenset]) -> frozenset[frozenset]:
     """The maximal members of a family of sets."""
     pool = {frozenset(s) for s in sets}
-    return frozenset(
-        s for s in pool if not any(s < other for other in pool)
-    )
+    top = max(map(len, pool), default=0)  # no largest member lies within another
+    return frozenset(s for s in pool if len(s) == top or not any(s < o for o in pool))
 
 
 @dataclass(frozen=True)

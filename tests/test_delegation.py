@@ -42,7 +42,6 @@ from delegation_lab.instances import (
 )
 from delegation_lab.probing import best_nonadaptive_set, optimal_adaptive_value, prefer
 from delegation_lab.prophet import (
-    GreedyFamily,
     candidate_pair_sets,
     evaluate_vs_almighty,
     samuel_cahn_threshold,
@@ -58,6 +57,7 @@ from delegation_lab.random_instances import (
 )
 from delegation_lab.errors import Caps
 from delegation_lab.set_systems import (
+    ExplicitSystem,
     FreeSystem,
     UniformSystem,
     explicit_system,
@@ -274,11 +274,25 @@ def test_every_policy_kind_accepts_the_empty_proposal():
     policies = [
         ExplicitPolicy(frozenset()),
         ThresholdPolicy(Fraction(100)),
-        GreedyFamilyPolicy(GreedyFamily(frozenset())),
+        GreedyFamilyPolicy(ExplicitSystem(frozenset(), frozenset())),
     ]
     for policy in policies:
         assert policy.accepts(frozenset())
         assert not policy.accepts(frozenset({nothing}))
+
+
+def test_a_greedy_policy_refuses_pairs_off_its_family_ground():
+    # a greedy family is an explicit system over the (element, x) pairs its
+    # members hold: a set with a pair off that ground is refused, not
+    # reported as an unknown element
+    policy = policy_from_greedy(threshold_family(table1(EPS), Fraction(1)))
+    assert policy.family.ground == {("1", 1 / EPS), ("2", Fraction(1))}
+    accepted = Outcome("2", Fraction(1), Fraction(1))
+    assert policy.accepts(frozenset({accepted}))
+    for element, x in [("1", Fraction(0)), ("2", Fraction(3)), ("zz", Fraction(1))]:
+        off = Outcome(element, x, Fraction(1))
+        assert not policy.accepts(frozenset({off}))
+        assert not policy.accepts(frozenset({accepted, off}))
 
 
 _OUTERS = {
@@ -325,7 +339,7 @@ def test_family_masks_filter_as_accepts_does(outer, inner):
                 set(c) | set(rng.sample(off, rng.randint(0, 1)))
                 for c in rng.sample(candidates, rng.randint(0, len(candidates)))
             ]
-            policy = GreedyFamilyPolicy(GreedyFamily(frozenset(map(frozenset, members))))
+            policy = GreedyFamilyPolicy(explicit_system(set().union(*members), members))
             for graph in (probing.probing_graph(inst, Caps().dp_states), scenario_table(inst)):
                 expected = [
                     [(mask, y, x)]
@@ -338,10 +352,11 @@ def test_family_masks_filter_as_accepts_does(outer, inner):
 @pytest.mark.parametrize("inner", sorted(_INNERS))
 @pytest.mark.parametrize("outer", sorted(_OUTERS))
 def test_every_policy_kind_compiles_to_the_rows_accepts_takes(outer, inner):
-    # each kind's own compile equals the `accepts` filter of `graph.proposals`:
-    # thresholds at 0, above every x, on an x and off the 1/unit grid;
-    # explicit members that are rows and members that are not (an outcome
-    # off the support, random outcome sets, the empty set)
+    # each kind's compile (explicit and threshold policies take the base one,
+    # and no other is attached to them) equals the `accepts` filter of
+    # `graph.proposals`: thresholds at 0, above every x, on an x and off the
+    # 1/unit grid; explicit members that are rows and members that are not
+    # (an outcome off the support, random outcome sets, the empty set)
     rng = random.Random(f"kinds/{outer}/{inner}")
     for _ in range(12):
         inst = _drawn_instance(rng, outer, inner)

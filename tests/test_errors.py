@@ -76,7 +76,7 @@ HALF = Fraction(1, 2)
          "scenario count 4 exceeds cap 3"),
         (lambda: exact_delegation_gap(table1(HALF), caps=Caps(policy_sets=2)), "policy_sets", 2, 3,
          "inner-feasible outcome sets exceed cap 2 (count reached 3)"),
-        (lambda: optimal_adaptive_value(table1(HALF), Caps(dp_states=2)), "dp_states", 2, 3,
+        (lambda: optimal_adaptive_value(table1(HALF), Caps(dp_states=2)), "dp_states", 2, 6,
          "probing DP exceeded 2 states"),
         (lambda: best_greedy_family(coins2(), Caps(family_sets=8)), "family_sets", 8, 9,
          "candidate family lattice 2^4 exceeds cap 8"),
@@ -108,7 +108,8 @@ def _composed(caps):
 # Each entry point that takes `caps`, with every cap it checks or forwards
 # and the count it needs: coins2 has 4 scenarios, 9 probing states and a
 # 2^4 family lattice; table1(1/2) has 6 probing states and 3 policy
-# candidate sets.  Rows are keyed by a fixed number, which names
+# candidate sets, and its grid at step 1/2 holds 9 menus' lanes at each of
+# those 6 states.  Rows are keyed by a fixed number, which names
 # the test case, so removing a row renames no other case.
 FORWARDING = {
     0: (lambda caps: enumerate_scenarios(coins2(), caps), "scenarios", 4),
@@ -134,7 +135,7 @@ FORWARDING = {
     19: (
         lambda caps: search_two_lottery_menus(table1(HALF), HALF, MODE, caps),
         "dp_states",
-        6,
+        54,
     ),
     20: (
         lambda caps: materialize_policy(coins2(), ThresholdPolicy(Fraction(1)), caps),

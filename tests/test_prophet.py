@@ -52,6 +52,12 @@ from literal_prophet import (
 )
 
 
+def accepts(family, pairs):
+    """Whether the gambler may hold `pairs`: each a pair of the family's
+    ground, together a feasible set of it."""
+    return pairs <= family.ground and family.is_feasible(pairs)
+
+
 def test_median_threshold_two_fair_coins():
     inst = coins2()
     # max distribution: P[max>=1] = 3/4, P[max<=1] = 1
@@ -171,13 +177,11 @@ def test_tuned_threshold_builds_only_the_winning_family(monkeypatch):
 def test_threshold_family_membership():
     inst = table1(Fraction(1, 4))
     family = threshold_family(inst, Fraction(1))
-    assert family.accepts(frozenset({("1", Fraction(4))}))
-    assert family.accepts(frozenset({("2", Fraction(1))}))
-    assert not family.accepts(frozenset({("1", Fraction(0))}))
-    assert not family.accepts(
-        frozenset({("1", Fraction(4)), ("2", Fraction(1))})
-    )
-    assert family.accepts(frozenset())
+    assert accepts(family, frozenset({("1", Fraction(4))}))
+    assert accepts(family, frozenset({("2", Fraction(1))}))
+    assert not accepts(family, frozenset({("1", Fraction(0))}))
+    assert not accepts(family, frozenset({("1", Fraction(4)), ("2", Fraction(1))}))
+    assert accepts(family, frozenset())
 
 
 def test_gambler_two_fair_coins_exact():
@@ -242,7 +246,7 @@ def literal_gambler_value(instance, family):
         accepted, total = frozenset(), Fraction(0)
         for e in order:
             candidate = accepted | {(e, realized[e])}
-            if family.accepts(candidate):
+            if accepts(family, candidate):
                 accepted, total = candidate, total + realized[e]
         return total
 
@@ -399,7 +403,7 @@ def test_symmetric_scenarios_give_symmetric_gambler_values():
         for order in itertools.permutations(inst.elements):
             taken = Fraction(0)
             for e in order:
-                if family.accepts(frozenset({(e, values[e])})):
+                if accepts(family, frozenset({(e, values[e])})):
                     taken = values[e]
                     break
             best = taken if best is None else min(best, taken)
@@ -457,7 +461,8 @@ def _refuse(*args, **kwargs):
 def test_orderings_cap_refuses_before_enumerating_scenarios(monkeypatch):
     # No cap bounds orderings, which the closed form never enumerates.  3^12
     # scenarios are within the scenarios cap; the 4^12 states of the
-    # free-outer graph are not, and are refused before any move is asked for
+    # free-outer graph are not, and are refused, with that count, before any
+    # move is asked for
     inst = _three_atom_instance(12, lambda ground: UniformSystem(ground, 1))
     family = threshold_family(inst, Fraction(1))
     monkeypatch.setattr(FreeSystem, "mask_test", _refuse)
@@ -467,7 +472,7 @@ def test_orderings_cap_refuses_before_enumerating_scenarios(monkeypatch):
     assert (err.value.cap, err.value.limit, err.value.reached) == (
         "dp_states",
         10**6,
-        10**6 + 1,
+        4**12,
     )
     # the scenarios cap is still checked first
     with pytest.raises(CapacityError) as err:

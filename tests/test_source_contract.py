@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from delegation_lab.errors import CapacityError
-from delegation_lab.instances import UtilityAtom, make_instance
+from delegation_lab.instances import UtilityAtom, make_instance, table1
+from delegation_lab.lottery import search_two_lottery_menus
 from delegation_lab.oracle import exact_delegation_gap
 from delegation_lab.probing import ProbingGraph, optimal_adaptive_value
 from delegation_lab.prophet import best_greedy_family, scenario_table
@@ -276,9 +277,10 @@ def _class_dispatches(function):
 
 
 def test_every_policy_kind_states_its_compile_and_no_compile_forks_on_kind():
-    # each policy kind compiles itself (`accepted_proposals`), and no path
-    # that compiles or evaluates a policy asks its class; only the JSON
-    # writer and the member validation, which read one kind's fields, do
+    # the base compile asks `accepts`; only a greedy family states its own
+    # compile (`accepted_proposals`, by its masks), and no path that compiles
+    # or evaluates a policy asks its class; only the JSON writer and the
+    # member validation, which read one kind's fields, do
     tree = _tree(SOURCE / "delegation.py")
     kinds = [
         node.name
@@ -289,7 +291,7 @@ def test_every_policy_kind_states_its_compile_and_no_compile_forks_on_kind():
             for item in node.body
         )
     ]
-    assert kinds == ["Policy", "ExplicitPolicy", "ThresholdPolicy", "GreedyFamilyPolicy"]
+    assert kinds == ["Policy", "GreedyFamilyPolicy"]
     compiling = {"accepted_proposals", "policy_offers", "materialize_policy", "evaluate_policy"}
     functions = [
         node
@@ -298,6 +300,22 @@ def test_every_policy_kind_states_its_compile_and_no_compile_forks_on_kind():
     ]
     assert {f.name for f in functions} == compiling
     assert [d for f in functions for d in _class_dispatches(f)] == []
+
+
+def test_one_class_holds_a_downward_closed_family_as_its_maximal_sets():
+    # `ExplicitSystem` is the library's one antichain type: a gambler's
+    # greedy family is an explicit system over (element, x) pairs
+    holders = [
+        (path.stem, node.name)
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.AnnAssign) and ast.unparse(item.target) == "maximal"
+            for item in node.body
+        )
+    ]
+    assert holders == [("set_systems", "ExplicitSystem")]
 
 
 def test_only_probing_decodes_a_lane_key():
@@ -382,6 +400,13 @@ REFUSALS = {
     # a lattice of 2^(4^40 - 1) families
     ("prophet", "best_greedy_family"): [
         ("family_sets", lambda: best_greedy_family(_instance(40))),
+    ],
+    # (10^6 + 1)^2 grid menus' lanes at each of 6 states
+    ("lottery", "search_two_lottery_menus"): [
+        (
+            "dp_states",
+            lambda: search_two_lottery_menus(table1(Fraction(1, 2)), Fraction(1, 10**6)),
+        ),
     ],
 }
 
