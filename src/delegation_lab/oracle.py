@@ -25,6 +25,8 @@ class GapReport:
     best_policy: Policy
     alpha_star: Fraction
     policies_enumerated: int
+    principal_value: Fraction
+    benchmark_value: Fraction
 
 
 def exact_delegation_gap(
@@ -80,5 +82,5 @@ def exact_delegation_gap(
         if principal > best[0]:
             best = (principal, base + i)
     policy = ExplicitPolicy(frozenset(t for i, (t, *_) in enumerate(rows) if best[1] >> i & 1))
-    value = Fraction(best[0], graph.outcome_unit * scale)
-    return GapReport(policy, benchmark_ratio(value, graph.adaptive.expected_value), 2 ** count)
+    value, benchmark = Fraction(best[0], graph.outcome_unit * scale), graph.adaptive.expected_value
+    return GapReport(policy, benchmark_ratio(value, benchmark), 2**count, value, benchmark)

@@ -231,7 +231,8 @@ def best_greedy_family(
     checked against `caps.family_sets` before any candidate set is built.
     The count's walk (`lattice`) stops past the cap's bit length, so a
     refusal expands O(log cap) element sets; when a set it met extends to
-    one it did not, the count is a lower bound ("at least 2^c").
+    one it did not, the count is a lower bound ("at least 2^c"); the
+    refusal's `reached` is 2^c.
     """
     # len(candidate_pair_sets(instance)) + 1: the walk of the inner test over
     # each element's distinct x values; 2^count > cap without building 2^count
@@ -248,7 +249,7 @@ def best_greedy_family(
             f"candidate family lattice {at_least}2^{count} exceeds cap {caps.family_sets}",
             "family_sets",
             caps.family_sets,
-            caps.family_sets + 1,
+            2**count,
         )
     candidates = candidate_pair_sets(instance, caps)
     index = {c: i for i, c in enumerate(candidates)}

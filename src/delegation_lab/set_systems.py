@@ -124,7 +124,7 @@ class PartitionSystem(SetSystem):
         return PartitionSystem(s, tuple(blocks), tuple(caps))
 
 
-def _antichain(sets: Iterable[frozenset]) -> frozenset[frozenset]:
+def _antichain(sets: Iterable[Iterable[str]]) -> frozenset[frozenset]:
     """The maximal members of a family of sets."""
     pool = {frozenset(s) for s in sets}
     top = max(map(len, pool), default=0)  # no largest member lies within another
@@ -134,18 +134,18 @@ def _antichain(sets: Iterable[frozenset]) -> frozenset[frozenset]:
 @dataclass(frozen=True)
 class ExplicitSystem(SetSystem):
     """Downward closure of an explicit antichain of maximal feasible sets;
-    an empty antichain leaves only the empty set."""
+    an empty antichain leaves only the empty set.  `maximal` may be given as
+    any generating family: it is reduced to its maximal members when built."""
 
     ground: frozenset[str]
     maximal: frozenset[frozenset[str]]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "maximal", _antichain(self.maximal))
         for s in self.maximal:
             extra = s - self.ground
             if extra:
                 raise ValueError(f"maximal set outside ground: {sorted(extra)}")
-        if self.maximal != _antichain(self.maximal):
-            raise ValueError("maximal sets must form an antichain")
 
     def mask_test(self, order: Sequence[str]) -> Callable[[int], bool]:
         maximal = [_mask(m, order) for m in self.maximal]
@@ -153,7 +153,7 @@ class ExplicitSystem(SetSystem):
 
     def restrict(self, subset: Iterable[str]) -> "ExplicitSystem":
         s = self._check_restriction(subset)
-        return ExplicitSystem(s, _antichain(m & s for m in self.maximal))
+        return ExplicitSystem(s, (m & s for m in self.maximal))
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def explicit_system(
     ground: Iterable[str], feasible: Iterable[Iterable[str]]
 ) -> ExplicitSystem:
     """Build an explicit system from any generating family (closed downward)."""
-    return ExplicitSystem(frozenset(ground), _antichain(frozenset(s) for s in feasible))
+    return ExplicitSystem(frozenset(ground), feasible)
 
 
 def _subsets(ground: Iterable[str]) -> Iterator[frozenset[str]]:

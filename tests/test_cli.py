@@ -411,7 +411,8 @@ def test_gap_refuses_many_proposal_rows_before_building_one(tmp_path, capsys, mo
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     assert err == (
-        "capacity error: inner-feasible outcome sets exceed cap 20 (count reached 24)\n"
+        "capacity error: inner-feasible outcome sets exceed cap 20 (count reached 24)"
+        " [cap policy_sets=20]\n"
     )
 
 

@@ -63,6 +63,7 @@ from delegation_lab.set_systems import (
     IntersectionSystem,
     SetSystem,
     UniformSystem,
+    explicit_system,
     set_system_to_json,
 )
 
@@ -78,7 +79,7 @@ HALF = Fraction(1, 2)
          "inner-feasible outcome sets exceed cap 2 (count reached 3)"),
         (lambda: optimal_adaptive_value(table1(HALF), Caps(dp_states=2)), "dp_states", 2, 6,
          "probing DP exceeded 2 states"),
-        (lambda: best_greedy_family(coins2(), Caps(family_sets=8)), "family_sets", 8, 9,
+        (lambda: best_greedy_family(coins2(), Caps(family_sets=8)), "family_sets", 8, 16,
          "candidate family lattice 2^4 exceeds cap 8"),
     ],
 )
@@ -191,7 +192,7 @@ def test_the_cli_exits_3_when_the_compile_meets_the_state_cap(capsys):
     assert cli.run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "capacity error: probing DP exceeded 48 states\n"
+    assert captured.err == "capacity error: probing DP exceeded 48 states [cap dp_states=48]\n"
 
 
 A, AB = frozenset("a"), frozenset("ab")
@@ -412,12 +413,6 @@ REFUSALS = {
         "maximal set outside ground: ['b']",
         ["adaptivity", "--instance", MAXIMAL_OUTSIDE_GROUND],
     ),
-    "set_systems-antichain": (
-        lambda: ExplicitSystem(AB, frozenset({A, AB})),
-        ValueError,
-        "maximal sets must form an antichain",
-        None,
-    ),
     "set_systems-intersection-parts": (
         lambda: IntersectionSystem(A, ()),
         ValueError,
@@ -560,6 +555,12 @@ def test_input_refusals_name_what_is_wrong(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == PREFIXES.get(case, "error: ") + message
+
+
+def test_an_explicit_system_reduces_its_family_when_built():
+    # a member within another is reduced away when built, not refused
+    assert ExplicitSystem(AB, frozenset({A, AB})) == explicit_system(AB, [A, AB])
+    assert ExplicitSystem(AB, frozenset({A, AB})).maximal == {AB}
 
 
 def _library_modules():

@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delegation_lab import delegation as delegation_module
 from delegation_lab import oracle as oracle_module
@@ -25,7 +27,7 @@ from delegation_lab.instances import (
     table2,
 )
 from delegation_lab.oracle import exact_delegation_gap
-from delegation_lab.probing import probing_graph, probing_pass
+from delegation_lab.probing import optimal_adaptive_value, probing_graph, probing_pass
 from delegation_lab.prophet import samuel_cahn_threshold, threshold_family
 from delegation_lab.random_instances import random_free_outer_instance, random_tiny_instance
 from delegation_lab.set_systems import (
@@ -112,6 +114,17 @@ def test_best_policy_alpha_matches_alpha_star():
     report = exact_delegation_gap(inst)
     evaluation = evaluate_policy(inst, report.best_policy)
     assert evaluation.alpha == report.alpha_star
+
+
+@pytest.mark.parametrize("mode", list(TieBreak))
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32))
+def test_gap_reports_its_principal_and_benchmark_values(mode, seed):
+    inst = random_tiny_instance(random.Random(seed))
+    report = exact_delegation_gap(inst, mode)
+    assert report.principal_value == report.alpha_star * report.benchmark_value
+    assert report.benchmark_value == optimal_adaptive_value(inst).expected_value
+    assert report.principal_value == evaluate_policy(inst, report.best_policy, mode).principal_value
 
 
 def test_oracle_dominates_constructive_policies():

@@ -601,7 +601,7 @@ def test_family_cap_refuses_before_building_candidate_sets(monkeypatch):
     assert (err.value.cap, err.value.limit, err.value.reached) == (
         "family_sets",
         10**6,
-        10**6 + 1,
+        2**24,
     )
 
 
@@ -616,14 +616,14 @@ def test_family_cap_refuses_forty_free_elements_quickly():
 
 
 def test_family_cap_refusal_is_quick_and_printable():
-    # a 2^65535 lattice: neither built nor kept as `reached`, which would be
-    # too long for str()
+    # a 2^65535 lattice: neither built nor kept as `reached` (the walk's
+    # lower bound 2^24), which would be too long for str()
     inst = _three_atom_instance(8, FreeSystem)
     start = time.perf_counter()
     with pytest.raises(CapacityError) as err:
         best_greedy_family(inst)
     assert time.perf_counter() - start < 1
-    assert str(err.value.reached) == "1000001"
+    assert str(err.value.reached) == "16777216"
 
 
 def _random_partition(rng, ground):

@@ -332,6 +332,46 @@ def test_the_oracle_reads_alpha_star_off_its_sweep():
     assert names & {"policy_offers", "agent_probe_values", "solve_probing"} == set()
 
 
+def _written_keys(tree, keys):
+    """(enclosing function, key) of every one of `keys` written as a string
+    key of a dict display or stored by subscript."""
+    found = []
+
+    def visit(node, function):
+        written = []
+        if isinstance(node, ast.Dict):
+            written = [getattr(k, "value", None) for k in node.keys]
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            written = [getattr(node.slice, "value", None)]
+        found.extend((function, k) for k in written if k in keys)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_cli_states_its_report_frame_once():
+    # handlers return their own fields and (command, value, alpha) rows; the
+    # frame (`_report`) writes every header and CSV row (the only rational
+    # split outside `_rational`), the emitter (`_emit`, through `_rendered`)
+    # renders every rational, and only `adaptivity` asks for the adaptive
+    # optimum (the gap's benchmark is read off its `GapReport`)
+    tree = _tree(SOURCE / "cli.py")
+    assert _uses(tree, {"_rational"}) == [("_rendered", "_rational")]
+    assert {f for f, _ in _uses(tree, {"_rendered"})} == {"_emit", "_rendered"}
+    assert {f for f, _ in _uses(tree, {"numerator", "denominator"})} == {"_rational", "_report"}
+    assert sorted(set(_written_keys(tree, {"command", "tie_break"}))) == [
+        ("_report", "command"),
+        ("_report", "tie_break"),
+    ]
+    assert _uses(tree, {"optimal_adaptive_value"}) == [
+        ("_cmd_adaptivity", "optimal_adaptive_value")
+    ]
+
+
 def _called_name(expr):
     """The plain name `expr` calls, if it is a call of one."""
     if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
