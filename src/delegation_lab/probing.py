@@ -7,11 +7,12 @@ its scale and its outer-feasible moves, each (element, first successor,
 stride, gap) to later states.  `solve_probing` values each state by a stop
 rule, one integer (agent, principal) pair per state, in one backward pass
 (`probing_pass`) of integer keys; `Lanes` packs many rules into one pass.
-The non-delegated benchmark `optimal_adaptive_value` stops with (u, 0), u
-the best inner-feasible observed total; the delegated agent stops with its
-proposal (`delegation`, `lottery`).  `best_nonadaptive_set` scores every
-probed set of the same graph, which are exactly the outer-feasible probe
-sets; the ratio of the two is the measured adaptivity gap for the instance.
+The delegated agent stops with its proposal (`delegation`, `lottery`).  The
+non-delegated benchmark `optimal_adaptive_value` stops with u, the best
+inner-feasible observed total, which only grows: probing more never hurts
+(`ProbingGraph.adaptive`).  So the benchmark is the prophet's E[u] wherever
+the outer constraint admits every element, and `best_nonadaptive_set` scores
+only the maximal outer-feasible sets, the graph's terminal blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, Caps
 from .instances import Instance, Outcome, known_elements
-from .set_systems import FreeSystem, max_weight_feasible
+from .set_systems import max_weight_feasible
 
 # An (agent value, principal value) pair.
 ValuePair = tuple[Fraction, Fraction]
@@ -196,16 +197,19 @@ class ProbingGraph:
 
     @functools.cached_property
     def adaptive(self) -> AdaptiveValueReport:
-        """The optimal adaptive non-delegated strategy, solved once per graph.
-
+        """The optimal adaptive non-delegated strategy, solved once per graph:
         V(state) = max(u(observed), max over feasible next probes of the
-        expected successor value): `solve_probing` with stop value (u, 0), whose
-        key is u itself under lexicographic ties.
-        """
-        stops = [(u, 0) for u in self.observed_values]
-        (value, _), _ = solve_probing(
-            self, stops, TieBreak.LEXICOGRAPHIC, self.outcome_unit
-        )
+        expected successor value), `solve_probing` with stop value (u, 0), whose
+        key is u itself under lexicographic ties.  Probing more never hurts: u
+        only grows with what is observed (x >= 0), so no strategy's expected u
+        passes E[u of every element], which probing every element attains; so
+        where the last block probes every element (`full_probes`), V(root) is
+        `prophet`, read with no pass."""
+        if self.full_probes:
+            value = Fraction(self.prophet, self.outcome_unit * self.scale)
+        else:
+            stops = [(u, 0) for u in self.observed_values]
+            (value, _), _ = solve_probing(self, stops, TieBreak.LEXICOGRAPHIC, self.outcome_unit)
         return AdaptiveValueReport(value, len(self))
 
     @functools.cached_property
@@ -221,8 +225,8 @@ class ProbingGraph:
 
     @functools.cached_property
     def prophet(self) -> int:
-        """Sum of weight * u over `full_probes`: under a free outer constraint,
-        the prophet's expected total over `outcome_unit` * `scale`."""
+        """Sum of weight * u over `full_probes`, over `outcome_unit` * `scale`:
+        the prophet's expected total, and `adaptive`'s wherever rows exist."""
         return sum(weight * u for weight, _, u in self.full_probes)
 
     @functools.cached_property
@@ -290,15 +294,15 @@ def probing_graph(instance: Instance, state_cap: int) -> ProbingGraph:
 
     The probed sets are the `lattice` of the outer mask test over the atom
     counts k_e, each set P's block its count of states and its moves; past
-    the cap the walk refuses before any state is built (a free outer
-    constraint, of prod(k_e + 1) states, before the walk).  P's states and
-    scale extend those of the block of P minus its top element.
+    the cap the walk refuses before any state is built (an outer constraint
+    that admits every element, of prod(k_e + 1) states, before the walk).
+    P's states and scale extend those of the block of P minus its top element.
     """
     elements, sizes = instance.elements, [len(support) for support in instance.atoms]
-    states = math.prod(k + 1 for k in sizes)  # under a free outer constraint
-    if isinstance(instance.outer, FreeSystem) and states > state_cap:
+    feasible, states = instance.outer.mask_test(elements), math.prod(k + 1 for k in sizes)
+    if states > state_cap and feasible((1 << len(elements)) - 1):
         raise _too_many_states(state_cap, states)
-    walk = list(lattice(sizes, instance.outer.mask_test(elements), state_cap))
+    walk = list(lattice(sizes, feasible, state_cap))
     if walk[-1][3] > state_cap:
         raise _too_many_states(state_cap, walk[-1][3])
     denominators, atom_weights = instance.integer_probs
@@ -507,19 +511,19 @@ def best_nonadaptive_set(
 ) -> NonAdaptiveReport:
     """Exhaustive best fixed probe set and its ratio to the adaptive optimum.
 
-    The graph's distinct probed sets are exactly the outer-feasible sets, the
-    outer constraint being downward closed, so no walk of the outer
-    constraint is needed.  A set F scores the sum, over the states of its
-    block, of weight times u: the `nonadaptive_value` of F over a
-    denominator shared by every set.  Ties prefer larger sets
-    (probing more never hurts), then the smallest sorted id tuple.  No
-    product support is built: only `caps.dp_states` bounds the work.
+    Terminal blocks only: the graph's blocks without moves are exactly the
+    maximal outer-feasible sets, and no set scores above its supersets
+    (probing more never hurts, `ProbingGraph.adaptive`).  A set F scores the
+    sum, over the states of its block, of weight times u: the
+    `nonadaptive_value` of F over a denominator shared by every set.  Ties
+    prefer larger sets, then the smallest sorted id tuple.  No product
+    support is built: only `caps.dp_states` bounds the work.
     """
     graph = probing_graph(instance, caps.dp_states)
     weights, u = graph.weights, graph.observed_values
     scores = [
         (sum(map(mul, weights[first : first + count], u[first : first + count])), probed)
-        for first, count, probed, _, _ in graph.set_blocks
+        for first, count, probed, _, moves in graph.set_blocks if not moves
     ]
     top = max((score, probed.bit_count()) for score, probed in scores)
     tied = [probed for score, probed in scores if (score, probed.bit_count()) == top]

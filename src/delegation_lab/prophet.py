@@ -118,15 +118,15 @@ def _free_outer(instance: Instance) -> Instance:
 
 
 def scenario_table(instance: Instance, caps: Caps = Caps()) -> ProbingGraph:
-    """The free-outer probing graph of `instance`, whose full-probe states
-    are its scenarios (module docstring).
+    """The free-outer probing graph of `instance` (its own where its outer
+    constraint admits every element), whose full-probe states are its scenarios.
 
     Shared, with its scenario rows, by every family scored on one instance.
     `caps.scenarios` bounds those rows and is checked before the compile,
     which `caps.dp_states` bounds.
     """
     check_scenario_cap(instance, caps)
-    if not isinstance(instance.outer, FreeSystem):
+    if not isinstance(instance.outer, FreeSystem) and not instance.outer.is_feasible(instance.elements):
         instance = _free_outer(instance)
     return probing_graph(instance, caps.dp_states)
 

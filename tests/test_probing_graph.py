@@ -47,6 +47,7 @@ from delegation_lab.lottery import (
 )
 from delegation_lab import probing
 from delegation_lab.probing import (
+    AdaptiveValueReport,
     _observed_value,
     best_nonadaptive_set,
     lattice,
@@ -245,6 +246,47 @@ def test_adaptive_u_matches_the_literal_dp(instance, mode):
     assert solve_probing(graph, zero_stops, TieBreak.LEXICOGRAPHIC)[1] == actions
 
 
+@st.composite
+def ground_admitting_outers(draw, ids):
+    """Outer constraints that admit every element: free, uniform with k >= n,
+    partition with caps at least the block sizes, explicit with the ground
+    set as a member."""
+    ground = frozenset(ids)
+    kind = draw(st.sampled_from(["free", "uniform", "partition", "explicit"]))
+    if kind == "free":
+        return FreeSystem(ground)
+    if kind == "uniform":
+        return UniformSystem(ground, draw(st.integers(len(ids), len(ids) + 2)))
+    if kind == "partition":
+        blocks = draw(partitions(ids)).blocks
+        caps = tuple(len(b) + draw(st.integers(0, 1)) for b in blocks)
+        return PartitionSystem(ground, blocks, caps)
+    members = draw(st.lists(st.sets(st.sampled_from(ids)), max_size=3))
+    return explicit_system(ground, [ground, *members])
+
+
+def _literal_benchmark(instance):
+    """The literal DP's root value with (u, 0) stops, lexicographic ties."""
+    (value, _), _ = literal_solve(
+        instance, lambda state: (_observed_value(instance, zip(*state)), 0), TieBreak.LEXICOGRAPHIC
+    )
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), instances())
+def test_adaptive_is_the_prophet_where_the_outer_constraint_admits_every_element(data, base):
+    # probing more never hurts: the closed form equals the DP it replaces
+    outer = data.draw(ground_admitting_outers(list(base.elements)))
+    instance = dataclasses.replace(base, outer=outer)
+    graph = probing_graph(instance, Caps.dp_states)
+    assert graph.full_probes
+    stops = [(u, 0) for u in graph.observed_values]
+    (value, _), _ = solve_probing(graph, stops, TieBreak.LEXICOGRAPHIC, graph.outcome_unit)
+    assert graph.adaptive.expected_value == value == _literal_benchmark(instance)
+    assert graph.adaptive.state_count == len(graph)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data(), instances())
 def test_graph_u_matches_the_max_weight_search(data, base):
@@ -439,6 +481,59 @@ def test_constrained_states_are_capped_before_any_state_is_built(outer, count, m
         optimal_adaptive_value(inst, Caps(dp_states=count - 1))
     assert str(err.value) == f"probing DP exceeded {count - 1} states"
     assert (err.value.cap, err.value.limit, err.value.reached) == ("dp_states", count - 1, count)
+
+
+def _no_pass(*args, **kwargs):
+    raise AssertionError("a probing pass ran")
+
+
+def _two_three_two(outer):
+    """e1, e2, e3 of 2, 3, 2 atoms, x = 1, 3, 5, ... under `outer`, 1-uniform inner."""
+    sizes = {"e1": 2, "e2": 3, "e3": 2}
+    dists = {
+        e: [UtilityAtom(Fraction(2 * i + 1), Fraction(i), Fraction(1, k)) for i in range(k)]
+        for e, k in sizes.items()
+    }
+    return make_instance(list(sizes), dists, outer, UniformSystem(GROUND, 1))
+
+
+HALVES = (frozenset({"e1", "e2"}), frozenset({"e3"}))
+# outer constraints that admit every element of GROUND
+ADMITTING = [
+    FreeSystem(GROUND),
+    UniformSystem(GROUND, 3),
+    PartitionSystem(GROUND, HALVES, (2, 1)),
+    explicit_system(GROUND, [GROUND]),
+]
+
+
+def test_the_benchmark_runs_no_pass_where_every_element_is_probed(monkeypatch):
+    # a graph whose last block probes every element reads its benchmark off
+    # the scenario rows; under a rank-1 outer constraint the pass still runs.
+    # Each graph is compiled afresh, uncached
+    expected = {outer: _literal_benchmark(_two_three_two(outer)) for outer in ADMITTING}
+    rank_one = _two_three_two(UniformSystem(GROUND, 1))
+    rank_one_value = _literal_benchmark(rank_one)
+    assert rank_one_value < expected[FreeSystem(GROUND)]
+    monkeypatch.setattr(probing, "probing_pass", _no_pass)
+    for outer, value in expected.items():
+        graph = probing_graph.__wrapped__(_two_three_two(outer), Caps.dp_states)
+        assert graph.adaptive == AdaptiveValueReport(value, 36)
+    with pytest.raises(AssertionError, match="a probing pass ran"):
+        probing_graph.__wrapped__(rank_one, Caps.dp_states).adaptive
+    monkeypatch.undo()
+    graph = probing_graph.__wrapped__(rank_one, Caps.dp_states)
+    assert graph.adaptive == AdaptiveValueReport(rank_one_value, 1 + 7)
+
+
+@pytest.mark.parametrize("outer", ADMITTING[1:])
+def test_an_outer_constraint_admitting_every_element_refuses_before_the_walk(outer, monkeypatch):
+    # the pre-walk refusal asks the outer mask test of the full mask alone,
+    # whatever the outer kind: prod(k_e + 1) = 36 states, with no walk
+    monkeypatch.setattr(probing, "lattice", _refuse)
+    with pytest.raises(CapacityError) as err:
+        optimal_adaptive_value(_two_three_two(outer), Caps(dp_states=35))
+    assert (err.value.cap, err.value.limit, err.value.reached) == ("dp_states", 35, 36)
 
 
 KINDS = ("free", "uniform", "partition", "explicit", "intersection")

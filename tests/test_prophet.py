@@ -18,7 +18,7 @@ from delegation_lab.instances import (
     realizable_inner_sets,
     table1,
 )
-from delegation_lab.probing import optimal_adaptive_value
+from delegation_lab.probing import optimal_adaptive_value, probing_graph
 from delegation_lab.prophet import (
     best_greedy_family,
     candidate_pair_sets,
@@ -458,14 +458,21 @@ def _refuse(*args, **kwargs):
     raise AssertionError("materialized before the cap was checked")
 
 
+def _full_mask_only(system, order):
+    """A mask test that answers the full mask alone: the pre-walk refusal's
+    one question; any other mask is a move asked before the cap."""
+    full = (1 << len(order)) - 1
+    return lambda m: True if m == full else _refuse()
+
+
 def test_orderings_cap_refuses_before_enumerating_scenarios(monkeypatch):
     # No cap bounds orderings, which the closed form never enumerates.  3^12
     # scenarios are within the scenarios cap; the 4^12 states of the
     # free-outer graph are not, and are refused, with that count, before any
-    # move is asked for
+    # move is asked for: the full mask is the one mask asked
     inst = _three_atom_instance(12, lambda ground: UniformSystem(ground, 1))
     family = threshold_family(inst, Fraction(1))
-    monkeypatch.setattr(FreeSystem, "mask_test", _refuse)
+    monkeypatch.setattr(FreeSystem, "mask_test", _full_mask_only)
     with pytest.raises(CapacityError) as err:
         evaluate_vs_almighty(inst, family)
     assert str(err.value) == f"probing DP exceeded {10**6} states"
@@ -489,8 +496,9 @@ def test_free_graph_states_are_capped_before_the_compile(monkeypatch):
     assert evaluate_vs_almighty(inst, family, replace(caps, dp_states=64)) == (
         evaluate_vs_almighty(inst, family)
     )
-    # refused from the state count: not even the root's moves are asked for
-    monkeypatch.setattr(FreeSystem, "mask_test", _refuse)
+    # refused from the state count and the full mask: not even the root's
+    # moves are asked for
+    monkeypatch.setattr(FreeSystem, "mask_test", _full_mask_only)
     constrained = replace(inst, outer=UniformSystem(inst.outer.ground, 1))
     for instance in (inst, constrained):  # the latter's free-outer graph
         with pytest.raises(CapacityError) as err:
@@ -537,6 +545,27 @@ def test_a_constrained_outer_is_restricted_once_per_instance(monkeypatch):
     assert reports == [
         evaluate_vs_almighty(free, random_greedy_family(rng, free)) for _ in range(10)
     ]
+
+
+def test_an_outer_constraint_admitting_every_element_keeps_the_instances_graph(monkeypatch):
+    # uniform with k = n, partition with caps at the block sizes, explicit
+    # with the ground set: the scenario table is the instance's own graph,
+    # no restricted copy is built, and the scores are the free-outer ones
+    prophet_module = importlib.import_module("delegation_lab.prophet")
+    inst = _three_atom_instance(3, lambda ground: UniformSystem(ground, 1))
+    ground = inst.outer.ground
+    family = threshold_family(inst, Fraction(1))
+    expected = evaluate_vs_almighty(inst, family)
+    monkeypatch.setattr(prophet_module, "restrict_instance", _refuse)
+    halves = (frozenset({"e0", "e1"}), frozenset({"e2"}))
+    for outer in (
+        UniformSystem(ground, 3),
+        PartitionSystem(ground, halves, (2, 1)),
+        explicit_system(ground, [ground]),
+    ):
+        admitting = replace(inst, outer=outer)
+        assert scenario_table(admitting) is probing_graph(admitting, Caps().dp_states)
+        assert evaluate_vs_almighty(admitting, family) == expected
 
 
 def test_best_family_scores_exactly_the_downward_closed_families(monkeypatch):

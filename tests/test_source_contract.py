@@ -116,6 +116,7 @@ REFERENCE_ONLY = {
     "agent_best_response",
     "agent_lottery_choice",
     "expected_values",
+    "prefer",
 }
 
 
@@ -426,10 +427,10 @@ REFUSALS = {
     ("probing", "probing_graph"): [
         # 4^40 free-outer states, refused before the walk
         ("dp_states", lambda: optimal_adaptive_value(_instance(40))),
-        # as many states under an outer constraint the walk must ask
+        # nearly as many states under an outer constraint the walk must ask
         (
             "dp_states",
-            lambda: optimal_adaptive_value(_instance(40, lambda g: UniformSystem(g, 40))),
+            lambda: optimal_adaptive_value(_instance(40, lambda g: UniformSystem(g, 39))),
         ),
     ],
     # 4^40 - 1 proposal rows against a cap of 20, counted before any state
