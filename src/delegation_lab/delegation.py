@@ -164,38 +164,27 @@ def agent_best_response(
 ) -> frozenset[Outcome]:
     """The agent's proposal from probed outcomes: argmax y, ties per mode.
 
-    Candidates are the acceptable inner-feasible subsets of the probed
-    outcomes plus the empty proposal, which is always available and worth
-    zero to both parties.  They are walked in canonical order (by size,
-    then outcome keys) and replace the incumbent only when `prefer` says
-    so, which resolves remaining ties to the canonically smallest set.
-
-    Outcomes not inner-feasible alone (unknown element, off-support, or an
-    element infeasible alone) are dropped first: inner constraints are
-    downward closed, so no candidate holds one.  Subsets must have distinct,
-    inner-feasible elements before the policy is asked.
+    Candidates are the combinations of the probed outcomes that
+    `is_inner_feasible_outcome_set` accepts (the rule every outcome set is
+    checked by) and `policy` accepts, plus the empty proposal, which is
+    always available and worth zero to both parties.  They are walked in
+    canonical order (by size, then outcome keys) and replace the incumbent
+    only when `prefer` says so, which resolves remaining ties to the
+    canonically smallest set.
 
     Evaluations scan `policy_offers` instead; this walk is their test
     reference, and the benchmark's tracer wraps it by name.
     """
     best = frozenset()
     best_pair = (Fraction(0), Fraction(0))
-    ordered = [
-        o
-        for o in sorted(probed, key=Outcome.key)
-        if is_inner_feasible_outcome_set(instance, [o])
-    ]
+    ordered = sorted(probed, key=Outcome.key)
     for r in range(1, len(ordered) + 1):
         for combo in itertools.combinations(ordered, r):
-            elements = {o.element for o in combo}
-            if len(elements) != r or not instance.inner.is_feasible(elements):
-                continue
             subset = frozenset(combo)
-            if not policy.accepts(subset):
-                continue
-            pair = outcome_totals(subset)
-            if prefer(pair, best_pair, mode):
-                best, best_pair = subset, pair
+            if is_inner_feasible_outcome_set(instance, combo) and policy.accepts(subset):
+                pair = outcome_totals(subset)
+                if prefer(pair, best_pair, mode):
+                    best, best_pair = subset, pair
     return best
 
 

@@ -253,9 +253,8 @@ class ProbingGraph:
 
 
 def _too_many_states(state_cap: int, reached: int) -> CapacityError:
-    return CapacityError(
-        f"probing DP exceeded {state_cap} states", "dp_states", state_cap, reached
-    )
+    text = f"probing DP states exceed cap {state_cap} (count reached {reached})"
+    return CapacityError(text, "dp_states", state_cap, reached)
 
 
 def lattice(

@@ -216,34 +216,15 @@ def _checked_weights(
 def max_weight_feasible(
     system: SetSystem, weights: Mapping[str, Fraction | int]
 ) -> tuple[frozenset[str], Fraction]:
-    """A maximum-weight feasible set and its weight.
-
-    Uniform, partition and free systems are matroids, so the greedy rule
-    (weight descending, element id ascending) is exact; an explicit system's
-    optimum is the positive part of a maximal set; intersection systems fall
-    back to exhaustive search.  Zero-weight elements are never included, and
-    ties between optimal sets resolve to the smallest sorted id tuple.
-    """
+    """A maximum-weight feasible set and its weight, by exhaustive search:
+    every feasible set of positive-weight elements is scored, so zero-weight
+    elements are never included, and ties between optimal sets resolve to
+    the smallest sorted id tuple."""
     w = _checked_weights(system, weights)
     positive = [e for e in system.ground if w[e] > 0]
-    if isinstance(system, (UniformSystem, PartitionSystem, FreeSystem)):
-        chosen: set[str] = set()
-        for e in sorted(positive, key=lambda e: (-w[e], e)):
-            if system.is_feasible(chosen | {e}):
-                chosen.add(e)
-        value = sum((w[e] for e in chosen), Fraction(0))
-        return frozenset(chosen), value
-    if isinstance(system, ExplicitSystem):
-        candidates = (m.intersection(positive) for m in system.maximal)
-    else:
-        candidates = (s for s in _subsets(positive) if system.is_feasible(s))
-    best_set: frozenset[str] = frozenset()
-    best_value = Fraction(0)
-    for s in candidates:
-        value = sum((w[e] for e in s), Fraction(0))
-        if value > best_value or (value == best_value and sorted(s) < sorted(best_set)):
-            best_set, best_value = s, value
-    return best_set, best_value
+    feasible = (s for s in _subsets(positive) if system.is_feasible(s))
+    best = min(feasible, key=lambda s: (-sum(w[e] for e in s), sorted(s)))
+    return best, sum((w[e] for e in best), Fraction(0))
 
 
 def set_system_to_json(system: SetSystem) -> dict:

@@ -5,15 +5,15 @@ import json
 import re
 import shlex
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from delegation_lab import instances, probing
+from delegation_lab import cli, instances, probing
 from delegation_lab.cli import Caps, argument_parser, run
-from delegation_lab.instances import instance_to_json, table2
+from delegation_lab.instances import instance_to_json, load_instance, table2
 from delegation_lab.prophet import scenario_table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +79,27 @@ def test_reproduce_cor_half_small_run(capsys):
     report = json.loads(out)
     assert report["all_at_least_half"] is True
     assert Fraction(report["min_alpha"]["num"], report["min_alpha"]["den"]) >= Fraction(1, 2)
+
+
+def test_cor_half_reports_each_failure_with_its_instance(capsys, monkeypatch):
+    # the seeded draw never fails (with y > 0 under a free outer constraint
+    # the tuned threshold's alpha is at least 1/2), so every evaluation is
+    # read as 1/3: each draw is then a failure, reported with its instance
+    drawn = []
+    evaluate = cli.evaluate_policy
+
+    def one_third(instance, *args):
+        drawn.append(instance)
+        return replace(evaluate(instance, *args), alpha=Fraction(1, 3))
+
+    monkeypatch.setattr(cli, "evaluate_policy", one_third)
+    code, out, _ = run_cli(capsys, "reproduce", "cor-half", "--count", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_at_least_half"] is False
+    assert Fraction(report["min_alpha"]["num"], report["min_alpha"]["den"]) == Fraction(1, 3)
+    assert [failure["index"] for failure in report["failures"]] == [0, 1]
+    assert [load_instance(failure["instance"]) for failure in report["failures"]] == drawn
 
 
 def test_prophet_check_coins(capsys):

@@ -78,7 +78,7 @@ HALF = Fraction(1, 2)
         (lambda: exact_delegation_gap(table1(HALF), caps=Caps(policy_sets=2)), "policy_sets", 2, 3,
          "inner-feasible outcome sets exceed cap 2 (count reached 3)"),
         (lambda: optimal_adaptive_value(table1(HALF), Caps(dp_states=2)), "dp_states", 2, 6,
-         "probing DP exceeded 2 states"),
+         "probing DP states exceed cap 2 (count reached 6)"),
         (lambda: best_greedy_family(coins2(), Caps(family_sets=8)), "family_sets", 8, 16,
          "candidate family lattice 2^4 exceeds cap 8"),
     ],
@@ -182,7 +182,7 @@ def test_the_state_cap_refuses_inside_the_compile():
     probing_graph.cache_clear()
     with pytest.raises(CapacityError) as err:
         optimal_adaptive_value(_matroid_outer(), Caps(dp_states=48))
-    assert str(err.value) == "probing DP exceeded 48 states"
+    assert str(err.value) == "probing DP states exceed cap 48 (count reached 49)"
     assert (err.value.cap, err.value.limit, err.value.reached) == ("dp_states", 48, 49)
 
 
@@ -192,7 +192,9 @@ def test_the_cli_exits_3_when_the_compile_meets_the_state_cap(capsys):
     assert cli.run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "capacity error: probing DP exceeded 48 states [cap dp_states=48]\n"
+    assert captured.err == (
+        "capacity error: probing DP states exceed cap 48 (count reached 49) [cap dp_states=48]\n"
+    )
 
 
 A, AB = frozenset("a"), frozenset("ab")

@@ -301,6 +301,51 @@ def test_graph_u_matches_the_max_weight_search(data, base):
         assert mask == sum(1 << graph.outcome_bits[outcome(instance, e, i)] for e, i in pairs)
 
 
+def _small_class():
+    """Every multiset of 1-3 elements, each one atom with x in {0, 1, 2} or
+    two atoms with distinct such x at 1/2 each, all with y = 1: 83 instances,
+    as (ids, distributions)."""
+    supports = [(x,) for x in range(3)] + list(itertools.combinations(range(3), 2))
+    for n in (1, 2, 3):
+        ids = [f"e{i}" for i in range(1, n + 1)]
+        for chosen in itertools.combinations_with_replacement(supports, n):
+            yield ids, {
+                e: [UtilityAtom(Fraction(x), Fraction(1), Fraction(1, len(xs))) for x in xs]
+                for e, xs in zip(ids, chosen)
+            }
+
+
+def _every_inner_kind(ids):
+    ground = frozenset(ids)
+    blocks = tuple(frozenset(b) for b in (ids[:2], ids[2:]) if b)
+    partition = PartitionSystem(ground, blocks, (1,) * len(blocks))
+    return [
+        FreeSystem(ground),
+        UniformSystem(ground, 1),
+        UniformSystem(ground, 2),
+        partition,
+        explicit_system(ground, [ids[:2], ids[2:]]),
+        IntersectionSystem(ground, (partition, explicit_system(ground, [ids[::2], ids[1:]]))),
+    ]
+
+
+def test_graph_u_is_the_max_weight_search_on_a_whole_class():
+    # the class crossed with a free and a 1-uniform outer constraint and
+    # every inner kind: at every state, u is the literal max-weight search
+    checked = 0
+    for ids, dists in _small_class():
+        ground = frozenset(ids)
+        for outer in (FreeSystem(ground), UniformSystem(ground, 1)):
+            for inner in _every_inner_kind(ids):
+                instance = make_instance(ids, dists, outer, inner)
+                graph = probing_graph(instance, Caps.dp_states)
+                for observed, u in zip(state_observations(graph), graph.observed_values):
+                    pairs = [(instance.elements[j], i) for j, i in observed]
+                    assert Fraction(u, graph.outcome_unit) == _observed_value(instance, pairs)
+                checked += 1
+    assert checked == 83 * 2 * 6
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data(), instances())
 def test_proposals_are_the_realizable_inner_sets(data, base):
@@ -406,14 +451,15 @@ def test_state_cap_admits_exactly_the_state_count():
     states = optimal_adaptive_value(inst).state_count
     assert states == 6
     assert optimal_adaptive_value(inst, Caps(dp_states=states)).state_count == states
-    with pytest.raises(CapacityError, match=f"exceeded {states - 1} states") as err:
+    refusal = rf"exceed cap {states - 1} \(count reached {states}\)"
+    with pytest.raises(CapacityError, match=refusal) as err:
         optimal_adaptive_value(inst, Caps(dp_states=states - 1))
     assert (err.value.cap, err.value.limit, err.value.reached) == (
         "dp_states",
         states - 1,
         states,
     )
-    with pytest.raises(CapacityError, match="probing DP exceeded 0 states"):
+    with pytest.raises(CapacityError, match=r"probing DP states exceed cap 0 \(count reached 6\)"):
         optimal_adaptive_value(inst, Caps(dp_states=0))
 
 
@@ -479,7 +525,7 @@ def test_constrained_states_are_capped_before_any_state_is_built(outer, count, m
     monkeypatch.setattr(probing, "Outcome", _refuse)
     with pytest.raises(CapacityError) as err:
         optimal_adaptive_value(inst, Caps(dp_states=count - 1))
-    assert str(err.value) == f"probing DP exceeded {count - 1} states"
+    assert str(err.value) == f"probing DP states exceed cap {count - 1} (count reached {count})"
     assert (err.value.cap, err.value.limit, err.value.reached) == ("dp_states", count - 1, count)
 
 

@@ -475,7 +475,7 @@ def test_orderings_cap_refuses_before_enumerating_scenarios(monkeypatch):
     monkeypatch.setattr(FreeSystem, "mask_test", _full_mask_only)
     with pytest.raises(CapacityError) as err:
         evaluate_vs_almighty(inst, family)
-    assert str(err.value) == f"probing DP exceeded {10**6} states"
+    assert str(err.value) == f"probing DP states exceed cap {10**6} (count reached {4**12})"
     assert (err.value.cap, err.value.limit, err.value.reached) == (
         "dp_states",
         10**6,
@@ -503,7 +503,7 @@ def test_free_graph_states_are_capped_before_the_compile(monkeypatch):
     for instance in (inst, constrained):  # the latter's free-outer graph
         with pytest.raises(CapacityError) as err:
             evaluate_vs_almighty(instance, family, caps)
-        assert str(err.value) == "probing DP exceeded 63 states"
+        assert str(err.value) == "probing DP states exceed cap 63 (count reached 64)"
         assert (err.value.cap, err.value.limit, err.value.reached) == (
             "dp_states",
             63,

@@ -117,6 +117,7 @@ REFERENCE_ONLY = {
     "agent_lottery_choice",
     "expected_values",
     "prefer",
+    "outcome_totals",
 }
 
 
@@ -275,6 +276,27 @@ def _class_dispatches(function):
         and isinstance(node.func, ast.Name)
         and node.func.id in ("type", "isinstance")
     ]
+
+
+def test_each_reference_definition_asks_one_rule():
+    # the max-weight reference is its definition, one search asking
+    # `is_feasible`, so only the JSON writer asks a set system's class; the
+    # best-response reference asks the one outcome-set rule that checks every
+    # supplied outcome set, and no element rule beside it
+    tree = _tree(SOURCE / "set_systems.py")
+    kinds = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    dispatching = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if _called_name(node) == "type"
+        or (_called_name(node) == "isinstance" and kinds & set(_names(node.args[1])))
+    }
+    assert dispatching == {"set_system_to_json"}
+    delegation = _tree(SOURCE / "delegation.py")
+    assert "agent_best_response" in _callers(delegation, "is_inner_feasible_outcome_set")
+    assert "agent_best_response" not in _callers(delegation, "is_feasible")
 
 
 def test_every_policy_kind_states_its_compile_and_no_compile_forks_on_kind():
